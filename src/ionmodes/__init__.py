@@ -21,13 +21,13 @@ from .modes import ModeSpectrum, NotAtEquilibriumError, amplitude_ratio, \
     carrier_matrix_element, ground_state_size, hessian, lamb_dicke, \
     mode_spectrum
 from .potentials import AxialPotential, TrapModel3D, axial_for_frequency, \
-    axial_from_lambdas, evaluate_axial, harmonic_axial, trap3d_from_frequencies
+    axial_from_lambdas, harmonic_axial, trap3d_from_frequencies
 from .species import BE9, MG24, MGH25, IonSpecies, make_species
 from .statics import ChainConfiguration, CharacteristicScales, \
     ConvergenceError, EquilibriumError, IonCrossingError, \
-    UnconfinedPotentialError, chain_length, characteristic_length, \
-    characteristic_scales, energy_gradient, energy_hessian, \
-    solve_equilibrium, total_energy
+    LinearChainInstabilityError, UnconfinedPotentialError, chain_length, \
+    characteristic_length, characteristic_scales, energy_gradient, \
+    energy_hessian, solve_equilibrium, total_energy
 from .two_ion import TwoIonAnalytics, cubic_equal, cubic_unequal, \
     quartic_equal, quartic_unequal
 

@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
-from . import coulomb
-from .constants import COULOMB, HBAR, PLANCK
-from .modes import ModeSpectrum, _require_equilibrium
+from .constants import HBAR, PLANCK
+from .modes import ModeSpectrum, _at_equilibrium
 from .potentials import TrapModel3D
 from .statics import ChainConfiguration
 
@@ -90,79 +88,12 @@ def occupation_vector(n, n_modes: int) -> np.ndarray:
     return occ
 
 
-def _axial_third(axial, sp, z):
-    return axial.energy_derivative(sp, z, 3)
-
-
-def _axial_fourth(axial, sp, z):
-    return axial.energy_derivative(sp, z, 4)
-
-
-def derivative_tensors(cfg: ChainConfiguration,
-                       include_coulomb: bool = True,
-                       include_trap: bool = True) -> DerivativeTensors:
+def derivative_tensors(cfg: ChainConfiguration) -> DerivativeTensors:
     """Analytic cubic/quartic tensors of the total potential at equilibrium.
 
-    Both the Coulomb interaction and anharmonic trap terms contribute; the
-    include flags allow separating the two for diagnostics.
+    Both the Coulomb interaction and the anharmonic trap terms contribute.
     """
-    _require_equilibrium(cfg)
-    n = cfg.n_ions
-    is3d = cfg.is_3d
-    d = 3 * n if is3d else n
-    t3 = np.zeros((d, d, d))
-    t4 = np.zeros((d, d, d, d))
-    axial = cfg.potential.axial if isinstance(cfg.potential, TrapModel3D) \
-        else cfg.potential
-
-    if include_trap:
-        for i, sp in enumerate(cfg.species):
-            z = cfg.axial_positions[i]
-            if is3d:
-                zi = 3 * i + 2
-                t3[zi, zi, zi] += _axial_third(axial, sp, z)
-                t4[zi, zi, zi, zi] += _axial_fourth(axial, sp, z)
-                trap = cfg.potential
-                if trap.has_tensors:
-                    sl = slice(3 * i, 3 * i + 3)
-                    v = np.array([cfg.positions[i, 0], cfg.positions[i, 1],
-                                  z - axial.expansion_origin])
-                    t3[sl, sl, sl] += sp.charge_si * (
-                        6.0 * trap.trap_cubic
-                        + 24.0 * np.einsum("abcd,d->abc", trap.trap_quartic, v))
-                    t4[sl, sl, sl, sl] += 24.0 * sp.charge_si * trap.trap_quartic
-            else:
-                t3[i, i, i] += _axial_third(axial, sp, z)
-                t4[i, i, i, i] += _axial_fourth(axial, sp, z)
-
-    if include_coulomb and n > 1:
-        pos = cfg.positions if is3d else cfg.positions[:, None]
-        for i in range(n):
-            for j in range(i + 1, n):
-                cc = COULOMB * cfg.species[i].charge_si * cfg.species[j].charge_si
-                if is3d:
-                    b3 = cc * coulomb.inv_r_d3(pos[i] - pos[j])
-                    b4 = cc * coulomb.inv_r_d4(pos[i] - pos[j])
-                    for owners in product((i, j), repeat=3):
-                        sgn = (-1.0) ** owners.count(j)
-                        idx = [slice(3 * o, 3 * o + 3) for o in owners]
-                        t3[idx[0], idx[1], idx[2]] += sgn * b3
-                    for owners in product((i, j), repeat=4):
-                        sgn = (-1.0) ** owners.count(j)
-                        idx = [slice(3 * o, 3 * o + 3) for o in owners]
-                        t4[idx[0], idx[1], idx[2], idx[3]] += sgn * b4
-                else:
-                    u = abs(cfg.positions[i] - cfg.positions[j])
-                    s = 1.0 if cfg.positions[i] > cfg.positions[j] else -1.0
-                    d3 = cc * coulomb.inv_u_axial(3, u)  # wrt the larger-z ion
-                    d4 = cc * coulomb.inv_u_axial(4, u)
-                    for owners in product((i, j), repeat=3):
-                        sgn = s ** 3 * (-1.0) ** owners.count(j)
-                        t3[owners[0], owners[1], owners[2]] += sgn * d3
-                    for owners in product((i, j), repeat=4):
-                        sgn = (-1.0) ** owners.count(j)
-                        t4[owners[0], owners[1], owners[2], owners[3]] += sgn * d4
-
+    t3, t4 = _at_equilibrium(cfg, 3, 4)
     m = cfg.coordinate_masses
     sq = np.sqrt(m)
     a3 = t3 / 6.0 / (sq[:, None, None] * sq[None, :, None] * sq[None, None, :])
@@ -316,8 +247,7 @@ def chi_from_configuration(cfg: ChainConfiguration,
         spectrum = mode_spectrum(cfg)
     tens = derivative_tensors(cfg)
     gt = mode_tensors(tens, spectrum)
-    axial = cfg.potential.axial if isinstance(cfg.potential, TrapModel3D) \
-        else cfg.potential
+    axial = cfg.potential.axial
     prov = {
         "coulomb": cfg.n_ions > 1,
         "trap_cubic": bool(axial.kappa.get(3, 0.0)) or (

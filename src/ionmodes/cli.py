@@ -24,7 +24,7 @@ import numpy as np
 from .anharmonic import ResonanceError, chi_from_configuration
 from .calibration import IN_PHASE, com_frequency_scan, field_sensitivity, \
     null_parameter, BracketError
-from .chifile import chi_to_text, read_chi
+from .chifile import chi_to_text, format_value, read_chi
 from .config import ConfigError, RunConfig, apply_overrides, load_config, \
     parse_family, parse_mode_label, validate_config, _integer, _number
 from .dynamics import FockSuperposition, fock_coherence, thermal_gate_infidelity
@@ -50,12 +50,8 @@ def _precision() -> int:
     return p
 
 
-def _fmt(x: float, prec: int) -> str:
-    return f"{x:.{prec}g}"
-
-
 def _matrix_lines(mat, prec):
-    cells = [[_fmt(v, prec) for v in row] for row in np.atleast_2d(mat)]
+    cells = [[format_value(v, prec) for v in row] for row in np.atleast_2d(mat)]
     width = max(len(c) for row in cells for c in row)
     return [" ".join(c.rjust(width) for c in row) for row in cells]
 
@@ -143,7 +139,8 @@ def cmd_coherence(cfg: RunConfig, section: dict, config_dir: Path, prec: int) ->
            f"# mode_index (1-based, descending): {z + 1}",
            f"# superposition: (|0> + |{sup.n_upper}>)/sqrt(2)",
            "# columns: time_s,coherence"]
-    out += [f"{_fmt(ti, prec)},{_fmt(ci, prec)}" for ti, ci in zip(t, c)]
+    out += [f"{format_value(ti, prec)},{format_value(ci, prec)}"
+            for ti, ci in zip(t, c)]
     return "\n".join(out) + "\n"
 
 
@@ -159,8 +156,8 @@ def cmd_gate(cfg: RunConfig, section: dict, config_dir: Path, prec: int) -> str:
     inf = thermal_gate_infidelity(chi, z, delta, cfg.environment)
     out = ["# ionmodes thermal gate infidelity (dimensionless)",
            f"# gate mode_index (1-based, descending): {z + 1}",
-           f"# detuning_khz: {_fmt(det, prec)}",
-           _fmt(inf, prec)]
+           f"# detuning_khz: {format_value(det, prec)}",
+           format_value(inf, prec)]
     return "\n".join(out) + "\n"
 
 
@@ -173,11 +170,11 @@ def cmd_scan(cfg: RunConfig, section: dict, config_dir: Path, prec: int) -> str:
                                 range(n_min, n_max + 1))
     out = ["# ionmodes centre-of-mass frequency scan",
            f"# species: {cfg.chain[0].label}",
-           f"# slope_hz_per_ion: {_fmt(result.slope, prec)}",
-           f"# intercept_hz: {_fmt(result.intercept, prec)}",
-           f"# r_squared: {_fmt(result.r_squared, prec)}",
+           f"# slope_hz_per_ion: {format_value(result.slope, prec)}",
+           f"# intercept_hz: {format_value(result.intercept, prec)}",
+           f"# r_squared: {format_value(result.r_squared, prec)}",
            "# columns: n_ions,f_com_hz"]
-    out += [f"{n},{_fmt(f, prec)}"
+    out += [f"{n},{format_value(f, prec)}"
             for n, f in zip(result.counts, result.frequencies)]
     return "\n".join(out) + "\n"
 
@@ -201,7 +198,7 @@ def cmd_null(cfg: RunConfig, section: dict, config_dir: Path, prec: int) -> str:
     out = ["# ionmodes odd-order anharmonicity null",
            f"# mode_label: {label}",
            "# root parameter p* (family parameter units):",
-           _fmt(p_star, prec)]
+           format_value(p_star, prec)]
     return "\n".join(out) + "\n"
 
 
@@ -214,9 +211,9 @@ def cmd_sensitivity(cfg: RunConfig, section: dict, config_dir: Path, prec: int) 
         mode = _integer(mode, "sensitivity.mode", minimum=0)
     shift = field_sensitivity(cfg.axial, cfg.chain, field, mode)
     out = ["# ionmodes field sensitivity",
-           f"# field_v_per_m: {_fmt(field, prec)}",
+           f"# field_v_per_m: {format_value(field, prec)}",
            "# fractional squared-frequency shift (dimensionless):",
-           _fmt(shift, prec)]
+           format_value(shift, prec)]
     return "\n".join(out) + "\n"
 
 

@@ -1,49 +1,56 @@
 """Closed-form derivatives of the Coulomb pair potential 1/|r|.
 
-Blocks are derivatives with respect to the components of the separation
-vector r = r_i - r_j; derivatives with respect to ion coordinates follow by
+Derivatives are taken with respect to the components of the separation
+vector r = r_i - r_j, which has three components, or one for a linear chain
+(its on-axis case); derivatives with respect to ion coordinates follow by
 flipping the sign once per index taken on ion j.
 """
 
 import numpy as np
 
-_EYE = np.eye(3)
+
+def inv_r_derivatives(r, orders) -> list:
+    """d^m(1/|r|)/dr_a1 ... dr_am for each m in ``orders`` (0 to 4).
+
+    ``r`` has shape (..., k) with k = 1 or 3; the leading axes (a pair axis,
+    say) broadcast, and the m-th result has shape (...,) + (k,) * m.
+    """
+    r = np.asarray(r, dtype=float)
+    rn = np.sqrt(np.add.reduce(r * r, axis=-1))
+    return [_derivative(r, rn[(...,) + (None,) * m], m) for m in orders]
 
 
-def inv_r_d2(r: np.ndarray) -> np.ndarray:
-    """d^2(1/|r|)/dr_a dr_b, shape (3, 3)."""
-    rn = np.linalg.norm(r)
-    return (3.0 * np.outer(r, r) - rn**2 * _EYE) / rn**5
+def _derivative(r, rn, order):
+    """One order of d^m(1/|r|), given |r| broadcast to the result's rank."""
+    k = r.shape[-1]
+    # r with its component axis on each derivative axis in turn
+    ra = [r[(...,) + (None,) * a + (slice(None),) + (None,) * (order - 1 - a)]
+          for a in range(order)]
 
+    def v(*axes):  # r_a r_b ... on the given derivative axes
+        out = ra[axes[0]]
+        for ax in axes[1:]:
+            out = out * ra[ax]
+        return out
 
-def inv_r_d3(r: np.ndarray) -> np.ndarray:
-    """d^3(1/|r|)/dr_a dr_b dr_c, shape (3, 3, 3)."""
-    rn = np.linalg.norm(r)
-    rr = np.multiply.outer(np.outer(r, r), r)  # r_a r_b r_c
-    deltas = (np.multiply.outer(_EYE, r)
-              + np.multiply.outer(_EYE, r).transpose(0, 2, 1)
-              + np.multiply.outer(r, _EYE))
-    return -3.0 * (5.0 * rr - rn**2 * deltas) / rn**7
+    def d(a, b):  # Kronecker delta on derivative axes a and b
+        shape = [1] * order
+        shape[a] = shape[b] = k
+        return np.eye(k).reshape(shape)
 
-
-def inv_r_d4(r: np.ndarray) -> np.ndarray:
-    """d^4(1/|r|)/dr_a dr_b dr_c dr_d, shape (3, 3, 3, 3)."""
-    rn = np.linalg.norm(r)
-    rr = np.outer(r, r)
-    r4 = np.multiply.outer(rr, rr)  # r_a r_b r_c r_d
-    x = np.multiply.outer(_EYE, rr)  # delta_ab r_c r_d
-    y = np.multiply.outer(rr, _EYE)  # r_a r_b delta_cd
-    pair = (x + x.transpose(0, 2, 1, 3) + x.transpose(0, 3, 1, 2)
-            + y.transpose(0, 3, 1, 2) + y.transpose(0, 2, 1, 3) + y)
-    z = np.multiply.outer(_EYE, _EYE)  # delta_ab delta_cd
-    dd = z + z.transpose(0, 2, 1, 3) + z.transpose(0, 3, 1, 2)
-    return (105.0 * r4 - 15.0 * rn**2 * pair + 3.0 * rn**4 * dd) / rn**9
-
-
-def inv_u_axial(order: int, u: float) -> float:
-    """d^k(1/u)/du^k for a positive scalar separation u."""
-    sign = -1.0 if order % 2 else 1.0
-    fact = 1.0
-    for k in range(1, order + 1):
-        fact *= k
-    return sign * fact / u ** (order + 1)
+    if order == 0:
+        return 1.0 / rn
+    if order == 1:
+        return -v(0) / rn**3
+    if order == 2:
+        return (3.0 * v(0, 1) - rn**2 * d(0, 1)) / rn**5
+    if order == 3:
+        deltas = d(0, 1) * v(2) + d(0, 2) * v(1) + d(1, 2) * v(0)
+        return -3.0 * (5.0 * v(0, 1, 2) - rn**2 * deltas) / rn**7
+    if order == 4:
+        pair = (d(0, 1) * v(2, 3) + d(0, 2) * v(1, 3) + d(0, 3) * v(1, 2)
+                + d(1, 2) * v(0, 3) + d(1, 3) * v(0, 2) + d(2, 3) * v(0, 1))
+        dd = d(0, 1) * d(2, 3) + d(0, 2) * d(1, 3) + d(0, 3) * d(1, 2)
+        return (105.0 * v(0, 1, 2, 3) - 15.0 * rn**2 * pair
+                + 3.0 * rn**4 * dd) / rn**9
+    raise ValueError(f"derivative order must be 0..4, got {order}")

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh
 from scipy.special import eval_laguerre
 
 from .constants import HBAR
-from .statics import ChainConfiguration, energy_gradient, energy_hessian
+from .statics import ChainConfiguration, _Energy
 
 EQUILIBRIUM_SLACK = 1e3  # tolerated residual, in units of the solver residual
 
@@ -25,19 +25,20 @@ class NotAtEquilibriumError(ValueError):
     pass
 
 
-def _require_equilibrium(cfg: ChainConfiguration):
-    g = energy_gradient(cfg.positions, cfg.species, cfg.potential)
+def _at_equilibrium(cfg: ChainConfiguration, *orders) -> list:
+    """Energy derivatives of the given orders at a checked equilibrium."""
+    g, *out = _Energy(cfg.species, cfg.potential)(cfg.positions, 1, *orders)
     bound = max(cfg.residual_gradient * EQUILIBRIUM_SLACK, 1e-30)
     if np.max(np.abs(g)) > bound:
         raise NotAtEquilibriumError(
             "configuration is not at equilibrium "
             f"(max |grad| = {np.max(np.abs(g)):.3e} J/m)")
+    return out
 
 
 def hessian(cfg: ChainConfiguration) -> np.ndarray:
     """Mass-weighted Hessian (s^-2) at the solved equilibrium."""
-    _require_equilibrium(cfg)
-    h = energy_hessian(cfg.positions, cfg.species, cfg.potential)
+    h, = _at_equilibrium(cfg, 2)
     m = cfg.coordinate_masses
     return h / np.sqrt(np.outer(m, m))
 
@@ -141,11 +142,3 @@ def carrier_matrix_element(eta: float, n: int) -> float:
     x = eta * eta
     return float(np.exp(-x / 2) * eval_laguerre(int(n), x))
 
-
-def carrier_matrix_element_numeric(eta: float, n: int, cutoff: int | None = None) -> float:
-    """Same matrix element from the truncated-Fock-space matrix exponential."""
-    if cutoff is None:
-        cutoff = max(4 * (n + 4), 40)
-    a = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
-    u = expm(1j * eta * (a + a.T))
-    return float(np.real(u[n, n]))

@@ -49,6 +49,12 @@ class AxialPotential:
         if self.pseudo_gradient != 0.0 and self.pseudo_reference is None:
             raise ValueError("pseudo_gradient requires a reference species")
         object.__setattr__(self, "kappa", ks)
+        # column m: coefficients of d^m V/dz^m in powers of (z - z0)
+        taylor = np.zeros((max(ks) + 1,) * 2)
+        for n, kn in ks.items():
+            for m in range(n + 1):
+                taylor[n - m, m] = kn * math.perm(n, m)
+        object.__setattr__(self, "_taylor", taylor)
 
     @property
     def kappa2(self) -> float:
@@ -72,26 +78,42 @@ class AxialPotential:
         scale = self.pseudo_reference.mass / species.mass
         return species.charge_si * self.pseudo_gradient * scale
 
+    @property
+    def axial(self) -> AxialPotential:
+        """The axial polynomial itself (a TrapModel3D holds one too)."""
+        return self
+
+    def derivatives(self, z, orders, charge, slope=0.0) -> list:
+        """d^k/dz^k of charge * V(z) + slope * z, in J/m^k, for each k in
+        ``orders`` (k >= 0).
+
+        ``slope`` is a pseudopotential slope in J/m (see ``gradient_slope``).
+        Positions, charges and slopes broadcast, so one call covers a chain.
+        """
+        z = np.asarray(z, dtype=float)
+        taylor = self._taylor
+        poly = (z - self.expansion_origin)[..., None] \
+            ** np.arange(len(taylor)) @ taylor
+        out = []
+        for k in orders:
+            acc = poly[..., k] if k < len(taylor) else 0.0 * z
+            if k == 0:
+                acc = charge * (acc - self.uniform_field * z) + slope * z
+            else:
+                acc = acc * charge
+                if k == 1:
+                    acc = acc - charge * self.uniform_field + slope
+            out.append(acc if np.ndim(acc) else float(acc))
+        return out
+
     def energy(self, species: IonSpecies, z: float) -> float:
         """Potential energy qV(z) of one ion, in J."""
-        u = z - self.expansion_origin
-        v = sum(kn * u**n for n, kn in self.kappa.items())
-        return species.charge_si * (v - self.uniform_field * z) \
-            + self.gradient_slope(species) * z
+        return self.energy_derivative(species, z, 0)
 
     def energy_derivative(self, species: IonSpecies, z, order: int = 1):
-        """d^k(qV)/dz^k for k >= 1; z may be an array."""
-        u = np.asarray(z, dtype=float) - self.expansion_origin
-        acc = np.zeros_like(u)
-        for n, kn in self.kappa.items():
-            if n >= order:
-                coeff = kn * math.prod(range(n - order + 1, n + 1))
-                acc = acc + coeff * u ** (n - order)
-        acc = acc * species.charge_si
-        if order == 1:
-            acc = acc - species.charge_si * self.uniform_field \
-                + self.gradient_slope(species)
-        return acc if acc.shape else float(acc)
+        """d^k(qV)/dz^k; z may be an array."""
+        return self.derivatives(z, (order,), species.charge_si,
+                                self.gradient_slope(species))[0]
 
 
 def axial_from_lambdas(kappa2: float, lambdas: dict[int, float],
@@ -112,11 +134,6 @@ def axial_from_lambdas(kappa2: float, lambdas: dict[int, float],
             raise ValueError(f"lambda_{n} must be nonzero")
         kappa[n] = kappa2 * math.copysign(abs(lam) ** (2 - n), lam)
     return AxialPotential(kappa=kappa, **kwargs)
-
-
-def evaluate_axial(pot: AxialPotential, species: IonSpecies, z: float) -> float:
-    """Potential energy of one ion at axial position z, in J."""
-    return pot.energy(species, z)
 
 
 def _symmetrize(arr: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -45,6 +46,10 @@ class UnconfinedPotentialError(EquilibriumError):
     pass
 
 
+class LinearChainInstabilityError(UnconfinedPotentialError):
+    """The linear chain is a saddle: a radial (zigzag) mode is soft."""
+
+
 def characteristic_length(species: IonSpecies, kappa2: float) -> float:
     """Coulomb length scale l = (q / 8 pi eps0 kappa2)^(1/3).
 
@@ -56,33 +61,110 @@ def characteristic_length(species: IonSpecies, kappa2: float) -> float:
     return (species.charge_si / (8 * math.pi * EPSILON_0 * kappa2)) ** (1.0 / 3.0)
 
 
-def _as_positions(positions) -> tuple[np.ndarray, bool]:
+def _as_positions(positions) -> np.ndarray:
+    """Positions as an (N, k) array: k = 1 on the axis, k = 3 in 3D."""
     pos = np.asarray(positions, dtype=float)
     if pos.ndim == 1:
-        return pos, False
+        return pos[:, None]
     if pos.ndim == 2 and pos.shape[1] == 3:
-        return pos, True
+        return pos
     raise ValueError("positions must have shape (N,) or (N, 3)")
 
 
-def _axial_of(pos: np.ndarray, is3d: bool) -> np.ndarray:
-    return pos[:, 2] if is3d else pos
+class _Energy:
+    """The chain energy U and its derivatives for fixed species and potential.
 
+    Per-chain constants (charges, pseudopotential slopes, pair couplings,
+    radial curvatures) are set up once; each call evaluates the on-site trap
+    terms and the Coulomb pair terms of every requested order at once, with
+    a linear chain as the one-component case of the pair kernel.
+    """
 
-def _check_separations(pos: np.ndarray, is3d: bool):
-    n = len(pos)
-    p = pos if is3d else pos[:, None]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(p[i] - p[j]) < COINCIDENCE_LIMIT:
-                raise ValueError(f"ions {i} and {j} are coincident")
+    def __init__(self, species, potential):
+        self.axial = potential.axial
+        self.trap = potential if isinstance(potential, TrapModel3D) else None
+        self.charge = np.array([sp.charge_si for sp in species])
+        self.slope = np.array([self.axial.gradient_slope(sp) for sp in species])
+        self.coupling = COULOMB * self.charge[:, None] * self.charge[None, :]
+        np.fill_diagonal(self.coupling, 0.0)
+        self.pairs = np.nonzero(~np.eye(len(species), dtype=bool))  # i != j
+        self.diag = np.diag_indices(len(species))
+        if self.trap is not None:
+            self.radial = np.array([self.trap.radial_for(sp) for sp in species])
 
+    def __call__(self, positions, *orders):
+        """[d^m U for m in orders]: U as a float, then arrays over the
+        flattened coordinates (ion-major, x, y, z within an ion in 3D)."""
+        pos = _as_positions(positions)
+        if self.trap is not None and pos.shape[1] != 3:
+            raise ValueError("TrapModel3D requires (N, 3) positions")
+        n = len(pos)
+        sep = pos[:, None, :] - pos[None, :, :]
+        sep[self.diag] = 1.0  # self-pairs carry no coupling
+        close = np.add.reduce(sep * sep, axis=-1) < COINCIDENCE_LIMIT**2
+        if close.any():
+            raise ValueError("ions {} and {} are coincident".format(
+                *np.argwhere(close)[0]))
+        axial = self.axial.derivatives(pos[:, -1], orders, self.charge,
+                                       self.slope)
+        coul = coulomb.inv_r_derivatives(sep, orders)
+        return [self._assemble(self._onsite(pos, m, a),
+                               self.coupling.reshape((n, n) + (1,) * m) * c)
+                for m, a, c in zip(orders, axial, coul)]
 
-def _trap_terms(potential):
-    """Split a potential into (axial polynomial, 3D trap or None)."""
-    if isinstance(potential, TrapModel3D):
-        return potential.axial, potential
-    return potential, None
+    def _onsite(self, pos, m, axial):
+        """Trap terms d^m(q V_t)/dr^m of each ion, shape (N,) + (k,) * m,
+        given the axial polynomial's term ``axial``."""
+        n, k = pos.shape
+        if k == 1:
+            return axial.reshape((n,) + (1,) * m)
+        blk = np.zeros((n,) + (3,) * m)
+        blk[(slice(None),) + (2,) * m] = axial
+        if self.trap is None:
+            return blk
+        if m <= 2:
+            for a in (0, 1):
+                c = math.perm(2, m) * self.charge * self.radial[:, a]
+                blk[(slice(None),) + (a,) * m] += c * pos[:, a] ** (2 - m)
+        if self.trap.has_tensors:
+            v = pos - np.array([0.0, 0.0, self.axial.expansion_origin])
+            q = self.charge.reshape((n,) + (1,) * m)
+            for rank, coeffs in ((3, self.trap.trap_cubic),
+                                 (4, self.trap.trap_quartic)):
+                if m > rank:
+                    continue
+                t = np.broadcast_to(coeffs, (n,) + coeffs.shape)
+                for _ in range(rank - m):
+                    t = np.einsum("n...a,na->n...", t, v)
+                blk += math.perm(rank, m) * q * t
+        return blk
+
+    def _assemble(self, onsite, pair):
+        """Rank-m derivative from on-site blocks and the pair blocks
+        C_ij d^m(1/|r|)(r_i - r_j) of shape (N, N) + (k,) * m.
+
+        Ion i's diagonal block sums its pair blocks over all partners j.  An
+        index on ion j of an ordered pair (i, j) flips the sign once; every
+        off-diagonal entry has its first index on some ion i, so it is set
+        exactly once.
+        """
+        m = onsite.ndim - 1
+        if m == 0:
+            return float(np.add.reduce(onsite) + 0.5 * np.add.reduce(pair, None))
+        diagonal = onsite + np.add.reduce(pair, axis=1)
+        if m == 1:
+            return diagonal.reshape(-1)
+        n, k = onsite.shape[:2]
+        t = np.zeros((n, k) * m)
+        t[(self.diag[0], slice(None)) * m] = diagonal
+        owners, every = self.pairs, slice(None)
+        blocks = pair[owners]
+        for rest in product((0, 1), repeat=m - 1):
+            if any(rest):
+                idx = (owners[0], every) + sum(((owners[o], every)
+                                                for o in rest), ())
+                t[idx] = (-1.0) ** sum(rest) * blocks
+        return t.reshape((n * k,) * m)
 
 
 def total_energy(positions, species, potential) -> float:
@@ -91,116 +173,17 @@ def total_energy(positions, species, potential) -> float:
     Positions are (N,) axial for an AxialPotential and (N, 3) for a
     TrapModel3D.
     """
-    pos, is3d = _as_positions(positions)
-    _check_separations(pos, is3d)
-    axial, trap3d = _trap_terms(potential)
-    if trap3d is not None and not is3d:
-        raise ValueError("TrapModel3D requires (N, 3) positions")
-    u = 0.0
-    for sp, r in zip(species, pos):
-        z = r[2] if is3d else r
-        u += axial.energy(sp, z)
-        if trap3d is not None:
-            kx, ky = trap3d.radial_for(sp)
-            u += sp.charge_si * (kx * r[0] ** 2 + ky * r[1] ** 2)
-            if trap3d.has_tensors:
-                v = np.array([r[0], r[1], r[2] - axial.expansion_origin])
-                u += sp.charge_si * (
-                    np.einsum("abc,a,b,c->", trap3d.trap_cubic, v, v, v)
-                    + np.einsum("abcd,a,b,c,d->", trap3d.trap_quartic, v, v, v, v))
-    p = pos if is3d else pos[:, None]
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            d = np.linalg.norm(p[i] - p[j])
-            u += COULOMB * species[i].charge_si * species[j].charge_si / d
-    return u
+    return _Energy(species, potential)(positions, 0)[0]
 
 
 def energy_gradient(positions, species, potential) -> np.ndarray:
     """Analytic gradient dU/dz_k (J/m), flattened over coordinates."""
-    pos, is3d = _as_positions(positions)
-    _check_separations(pos, is3d)
-    axial, trap3d = _trap_terms(potential)
-    if trap3d is not None and not is3d:
-        raise ValueError("TrapModel3D requires (N, 3) positions")
-    n = len(pos)
-    if is3d:
-        g = np.zeros((n, 3))
-        for i, sp in enumerate(species):
-            g[i, 2] = axial.energy_derivative(sp, pos[i, 2], 1)
-            kx, ky = trap3d.radial_for(sp) if trap3d is not None else (0.0, 0.0)
-            g[i, 0] += 2 * sp.charge_si * kx * pos[i, 0]
-            g[i, 1] += 2 * sp.charge_si * ky * pos[i, 1]
-            if trap3d is not None and trap3d.has_tensors:
-                v = np.array([pos[i, 0], pos[i, 1],
-                              pos[i, 2] - axial.expansion_origin])
-                g[i] += sp.charge_si * (
-                    3 * np.einsum("abc,b,c->a", trap3d.trap_cubic, v, v)
-                    + 4 * np.einsum("abcd,b,c,d->a", trap3d.trap_quartic, v, v, v))
-        for i in range(n):
-            for j in range(n):
-                if j == i:
-                    continue
-                r = pos[i] - pos[j]
-                cc = COULOMB * species[i].charge_si * species[j].charge_si
-                g[i] += -cc * r / np.linalg.norm(r) ** 3
-        return g.ravel()
-    g = np.array([axial.energy_derivative(sp, z, 1)
-                  for sp, z in zip(species, pos)])
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            d = pos[i] - pos[j]
-            cc = COULOMB * species[i].charge_si * species[j].charge_si
-            g[i] += -cc * math.copysign(1.0, d) / d**2
-    return g
+    return _Energy(species, potential)(positions, 1)[0]
 
 
 def energy_hessian(positions, species, potential) -> np.ndarray:
     """Analytic Hessian d2U/dz_k dz_l (J/m^2) over flattened coordinates."""
-    pos, is3d = _as_positions(positions)
-    _check_separations(pos, is3d)
-    axial, trap3d = _trap_terms(potential)
-    if trap3d is not None and not is3d:
-        raise ValueError("TrapModel3D requires (N, 3) positions")
-    n = len(pos)
-    if is3d:
-        h = np.zeros((3 * n, 3 * n))
-        for i, sp in enumerate(species):
-            h[3 * i + 2, 3 * i + 2] += axial.energy_derivative(sp, pos[i, 2], 2)
-            kx, ky = trap3d.radial_for(sp) if trap3d is not None else (0.0, 0.0)
-            h[3 * i, 3 * i] += 2 * sp.charge_si * kx
-            h[3 * i + 1, 3 * i + 1] += 2 * sp.charge_si * ky
-            if trap3d is not None and trap3d.has_tensors:
-                v = np.array([pos[i, 0], pos[i, 1],
-                              pos[i, 2] - axial.expansion_origin])
-                blk = sp.charge_si * (
-                    6 * np.einsum("abc,c->ab", trap3d.trap_cubic, v)
-                    + 12 * np.einsum("abcd,c,d->ab", trap3d.trap_quartic, v, v))
-                h[3 * i:3 * i + 3, 3 * i:3 * i + 3] += blk
-        for i in range(n):
-            for j in range(n):
-                if j == i:
-                    continue
-                cc = COULOMB * species[i].charge_si * species[j].charge_si
-                blk = cc * coulomb.inv_r_d2(pos[i] - pos[j])
-                h[3 * i:3 * i + 3, 3 * i:3 * i + 3] += blk
-                h[3 * i:3 * i + 3, 3 * j:3 * j + 3] -= blk
-        return h
-    h = np.zeros((n, n))
-    for i, sp in enumerate(species):
-        h[i, i] = axial.energy_derivative(sp, pos[i], 2)
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            u = abs(pos[i] - pos[j])
-            cc = COULOMB * species[i].charge_si * species[j].charge_si
-            d2 = cc * 2.0 / u**3
-            h[i, i] += d2
-            h[i, j] -= d2
-    return h
+    return _Energy(species, potential)(positions, 2)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,40 +220,15 @@ class ChainConfiguration:
 
 @lru_cache(maxsize=64)
 def _harmonic_chain_scaled(n: int) -> tuple[float, ...]:
-    """Equal-mass harmonic chain equilibrium in units of l.
-
-    Dimensionless energy: sum xi^2 + sum_{i<j} 2/|xi_i - xi_j|.
-    """
+    """Equal-mass harmonic chain equilibrium in units of l."""
     if n == 1:
         return (0.0,)
-
-    def grad_hess(xi):
-        g = 2 * xi.copy()
-        h = np.zeros((n, n))
-        np.fill_diagonal(h, 2.0)
-        for i in range(n):
-            for j in range(n):
-                if j == i:
-                    continue
-                d = xi[i] - xi[j]
-                g[i] += -2 * math.copysign(1.0, d) / d**2
-                h[i, i] += 4 / abs(d) ** 3
-                h[i, j] -= 4 / abs(d) ** 3
-        return g, h
-
-    # The scaled energy is strictly convex on the ordered cone, so damped
-    # Newton converges from any ordered start.
-    xi = np.linspace(-0.8, 0.8, n) * n**0.56
-    for _ in range(200):
-        g, h = grad_hess(xi)
-        if np.max(np.abs(g)) < 1e-13:
-            break
-        step = np.linalg.solve(h, -g)
-        t = 1.0
-        while t > 1e-14 and not np.all(np.diff(xi + t * step) > 0):
-            t *= 0.5
-        xi = xi + t * step
-    return tuple(xi)
+    unit = IonSpecies("unit", 1.0)
+    pot = AxialPotential(kappa={2: unit.charge_si / (8 * math.pi * EPSILON_0)})
+    l = characteristic_length(unit, pot.kappa2)
+    guess = l * np.linspace(-0.8, 0.8, n) * n**0.56
+    cfg = solve_equilibrium((unit,) * n, pot, initial_guess=guess)
+    return tuple(cfg.positions / l)
 
 
 def _initial_guess(species, axial: AxialPotential) -> np.ndarray:
@@ -279,27 +237,63 @@ def _initial_guess(species, axial: AxialPotential) -> np.ndarray:
     return axial.expansion_origin + l * xi
 
 
+def _descent_step(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Newton step, shifted past negative curvature until it descends."""
+    reg = 0.0
+    for _ in range(12):
+        try:
+            step = np.linalg.solve(h + reg * np.eye(len(g)) if reg else h, -g)
+        except np.linalg.LinAlgError:
+            step = None
+        if step is not None and g @ step < 0:
+            return step
+        if reg == 0.0:
+            # shift past the most negative curvature (Levenberg style)
+            eig_min = float(np.linalg.eigvalsh(h)[0])
+            reg = max(-1.1 * eig_min, 1e-12 * np.abs(h).max(), 1e-300)
+        else:
+            reg *= 10
+    raise ConvergenceError("could not produce a descent direction")
+
+
+def _instability(h: np.ndarray, is3d: bool) -> UnconfinedPotentialError:
+    """The error for a stationary point whose Hessian is not positive."""
+    w, v = np.linalg.eigh(h)
+    if is3d:
+        weight = (v[:, 0].reshape(-1, 3) ** 2).sum(axis=0)
+        axis = int(np.argmax(weight))
+        if axis < 2:
+            return LinearChainInstabilityError(
+                f"linear chain is unstable (zigzag): softest Hessian mode "
+                f"(index 0 of {len(w)}, ascending) is {weight[axis]:.0%} "
+                f"{'xy'[axis]}, eigenvalue {w[0]:.3e} J/m^2; "
+                f"{int(np.sum(w <= 0))} non-positive mode(s)")
+    return UnconfinedPotentialError(
+        "Hessian is not positive definite at the solution")
+
+
 def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfiguration:
     """Find the equilibrium configuration of an ordered chain.
 
     Newton iteration with analytic Hessian and a backtracking (Armijo) line
     search, started from the equal-mass harmonic chain at the characteristic
-    length scale.  Raises ConvergenceError, IonCrossingError, or
-    UnconfinedPotentialError.
+    length scale.  Raises ConvergenceError (also when MAX_NEWTON_ITER steps
+    do not converge), IonCrossingError, UnconfinedPotentialError, or its
+    subclass LinearChainInstabilityError when a radial mode is soft.
     """
     species = tuple(species)
-    axial, trap3d = _trap_terms(potential)
-    want3d = trap3d is not None
+    axial = potential.axial
+    energy = _Energy(species, potential)
+    want3d = energy.trap is not None
     if initial_guess is None:
         guess = _initial_guess(species, axial)
     else:
-        guess, g3d = _as_positions(np.array(initial_guess, dtype=float))
-        if g3d and not want3d:
+        guess = np.array(initial_guess, dtype=float)
+        if _as_positions(guess).shape[1] == 3 and not want3d:
             raise ValueError("3D guess supplied for a 1D axial potential")
     if want3d and guess.ndim == 1:
         guess = np.column_stack([np.zeros(len(guess)), np.zeros(len(guess)), guess])
 
-    n = len(species)
     shape = guess.shape
     x = guess.ravel().copy()
     l = characteristic_length(species[0], axial.kappa2)
@@ -307,97 +301,65 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
     tol = GRAD_TOL_FACTOR * force_scale
 
     def ordered(vec):
-        z = _axial_of(vec.reshape(shape), want3d)
-        return bool(np.all(np.diff(z) > 0)) if n > 1 else True
+        z = vec.reshape(shape)[:, 2] if want3d else vec
+        return bool((z[1:] > z[:-1]).all())
 
     if not ordered(x):
         raise ValueError("initial guess must have strictly increasing axial order")
 
-    def value(vec):
-        return total_energy(vec.reshape(shape), species, potential)
-
-    u0 = value(x)
-    converged = False
-    for _ in range(MAX_NEWTON_ITER):
-        g = energy_gradient(x.reshape(shape), species, potential)
-        if np.max(np.abs(g)) < tol:
-            converged = True
+    u, g, h = energy(x.reshape(shape), 0, 1, 2)
+    for it in range(MAX_NEWTON_ITER + 1):
+        if np.abs(g).max() < tol:
             break
-        h = energy_hessian(x.reshape(shape), species, potential)
-        step = None
-        reg = 0.0
-        for _ in range(12):
-            try:
-                cand = np.linalg.solve(h + reg * np.eye(len(x)), -g)
-            except np.linalg.LinAlgError:
-                cand = None
-            if cand is not None and g @ cand < 0:
-                step = cand
-                break
-            if reg == 0.0:
-                # shift past the most negative curvature (Levenberg style)
-                eig_min = float(np.linalg.eigvalsh(h)[0])
-                reg = max(-1.1 * eig_min, 1e-12 * np.abs(h).max(), 1e-300)
-            else:
-                reg *= 10
-        if step is None:
-            raise ConvergenceError("could not produce a descent direction")
+        if it == MAX_NEWTON_ITER:
+            raise ConvergenceError(
+                f"no convergence in {MAX_NEWTON_ITER} Newton steps "
+                f"(max |grad| = {np.abs(g).max():.3e} J/m)")
+        step = _descent_step(g, h)
         t = 1.0
-        accepted = False
         crossing_only = True
         pred = g @ step
         # near the floating-point floor of the energy the Armijo test is
         # pure noise; fall back to requiring a gradient-norm decrease
-        grad_test = abs(pred) < 1e-12 * max(abs(u0), 1e-300)
+        grad_test = abs(pred) < 1e-12 * max(abs(u), 1e-300)
         while t > 1e-14:
             trial = x + t * step
             if ordered(trial):
                 crossing_only = False
+                u_t, g_t, h_t = energy(trial.reshape(shape), 0, 1, 2)
                 if grad_test:
-                    g_trial = energy_gradient(trial.reshape(shape), species,
-                                              potential)
-                    ok = np.max(np.abs(g_trial)) < np.max(np.abs(g))
+                    ok = np.abs(g_t).max() < np.abs(g).max()
                 else:
-                    ok = value(trial) <= u0 + 1e-4 * t * pred
+                    ok = u_t <= u + 1e-4 * t * pred
                 if ok:
-                    x, u0, accepted = trial, value(trial), True
+                    x, u, g, h = trial, u_t, g_t, h_t
                     break
             t *= 0.5
-        if not accepted:
+        else:
             if crossing_only:
                 raise IonCrossingError("ion ordering would be violated during iteration")
             raise ConvergenceError("line search failed to reduce the energy")
-    if not converged:
-        g = energy_gradient(x.reshape(shape), species, potential)
-        if np.max(np.abs(g)) >= tol:
-            raise ConvergenceError(
-                f"no convergence in {MAX_NEWTON_ITER} Newton steps "
-                f"(max |grad| = {np.max(np.abs(g)):.3e} J/m)")
     # polish with full Newton steps: quadratic convergence drives the
     # residual to the floating-point floor, making the solution
     # guess-independent far below the convergence tolerance
-    g = energy_gradient(x.reshape(shape), species, potential)
     for _ in range(3):
-        if not np.max(np.abs(g)):
+        if not np.abs(g).max():
             break
-        h = energy_hessian(x.reshape(shape), species, potential)
         try:
             trial = x + np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
             break
         if not ordered(trial):
             break
-        g_trial = energy_gradient(trial.reshape(shape), species, potential)
-        if np.max(np.abs(g_trial)) >= np.max(np.abs(g)):
+        g_t, h_t = energy(trial.reshape(shape), 1, 2)
+        if np.abs(g_t).max() >= np.abs(g).max():
             break
-        x, g = trial, g_trial
-    h = energy_hessian(x.reshape(shape), species, potential)
+        x, g, h = trial, g_t, h_t
     if np.linalg.eigvalsh(h)[0] <= 0:
-        raise UnconfinedPotentialError("Hessian is not positive definite at the solution")
-    g = energy_gradient(x.reshape(shape), species, potential)
+        raise _instability(h, want3d)
     return ChainConfiguration(species=species, positions=x.reshape(shape),
                               potential=potential,
-                              residual_gradient=float(np.max(np.abs(g))))
+                              residual_gradient=float(np.abs(g).max()))
 
 
 def chain_length(cfg: ChainConfiguration) -> float:
@@ -417,8 +379,6 @@ class CharacteristicScales:
 
 
 def characteristic_scales(cfg: ChainConfiguration) -> CharacteristicScales:
-    axial = cfg.potential.axial if hasattr(cfg.potential, "axial") \
-        else cfg.potential
-    l = characteristic_length(cfg.species[0], axial.kappa2)
+    l = characteristic_length(cfg.species[0], cfg.potential.axial.kappa2)
     return CharacteristicScales(l=l,
                                 L=chain_length(cfg) if cfg.n_ions > 1 else 0.0)

@@ -1,8 +1,20 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ionmodes import BE9, MG24, MGH25, ChainConfiguration, axial_from_lambdas, \
     energy_gradient, harmonic_axial
+
+
+def pytest_configure(config):
+    """Let CLI tests' ``python -m ionmodes.cli`` subprocesses import the
+    package from this checkout, as ``pythonpath`` does for pytest itself."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
 
 KAPPA2 = 1.3e7  # V/m^2, the two-layer-trap working point (2.655 MHz for Be+)
 LAMBDA3 = -230e-6

@@ -143,6 +143,53 @@ class TestDerivativeTensors:
                                   floor=1e-7 * np.max(np.abs(raw3)))) < 1e-5
 
 
+    def test_3d_quartic_tensor_matches_finite_differences(self, mgh):
+        rng = np.random.default_rng(4)
+        trap = trap3d_from_frequencies(
+            mgh, (7e6, 5e6), axial_for_frequency(mgh, 1.8e6),
+            trap_quartic=symmetric_tensor(rng, (3, 3, 3, 3), 1e17))
+        species = (mgh, mgh)
+        pos = np.array([[0.05e-6, -0.04e-6, -2.1e-6],
+                        [-0.03e-6, 0.06e-6, 2.2e-6]])
+        sq = np.sqrt(make_cfg(species, trap, pos).coordinate_masses)
+        w3 = 6 * np.einsum("i,j,k->ijk", sq, sq, sq)
+        t = derivative_tensors(make_cfg(species, trap, pos))
+        raw4 = t.A4 * 24 * np.einsum("i,j,k,l->ijkl", sq, sq, sq, sq)
+        for p in itertools.permutations(range(4)):
+            assert np.allclose(raw4, np.transpose(raw4, p), rtol=1e-10,
+                               atol=1e-12 * np.max(np.abs(raw4)))
+        h = 1e-9
+        flat = pos.ravel()
+        for k in (0, 2, 4, 5):
+            def third_at(vk, k=k):
+                vv = flat.copy()
+                vv[k] = vk
+                cfg = make_cfg(species, trap, vv.reshape(2, 3))
+                return derivative_tensors(cfg).A3 * w3
+
+            fd4 = ((4 * (third_at(flat[k] + h / 2) - third_at(flat[k] - h / 2)) / h
+                    - (third_at(flat[k] + h) - third_at(flat[k] - h)) / (2 * h)) / 3)
+            assert np.max(rel_err(fd4, raw4[..., k],
+                                  floor=1e-7 * np.max(np.abs(raw4)))) < 1e-5
+
+    def test_linear_chain_is_the_on_axis_case(self, be, mg, pot_anharmonic):
+        from ionmodes import energy_hessian
+
+        species = (be, mg, be)
+        cfg1 = solve_equilibrium(species, pot_anharmonic)
+        trap = trap3d_from_frequencies(be, (7e6, 5e6), pot_anharmonic)
+        pos3 = np.column_stack([np.zeros(3), np.zeros(3), cfg1.positions])
+        cfg3 = make_cfg(species, trap, pos3)
+        z = slice(2, None, 3)
+        pairs = [(energy_hessian(pos3, species, trap)[z, z],
+                  energy_hessian(cfg1.positions, species, pot_anharmonic))]
+        t1, t3 = derivative_tensors(cfg1), derivative_tensors(cfg3)
+        pairs += [(t3.A3[z, z, z], t1.A3), (t3.A4[z, z, z, z], t1.A4)]
+        for axial_block, linear in pairs:
+            assert np.max(np.abs(axial_block - linear)) \
+                <= 1e-12 * np.max(np.abs(linear))
+
+
 class TestModeTensors:
     def test_zero_input(self, be, pot_harmonic):
         cfg = solve_equilibrium([be], pot_harmonic)

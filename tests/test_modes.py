@@ -4,17 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from ionmodes import ChainConfiguration, NotAtEquilibriumError, \
     amplitude_ratio, axial_from_lambdas, carrier_matrix_element, \
     characteristic_length, ground_state_size, harmonic_axial, hessian, \
     lamb_dicke, mode_spectrum, solve_equilibrium
 from ionmodes.constants import EPSILON_0, HBAR
-from ionmodes.modes import carrier_matrix_element_numeric
 
 from conftest import KAPPA2, LAMBDA3
 
 DELTA_K = 2 * math.pi * math.sqrt(2) / 313e-9  # counter-propagating Raman pair
+
+
+def carrier_matrix_element_numeric(eta: float, n: int) -> float:
+    """Same matrix element from the truncated-Fock-space matrix exponential."""
+    cutoff = max(4 * (n + 4), 40)
+    a = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
+    u = expm(1j * eta * (a + a.T))
+    return float(np.real(u[n, n]))
 
 
 @pytest.fixture

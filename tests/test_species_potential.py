@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionmodes import AxialPotential, IonSpecies, axial_from_lambdas, \
-    evaluate_axial, harmonic_axial, make_species, mode_spectrum, \
+    harmonic_axial, make_species, mode_spectrum, \
     solve_equilibrium, trap3d_from_frequencies
 from ionmodes.constants import ATOMIC_MASS, ELEMENTARY_CHARGE
 
@@ -75,19 +75,19 @@ class TestAxialFromLambdas:
 class TestEvaluateAxial:
     def test_harmonic_value(self, be):
         pot = harmonic_axial(KAPPA2)
-        assert evaluate_axial(pot, be, 1e-6) == pytest.approx(2.083e-24, rel=1e-3)
+        assert pot.energy(be, 1e-6) == pytest.approx(2.083e-24, rel=1e-3)
 
     def test_zero_at_origin(self, be, pot_anharmonic):
-        assert evaluate_axial(pot_anharmonic, be, 0.0) == 0.0
+        assert pot_anharmonic.energy(be, 0.0) == 0.0
 
     def test_zero_at_shifted_origin(self, be):
         pot = AxialPotential(kappa={2: KAPPA2, 3: -5e10}, expansion_origin=5e-6)
-        assert evaluate_axial(pot, be, 5e-6) == 0.0
+        assert pot.energy(be, 5e-6) == 0.0
 
     def test_uniform_field_term(self, be):
         pot = harmonic_axial(KAPPA2, uniform_field=2.0)
         pure = harmonic_axial(KAPPA2)
-        field_part = evaluate_axial(pot, be, 1e-6) - evaluate_axial(pure, be, 1e-6)
+        field_part = pot.energy(be, 1e-6) - pure.energy(be, 1e-6)
         assert field_part == pytest.approx(-3.204e-25, rel=1e-3)
 
     @given(z_um=st.floats(-50, 50),
@@ -106,7 +106,7 @@ class TestEvaluateAxial:
         for n, kn in kappa.items():
             coeffs[n] = kn
         horner = be.charge_si * np.polynomial.polynomial.polyval(z, coeffs)
-        val = evaluate_axial(pot, be, z)
+        val = pot.energy(be, z)
         scale = max(abs(naive), abs(horner), 1e-30)
         assert abs(val - naive) <= 1e-14 * scale
         assert abs(val - horner) <= 1e-14 * scale
@@ -116,8 +116,7 @@ class TestPseudoGradient:
     def test_reference_species_slope(self, be):
         pot = harmonic_axial(KAPPA2, pseudo_gradient=0.2, pseudo_reference=be)
         z = 3e-6
-        grad_part = evaluate_axial(pot, be, z) - evaluate_axial(
-            harmonic_axial(KAPPA2), be, z)
+        grad_part = pot.energy(be, z) - harmonic_axial(KAPPA2).energy(be, z)
         assert grad_part == pytest.approx(0.2 * be.charge_si * z, rel=1e-14)
 
     def test_inverse_mass_scaling(self, be):
@@ -125,8 +124,8 @@ class TestPseudoGradient:
         pot = harmonic_axial(KAPPA2, pseudo_gradient=0.2, pseudo_reference=be)
         z = 3e-6
         base = harmonic_axial(KAPPA2)
-        ref_part = evaluate_axial(pot, be, z) - evaluate_axial(base, be, z)
-        heavy_part = evaluate_axial(pot, heavy, z) - evaluate_axial(base, heavy, z)
+        ref_part = pot.energy(be, z) - base.energy(be, z)
+        heavy_part = pot.energy(heavy, z) - base.energy(heavy, z)
         assert heavy_part == pytest.approx(ref_part / 2, rel=1e-14)
 
     def test_gradient_requires_reference(self):

@@ -8,7 +8,6 @@ from ionmodes import IonSpecies, axial_from_lambdas, chain_length, \
     characteristic_length, energy_gradient, energy_hessian, harmonic_axial, \
     solve_equilibrium, total_energy
 from ionmodes.constants import COULOMB
-from ionmodes.statics import _harmonic_chain_scaled
 
 from conftest import KAPPA2, LAMBDA3, make_cfg, richardson_derivative
 
@@ -97,6 +96,13 @@ class TestSolveEquilibrium:
         l = characteristic_length(be, pot.kappa2)
         assert chain_length(cfg) == pytest.approx(2 ** (1 / 3) * l, rel=1e-10)
 
+    def test_four_ion_harmonic_positions(self, be, pot_harmonic):
+        # canonical equal-mass chain positions in units of l
+        cfg = solve_equilibrium([be] * 4, pot_harmonic)
+        l = characteristic_length(be, KAPPA2)
+        assert cfg.positions / l == pytest.approx(
+            [-1.4368, -0.4544, 0.4544, 1.4368], abs=1e-4)
+
     def test_three_ions_against_bruteforce(self, be, pot_harmonic):
         cfg = solve_equilibrium([be] * 3, pot_harmonic)
         l = characteristic_length(be, KAPPA2)
@@ -161,6 +167,26 @@ class TestSolveEquilibrium:
         assert cfg.species == (be, mg)
         assert cfg.positions[0] < cfg.positions[1]
 
+    def test_iteration_cap_raises(self, be, mg, pot_cubic, monkeypatch):
+        from ionmodes import ConvergenceError, statics
+
+        monkeypatch.setattr(statics, "MAX_NEWTON_ITER", 1)
+        with pytest.raises(ConvergenceError, match="no convergence in 1 "):
+            solve_equilibrium([be, mg], pot_cubic, initial_guess=[-3e-6, 3e-6])
+
+    def test_zigzag_instability_names_radial_mode(self, be):
+        from ionmodes import LinearChainInstabilityError, \
+            UnconfinedPotentialError, axial_for_frequency, \
+            trap3d_from_frequencies
+
+        trap = trap3d_from_frequencies(be, (7e6, 5e6),
+                                       axial_for_frequency(be, 1e6))
+        with pytest.raises(LinearChainInstabilityError,
+                           match=r"zigzag.* 100% y, eigenvalue -") as exc:
+            solve_equilibrium([be] * 15, trap)
+        assert isinstance(exc.value, UnconfinedPotentialError)
+        assert "5 non-positive mode(s)" in str(exc.value)
+
     def test_unconfined_potential_detected(self, be):
         # strong negative quartic turns the pair's stationary point unstable
         from ionmodes import AxialPotential, EquilibriumError
@@ -223,10 +249,3 @@ class TestCharacteristicScales:
         scales = characteristic_scales(solve([be], pot_harmonic))
         assert scales.L == 0.0 and scales.l > 0
 
-
-class TestScaledChainCache:
-    def test_matches_known_positions(self):
-        # canonical equal-mass chain positions in units of l
-        xi4 = np.array(_harmonic_chain_scaled(4))
-        assert xi4 == pytest.approx([-1.4368, -0.4544, 0.4544, 1.4368],
-                                    abs=1e-4)
