@@ -16,8 +16,9 @@ shift combines first-order quartic and second-order cubic perturbation
 theory; its integer coefficients (12, 36, 6, 72, ...) presuppose exactly the
 factorial normalization above.
 
-Shifts are linear in every occupation number, which defines the per-quantum
-cross-coupling matrix chi via  Delta f_Z = sum_a chi_Za n_a.
+The shift is exactly linear in every occupation, Delta f_Z = base_Z + sum_a
+chi_Za n_a, and the per-quantum cross-coupling chi_Za is the coefficient of
+n_a in that closed form; frequency_shift and chi_matrix read one kernel.
 """
 
 from __future__ import annotations
@@ -79,10 +80,13 @@ class ResonanceFlag(NamedTuple):
 
 
 def occupation_vector(n, n_modes: int) -> np.ndarray:
-    """Validate an occupation-number list (one entry per mode)."""
-    occ = np.asarray(n, dtype=int)
-    if occ.shape != (n_modes,):
-        raise ValueError(f"need {n_modes} occupations, got shape {occ.shape}")
+    """Validate an occupation-number list (one non-negative integer per mode)."""
+    raw = np.asarray(n)
+    if raw.shape != (n_modes,):
+        raise ValueError(f"need {n_modes} occupations, got shape {raw.shape}")
+    occ = raw.astype(int)
+    if np.any(occ != raw):
+        raise ValueError(f"occupations must be integers, got {raw.tolist()}")
     if np.any(occ < 0):
         raise ValueError("occupations must be non-negative")
     return occ
@@ -123,30 +127,23 @@ def detect_resonances(spectrum: ModeSpectrum, rel_tol: float = RESONANCE_HARD):
     processes ((omega_b +- omega_a) ~ omega_Z).
     """
     w = spectrum.angular
-    d = len(w)
     scale = float(np.max(w)) ** 2
-    flags = []
-    for z in range(d):
-        for a in range(d):
-            if a == z:
-                continue
-            val = 4 * w[a] ** 2 - w[z] ** 2
-            if abs(val) < rel_tol * scale:
-                flags.append(ResonanceFlag("2:1", (z, a), float(val),
-                                           abs(val) / scale))
-        for a in range(d):
-            if a == z:
-                continue
-            for b in range(a + 1, d):
-                if b == z:
-                    continue
-                for kind, val in (
-                        ("difference", (w[b] - w[a]) ** 2 - w[z] ** 2),
-                        ("sum", (w[b] + w[a]) ** 2 - w[z] ** 2)):
-                    if abs(val) < rel_tol * scale:
-                        flags.append(ResonanceFlag(kind, (z, a, b), float(val),
-                                                   abs(val) / scale))
-    return flags
+    i = np.arange(len(w))
+    z, a, b = i[:, None, None], i[None, :, None], i[None, None, :]
+    two = (4 * w[a] ** 2 - w[z] ** 2)[..., 0]
+    pair = np.stack(((w[b] - w[a]) ** 2 - w[z] ** 2,
+                     (w[b] + w[a]) ** 2 - w[z] ** 2), axis=-1)
+    near_two = (np.abs(two) < rel_tol * scale) & (z != a)[..., 0]
+    near_pair = ((np.abs(pair) < rel_tol * scale)
+                 & ((z != a) & (z != b) & (a < b))[..., None])
+    flags = [("2:1", (zi, ai), two[zi, ai]) for zi, ai in np.argwhere(near_two)]
+    flags += [(("difference", "sum")[k], (zi, ai, bi), pair[zi, ai, bi, k])
+              for zi, ai, bi, k in np.argwhere(near_pair)]
+    # per mode Z: its 2:1 flags, then each pair's difference and sum flags
+    flags.sort(key=lambda f: (f[1][0], f[0] != "2:1"))
+    return [ResonanceFlag(kind, tuple(map(int, modes)), float(val),
+                          abs(val) / scale)
+            for kind, modes, val in flags]
 
 
 def _resonance_guard(spectrum: ModeSpectrum):
@@ -165,75 +162,81 @@ def _resonance_guard(spectrum: ModeSpectrum):
     return tuple(soft)
 
 
-def frequency_shift(tensors: ModeTensors, spectrum: ModeSpectrum,
-                    occupations, z: int, _guard: bool = True) -> float:
-    """Anharmonic shift of the n_Z <-> n_Z + 1 transition frequency (Hz).
+def _ratio(num, den, mask):
+    """num / den where mask holds, exactly 0.0 elsewhere (never divided)."""
+    return np.divide(num, den, out=np.zeros(np.shape(mask)), where=mask)
 
-    First-order quartic plus second-order cubic perturbation theory,
-    evaluated for the given spectator occupations; exact in (is linear in)
-    every occupation number.
+
+def _shift_coefficients(tensors: ModeTensors, spectrum: ModeSpectrum):
+    """Zero-occupation shifts ``base`` and per-quantum ``chi`` (Hz) of every
+    mode, each term a masked broadcast over distinct (Z, a) or (Z, a, b).
     """
     g3, g4 = tensors.G3, tensors.G4
     w = spectrum.angular
-    d = len(w)
+    i = np.arange(len(w))
+    z, a = i[:, None], i[None, :]
+    wz, wa = w[:, None], w[None, :]
+    off = z != a
+    g_zzz = g3[i, i, i]
+    g_aaz, g_zza, g_azz = g3[a, a, z], g3[z, z, a], g3[a, z, z]
+
+    # per-spectator two-phonon and static terms, weight 2 n_a + 1
+    t = (_ratio(2 * wa * g_aaz**2, 4 * wa**2 - wz**2, off)
+         + _ratio(2 * wz * g_zza**2, 4 * wz**2 - wa**2, off)
+         + _ratio(g_zzz[:, None] * g_aaz, wz, off)
+         + _ratio(g_azz * g_zzz[None, :], wa, off))
+    # self terms, weight n_Z + 1
+    u = (10.0 * g_zzz**2 / w
+         - 6.0 * _ratio(g_zza**2 * wa, 4 * wz**2 - wa**2, off).sum(1)
+         + 12.0 * _ratio(g_azz**2, wa, off).sum(1))
+    # sum/difference processes, weights n_a - n_b and n_a + n_b + 1
+    zz, aa, bb = i[:, None, None], i[None, :, None], i[None, None, :]
+    distinct = (zz != aa) & (zz != bb) & (aa != bb)
+    g2 = g3[aa, bb, zz] ** 2
+    dw, sw, wz2 = w[bb] - w[aa], w[bb] + w[aa], w[zz] ** 2
+    vd = _ratio(g2 * dw, dw**2 - wz2, distinct)
+    vs = _ratio(g2 * sw, sw**2 - wz2, distinct)
+    # static cubic through mode a, weight 2 n_b + 1 (b != Z)
+    x = np.where(off, _ratio(g_azz, wa, off) @ np.where(off, g3[z, a, a], 0.0), 0.0)
+
+    g4_zzzz, g4_aazz = g4[i, i, i, i], np.where(off, g4[a, a, z, z], 0.0)
+    base = (12.0 * (g4_zzzz + g4_aazz.sum(1))
+            - 36.0 / HBAR * t.sum(1) - 6.0 / HBAR * u
+            - 72.0 / HBAR * vs.sum((1, 2)) - 36.0 / HBAR * x.sum(1))
+    chi = (24.0 * g4_aazz - 72.0 / HBAR * t
+           - 72.0 / HBAR * ((vd + vs).sum(2) + (vs - vd).sum(1))
+           - 36.0 / HBAR * 2 * x)
+    chi[i, i] = 12.0 * g4_zzzz - 6.0 / HBAR * u
+    return base / PLANCK, chi / PLANCK
+
+
+def frequency_shift(tensors: ModeTensors, spectrum: ModeSpectrum,
+                    occupations, z: int) -> float:
+    """Anharmonic shift of the n_Z <-> n_Z + 1 transition frequency (Hz).
+
+    First-order quartic plus second-order cubic perturbation theory,
+    evaluated for the given spectator occupations.  The shift is exactly
+    linear in every occupation number: base_Z + sum_a chi_Za n_a.
+    """
+    d = spectrum.n_modes
     if not 0 <= z < d:
         raise IndexError(f"mode index {z} out of range")
     n = occupation_vector(occupations, d)
-    if _guard:
-        _resonance_guard(spectrum)
-    others = [a for a in range(d) if a != z]
-
-    s = 12.0 * ((n[z] + 1) * g4[z, z, z, z]
-                + sum(g4[a, a, z, z] * (1 + 2 * n[a]) for a in others))
-    t = 0.0
-    for a in others:
-        t += (2 * n[a] + 1) * (
-            2 * w[a] * g3[a, a, z] ** 2 / (4 * w[a] ** 2 - w[z] ** 2)
-            + 2 * w[z] * g3[z, z, a] ** 2 / (4 * w[z] ** 2 - w[a] ** 2)
-            + g3[z, z, z] * g3[a, a, z] / w[z]
-            + g3[a, z, z] * g3[a, a, a] / w[a])
-    s -= 36.0 / HBAR * t
-    u = 10.0 * g3[z, z, z] ** 2 / w[z]
-    u -= 6.0 * sum(g3[z, z, a] ** 2 * w[a] / (4 * w[z] ** 2 - w[a] ** 2)
-                   for a in others)
-    u += 12.0 * sum(g3[a, z, z] ** 2 / w[a] for a in others)
-    s -= 6.0 / HBAR * (n[z] + 1) * u
-    v = 0.0
-    for a in others:
-        for b in others:
-            if b == a:
-                continue
-            v += g3[a, b, z] ** 2 * (
-                (n[a] - n[b]) * (w[b] - w[a]) / ((w[b] - w[a]) ** 2 - w[z] ** 2)
-                + (n[a] + n[b] + 1) * (w[b] + w[a]) / ((w[b] + w[a]) ** 2 - w[z] ** 2))
-    s -= 72.0 / HBAR * v
-    x = 0.0
-    for a in others:
-        inner = sum(g3[a, b, b] * (2 * n[b] + 1) for b in others if b != a)
-        x += g3[a, z, z] / w[a] * inner
-    s -= 36.0 / HBAR * x
-    return s / PLANCK
+    _resonance_guard(spectrum)
+    base, chi = _shift_coefficients(tensors, spectrum)
+    return float(base[z] + chi[z] @ n)
 
 
 def chi_matrix(tensors: ModeTensors, spectrum: ModeSpectrum,
                provenance: dict | None = None) -> ChiMatrix:
     """Per-quantum cross-coupling matrix chi_Za (Hz).
 
-    chi_Za is the shift of mode Z's transition frequency per quantum in mode
-    a, obtained by unit occupation increments; the diagonal uses a unit
-    increment of n_Z itself.  Both triangles are computed independently.
+    chi_Za is the coefficient of n_a in the closed-form shift of mode Z's
+    transition frequency, so frequency_shift = base + chi @ n; the diagonal
+    is the coefficient of n_Z itself.
     """
     near = _resonance_guard(spectrum)
-    d = spectrum.n_modes
-    chi = np.zeros((d, d))
-    zero = np.zeros(d, dtype=int)
-    for z in range(d):
-        base = frequency_shift(tensors, spectrum, zero, z, _guard=False)
-        for a in range(d):
-            occ = zero.copy()
-            occ[a] = 1
-            chi[z, a] = frequency_shift(tensors, spectrum, occ, z,
-                                        _guard=False) - base
+    _, chi = _shift_coefficients(tensors, spectrum)
     return ChiMatrix(chi=chi, mode_frequencies=spectrum.frequencies.copy(),
                      provenance=provenance or {}, near_resonances=near)
 

@@ -19,6 +19,14 @@ def format_value(x: float, precision: int = 12) -> str:
     return f"{x:.{precision}g}"
 
 
+def _matrix_lines(mat, precision: int = 12) -> list[str]:
+    """Rows of a matrix (a vector is one row), right-aligned to one width."""
+    cells = [[format_value(v, precision) for v in row]
+             for row in np.atleast_2d(mat)]
+    width = max(len(c) for row in cells for c in row)
+    return [" ".join(c.rjust(width) for c in row) for row in cells]
+
+
 def write_chi(chi: ChiMatrix, stream, precision: int = 12):
     """Write a chi matrix in the plain-text format."""
     stream.write("# ionmodes chi matrix\n")
@@ -28,10 +36,7 @@ def write_chi(chi: ChiMatrix, stream, precision: int = 12):
     if chi.provenance:
         keys = " ".join(f"{k}={chi.provenance[k]}" for k in sorted(chi.provenance))
         stream.write(f"# provenance: {keys}\n")
-    cells = [[format_value(v, precision) for v in row] for row in chi.chi]
-    width = max(len(c) for row in cells for c in row)
-    for row in cells:
-        stream.write(" ".join(c.rjust(width) for c in row) + "\n")
+    stream.writelines(line + "\n" for line in _matrix_lines(chi.chi, precision))
 
 
 def chi_to_text(chi: ChiMatrix, precision: int = 12) -> str:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -24,7 +25,7 @@ import numpy as np
 from .anharmonic import ResonanceError, chi_from_configuration
 from .calibration import IN_PHASE, com_frequency_scan, field_sensitivity, \
     null_parameter, BracketError
-from .chifile import chi_to_text, format_value, read_chi
+from .chifile import _matrix_lines, chi_to_text, format_value, read_chi
 from .config import ConfigError, RunConfig, apply_overrides, load_config, \
     parse_family, parse_mode_label, validate_config, _integer, _number
 from .dynamics import FockSuperposition, fock_coherence, thermal_gate_infidelity
@@ -48,12 +49,6 @@ def _precision() -> int:
     if not 1 <= p <= 17:
         raise ConfigError("IONMODES_PRECISION", "must be between 1 and 17")
     return p
-
-
-def _matrix_lines(mat, prec):
-    cells = [[format_value(v, prec) for v in row] for row in np.atleast_2d(mat)]
-    width = max(len(c) for row in cells for c in row)
-    return [" ".join(c.rjust(width) for c in row) for row in cells]
 
 
 def _section(cfg: RunConfig, name: str) -> dict:
@@ -232,15 +227,9 @@ def _json_mirror(text: str, command: str) -> str | None:
     """JSON mirror of matrix output for machine comparison."""
     if command != "chi":
         return None
-    freqs, rows = None, []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("frequencies_hz:"):
-                freqs = [float(v) for v in body.split(":", 1)[1].split()]
-        elif line.strip():
-            rows.append([float(v) for v in line.split()])
-    return json.dumps({"frequencies_hz": freqs, "chi_hz": rows},
+    chi = read_chi(io.StringIO(text))
+    return json.dumps({"frequencies_hz": chi.mode_frequencies.tolist(),
+                       "chi_hz": chi.chi.tolist()},
                       sort_keys=True, indent=1) + "\n"
 
 

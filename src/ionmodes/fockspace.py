@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import eigh
 
+from .anharmonic import occupation_vector
 from .constants import HBAR, PLANCK
 
 MAX_MODES = 3
@@ -103,11 +104,7 @@ def exact_transition_frequency(omega, g3, g4, occupations, z: int,
     """
     omega = np.asarray(omega, dtype=float)
     nm = len(omega)
-    occ = list(np.asarray(occupations, dtype=int))
-    if len(occ) != nm:
-        raise ValueError("occupation list must match the number of modes")
-    if min(occ) < 0:
-        raise ValueError("occupations must be non-negative")
+    occ = occupation_vector(occupations, nm)
     if not 0 <= z < nm:
         raise IndexError("probed mode index out of range")
     if max(occ) + 2 >= cutoff:

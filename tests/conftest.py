@@ -8,7 +8,7 @@ from scipy.optimize import root
 
 from ionmodes import BE9, MG24, MGH25, ChainConfiguration, axial_from_lambdas, \
     energy_gradient, harmonic_axial
-from ionmodes.constants import EPSILON_0
+from ionmodes.constants import EPSILON_0, HBAR, PLANCK
 
 
 def pytest_configure(config):
@@ -112,3 +112,60 @@ def chain_oracle(kappa, mass, charge, n):
     z = sol.x * unit
     w2 = np.linalg.eigvalsh(hessian(z) / mass)[::-1]
     return z, np.sqrt(w2) / (2 * math.pi)
+
+
+def shift_oracle(tensors, spectrum, occupations, z):
+    """Anharmonic shift (Hz) of the n_Z <-> n_Z + 1 transition, summed term
+    by term over modes and mode pairs with no resonance guard.
+
+    The loop form of the library's closed-form kernel: the same first-order
+    quartic and second-order cubic expression, evaluated at the given
+    occupations, so chi_Za is oracle(n + e_a) - oracle(n).
+    """
+    g3, g4 = tensors.G3, tensors.G4
+    w = spectrum.angular
+    d = len(w)
+    n = np.asarray(occupations)
+    others = [a for a in range(d) if a != z]
+
+    s = 12.0 * ((n[z] + 1) * g4[z, z, z, z]
+                + sum(g4[a, a, z, z] * (1 + 2 * n[a]) for a in others))
+    t = 0.0
+    for a in others:
+        t += (2 * n[a] + 1) * (
+            2 * w[a] * g3[a, a, z] ** 2 / (4 * w[a] ** 2 - w[z] ** 2)
+            + 2 * w[z] * g3[z, z, a] ** 2 / (4 * w[z] ** 2 - w[a] ** 2)
+            + g3[z, z, z] * g3[a, a, z] / w[z]
+            + g3[a, z, z] * g3[a, a, a] / w[a])
+    s -= 36.0 / HBAR * t
+    u = 10.0 * g3[z, z, z] ** 2 / w[z]
+    u -= 6.0 * sum(g3[z, z, a] ** 2 * w[a] / (4 * w[z] ** 2 - w[a] ** 2)
+                   for a in others)
+    u += 12.0 * sum(g3[a, z, z] ** 2 / w[a] for a in others)
+    s -= 6.0 / HBAR * (n[z] + 1) * u
+    v = 0.0
+    for a in others:
+        for b in others:
+            if b == a:
+                continue
+            v += g3[a, b, z] ** 2 * (
+                (n[a] - n[b]) * (w[b] - w[a]) / ((w[b] - w[a]) ** 2 - w[z] ** 2)
+                + (n[a] + n[b] + 1) * (w[b] + w[a]) / ((w[b] + w[a]) ** 2 - w[z] ** 2))
+    s -= 72.0 / HBAR * v
+    x = 0.0
+    for a in others:
+        inner = sum(g3[a, b, b] * (2 * n[b] + 1) for b in others if b != a)
+        x += g3[a, z, z] / w[a] * inner
+    s -= 36.0 / HBAR * x
+    return s / PLANCK
+
+
+def oracle_chi(tensors, spectrum):
+    """Zero-occupation shifts and chi from unit-occupation differences of
+    :func:`shift_oracle`."""
+    d = len(spectrum.angular)
+    zero = np.zeros(d, dtype=int)
+    base = np.array([shift_oracle(tensors, spectrum, zero, z) for z in range(d)])
+    chi = np.array([[shift_oracle(tensors, spectrum, np.eye(d, dtype=int)[a], z)
+                     for a in range(d)] for z in range(d)]) - base[:, None]
+    return base, chi

@@ -1,18 +1,21 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ionmodes import ChainConfiguration, ResonanceError, axial_for_frequency, \
-    axial_from_lambdas, chi_from_configuration, chi_matrix, derivative_tensors, \
-    detect_resonances, frequency_shift, harmonic_axial, mode_spectrum, \
-    mode_tensors, solve_equilibrium, trap3d_from_frequencies
+from ionmodes import BE9, MGH25, ChainConfiguration, ResonanceError, \
+    axial_for_frequency, axial_from_lambdas, chi_from_configuration, \
+    chi_matrix, derivative_tensors, detect_resonances, frequency_shift, \
+    harmonic_axial, mode_spectrum, mode_tensors, solve_equilibrium, \
+    trap3d_from_frequencies
 from ionmodes.anharmonic import DerivativeTensors, ModeTensors, occupation_vector
 from ionmodes.constants import COULOMB, HBAR, PLANCK
 from ionmodes.modes import ModeSpectrum
 
-from conftest import KAPPA2, make_cfg, rel_err
+from conftest import KAPPA2, LAMBDA3, LAMBDA4, make_cfg, oracle_chi, \
+    rel_err, shift_oracle
 
 
 def fake_spectrum(freqs_hz):
@@ -29,6 +32,29 @@ def symmetric_tensor(rng, shape, scale):
     t = rng.standard_normal(shape)
     perms = list(itertools.permutations(range(len(shape))))
     return sum(np.transpose(t, p) for p in perms) / len(perms) * scale
+
+
+CALIBRATION_TARGET = np.array([[-2.9, -2.7, 0.04],
+                               [-2.7, -0.9, 0.2],
+                               [0.04, 0.2, -0.1]])
+
+
+def calibrated_single_ion_trap(mgh):
+    """MgH+ trap whose quartic tensor gives one ion CALIBRATION_TARGET."""
+    axial = axial_for_frequency(mgh, 1.8e6)
+    base = trap3d_from_frequencies(mgh, (7e6, 5e6), axial)
+    spec = mode_spectrum(solve_equilibrium([mgh], base))
+    sig = spec.sigma_prime  # descending: x, y, z
+    quartic = np.zeros((3, 3, 3, 3))
+    for z in range(3):
+        for a in range(3):
+            mult = 12.0 if a == z else 24.0
+            value = CALIBRATION_TARGET[z, a] * PLANCK * mgh.mass**2 / (
+                mult * sig[a] ** 2 * sig[z] ** 2 * mgh.charge_si)
+            for p in set(itertools.permutations((a, a, z, z))):
+                quartic[p] = value
+    return trap3d_from_frequencies(mgh, (7e6, 5e6), axial,
+                                   trap_quartic=quartic)
 
 
 @pytest.fixture
@@ -229,6 +255,51 @@ class TestModeTensors:
                                atol=1e-10 * np.max(np.abs(g.G3)))
 
 
+def _fake_case(freqs_hz, seed):
+    rng = np.random.default_rng(seed)
+    spec = fake_spectrum(freqs_hz)
+    d = spec.n_modes
+    scale = 1e-4 * HBAR * np.mean(spec.angular)
+    return (ModeTensors(G3=symmetric_tensor(rng, (d,) * 3, scale),
+                        G4=symmetric_tensor(rng, (d,) * 4, scale * 1e-3)),
+            spec)
+
+
+def _chain_case(species, potential):
+    spec = mode_spectrum(solve_equilibrium(species, potential))
+    return mode_tensors(derivative_tensors(spec.config), spec), spec
+
+
+def _mgh_pair_case():
+    axial = axial_for_frequency(MGH25, 1.8e6)
+    return _chain_case([MGH25] * 2,
+                       trap3d_from_frequencies(MGH25, (7e6, 5e6), axial))
+
+
+def _chi3d_style_case():
+    rng = np.random.default_rng(11)
+    axial = axial_from_lambdas(axial_for_frequency(MGH25, 0.6e6).kappa2,
+                               {3: -600e-6, 4: 600e-6})
+    trap = trap3d_from_frequencies(
+        MGH25, (9.3e6, 6.1e6), axial,
+        trap_cubic=symmetric_tensor(rng, (3, 3, 3), 1e9),
+        trap_quartic=symmetric_tensor(rng, (3, 3, 3, 3), 1e13))
+    return _chain_case([MGH25] * 4, trap)
+
+
+ORACLE_CASES = {
+    "fake_d1": lambda: _fake_case([1.9e6], 17),
+    "fake_d2": lambda: _fake_case([5e6, 1.9e6], 17),
+    "fake_d3": lambda: _fake_case([7.3e6, 4.7e6, 1.9e6], 17),
+    "mgh_pair": _mgh_pair_case,
+    "calibrated_single_ion": lambda: _chain_case(
+        [MGH25], calibrated_single_ion_trap(MGH25)),
+    "linear_anharmonic_n3": lambda: _chain_case(
+        [BE9] * 3, axial_from_lambdas(KAPPA2, {3: LAMBDA3, 4: LAMBDA4})),
+    "chi3d_style_n4": _chi3d_style_case,
+}
+
+
 class TestFrequencyShift:
     def test_zero_couplings(self):
         spec = fake_spectrum([5e6, 1.9e6])
@@ -261,10 +332,12 @@ class TestFrequencyShift:
         for _ in range(5):
             occ = rng.integers(0, 7, size=3)
             for z in range(3):
-                base = frequency_shift(g, spec, np.zeros(3, int), z)
-                full = frequency_shift(g, spec, occ, z)
+                base = shift_oracle(g, spec, np.zeros(3, int), z)
+                full = shift_oracle(g, spec, occ, z)
                 assert full - base == pytest.approx(float(chi.chi[z] @ occ),
                                                     rel=1e-10, abs=1e-12)
+                assert frequency_shift(g, spec, occ, z) == pytest.approx(
+                    full, rel=1e-10, abs=1e-12)
 
     def test_invalid_occupations(self):
         spec = fake_spectrum([5e6, 1.9e6])
@@ -275,6 +348,22 @@ class TestFrequencyShift:
             frequency_shift(g, spec, [-1, 0], 0)
         with pytest.raises(IndexError):
             frequency_shift(g, spec, [0, 0], 5)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_closed_form_matches_loop_oracle(self, case):
+        """chi and the zero-occupation shifts equal the term-by-term loop."""
+        g, spec = ORACLE_CASES[case]()
+        d = spec.n_modes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", ".*near-resonant", RuntimeWarning)
+            chi = chi_matrix(g, spec).chi
+            base = np.array([frequency_shift(g, spec, np.zeros(d, int), z)
+                             for z in range(d)])
+        want_base, want_chi = oracle_chi(g, spec)
+        assert np.max(np.abs(want_chi)) > 0
+        assert np.max(np.abs(chi - want_chi)) <= 1e-12 * np.max(np.abs(want_chi))
+        assert np.all(np.abs(base - want_base) <= 1e-12 * np.abs(want_base))
 
 
 class TestDetectResonances:
@@ -352,25 +441,9 @@ class TestChiMatrix:
         is a closed-form solve; recomputing chi from the calibrated trap must
         reproduce the reference matrix through the full tensor pipeline.
         """
-        target = np.array([[-2.9, -2.7, 0.04],
-                           [-2.7, -0.9, 0.2],
-                           [0.04, 0.2, -0.1]])
-        axial = axial_for_frequency(mgh, 1.8e6)
-        base = trap3d_from_frequencies(mgh, (7e6, 5e6), axial)
-        spec = mode_spectrum(solve_equilibrium([mgh], base))
-        sig = spec.sigma_prime  # descending: x, y, z
-        quartic = np.zeros((3, 3, 3, 3))
-        for z in range(3):
-            for a in range(3):
-                mult = 12.0 if a == z else 24.0
-                value = target[z, a] * PLANCK * mgh.mass**2 / (
-                    mult * sig[a] ** 2 * sig[z] ** 2 * mgh.charge_si)
-                for p in set(itertools.permutations((a, a, z, z))):
-                    quartic[p] = value
-        trap = trap3d_from_frequencies(mgh, (7e6, 5e6), axial,
-                                       trap_quartic=quartic)
+        trap = calibrated_single_ion_trap(mgh)
         chi = chi_from_configuration(solve_equilibrium([mgh], trap))
-        assert np.max(np.abs(chi.chi - target)) < 0.01
+        assert np.max(np.abs(chi.chi - CALIBRATION_TARGET)) < 0.01
         assert chi.provenance["trap_quartic"]
         # recomputation from the same trap is deterministic
         chi_again = chi_from_configuration(solve_equilibrium([mgh], trap))
@@ -385,3 +458,6 @@ class TestOccupationVector:
             occupation_vector([0, 1], 3)
         with pytest.raises(ValueError):
             occupation_vector([0, -1, 0], 3)
+        assert occupation_vector([0.0, 2.0], 2).tolist() == [0, 2]
+        with pytest.raises(ValueError, match="integers"):
+            occupation_vector([0.7, 1.9], 2)

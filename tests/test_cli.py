@@ -15,6 +15,15 @@ from ionmodes.cli import main
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
 DATA = REPO / "data"
+COMMAND_CONFIGS = {
+    "chi": "chi_two_mgh_coulomb.json",
+    "coherence": "coherence_single_ion.json",
+    "gate": "gate_two_ion.json",
+    "modes": "modes_bmmb.json",
+    "null": "null_kappa3.json",
+    "scan": "scan_com_be.json",
+    "sensitivity": "sensitivity_single_be.json",
+}
 
 
 class TestChiFile:
@@ -78,11 +87,12 @@ class TestCommandLine:
         assert proc.returncode == 0
         assert "0.629" in proc.stdout.replace("0.6290", "0.629")
 
-    def test_byte_stable_output(self):
-        args = ("chi", "--config", str(CONFIGS / "chi_two_mgh_coulomb.json"))
+    @pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
+    def test_byte_stable_output(self, command):
+        args = (command, "--config", str(CONFIGS / COMMAND_CONFIGS[command]))
         out1, out2 = run_cli(*args), run_cli(*args)
         assert out1.returncode == 0
-        assert out1.stdout == out2.stdout
+        assert out1.stdout and out1.stdout == out2.stdout
 
     def test_chi_matches_reference_dominant_entries(self, tmp_path):
         out = tmp_path / "chi.txt"

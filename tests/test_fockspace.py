@@ -85,6 +85,12 @@ class TestExactTransitionFrequency:
         with pytest.raises(StateMatchError):
             exact_transition_frequency(omega, g3, None, [0, 2], 1, cutoff=12)
 
+    def test_non_integer_occupations_rejected(self):
+        omega = 2 * np.pi * np.array([4.9e6, 1.7e6])
+        with pytest.raises(ValueError, match="integers"):
+            exact_transition_frequency(omega, None, None, [0.7, 1.9], 0,
+                                       cutoff=8)
+
     def test_too_many_modes_rejected(self):
         with pytest.raises(ValueError):
             exact_transition_frequency(2 * np.pi * np.ones(4) * 1e6, None,
