@@ -147,13 +147,16 @@ def detect_resonances(spectrum: ModeSpectrum, rel_tol: float = RESONANCE_HARD):
 
 
 def _resonance_guard(spectrum: ModeSpectrum):
-    hard = detect_resonances(spectrum, RESONANCE_HARD)
+    soft = detect_resonances(spectrum, RESONANCE_SOFT)
+    # the hard flags are the soft flags that pass detect_resonances' own test
+    # at RESONANCE_HARD, in the same order
+    bound = RESONANCE_HARD * float(np.max(spectrum.angular)) ** 2
+    hard = [f for f in soft if abs(f.value) < bound]
     if hard:
         raise ResonanceError(
             "perturbation theory invalid near resonance(s): "
             + "; ".join(f"{f.kind} modes {f.modes} |den|/max(w)^2={f.normalized:.2e}"
                         for f in hard))
-    soft = detect_resonances(spectrum, RESONANCE_SOFT)
     if soft:
         warnings.warn(
             f"{len(soft)} near-resonant denominator(s) in the "

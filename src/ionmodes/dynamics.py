@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .anharmonic import ChiMatrix
 from .constants import BOLTZMANN, PLANCK
@@ -163,56 +162,51 @@ def _flop_populations(eta1, eta2, initial, omega0, t):
     """Exact joint populations of the two-spin/shared-mode blue sideband.
 
     Returns (pops, a_oper, a_steady): ``pops[k, b]`` is the population of
-    basis state b = (s1, s2, n) at time t[k]; ``a_oper`` maps populations to
-    the fluorescence observable; ``a_steady`` is its diagonal-ensemble
-    (infinite-time average) value.
+    basis state b = (s1, s2, n), stored at (2 s1 + s2) * nmax + n, at time
+    t[k]; ``a_oper`` maps populations to the fluorescence observable;
+    ``a_steady`` is its diagonal-ensemble (infinite-time average) value.
+
+    The sideband conserves n - s1 - s2, so each thermal component |00, n0>
+    evolves only inside the block {|00,n0>, |10,n0+1>, |01,n0+1>, |11,n0+2>}.
+    All blocks are diagonalized in one batched 4x4 eigh.  ``a_steady``
+    projects onto each distinct eigenvalue of a block, so a degenerate pair
+    (the double zero at eta1 = eta2) keeps its time-independent coherence.
     """
     if eta1 < 0 or eta2 < 0:
         raise ValueError("Lamb-Dicke parameters must be non-negative")
     if isinstance(initial, (int, np.integer)):
-        weights = {int(initial): 1.0}
-        nmax = int(initial) + max(30, 4 * int(initial))
+        n0, w = np.array([int(initial)]), np.ones(1)
     else:
         nb = float(initial)
         if nb < 0:
             raise ValueError("thermal nbar must be non-negative")
-        nmax = int(math.ceil(10 * nb + 10))
-        ns = np.arange(nmax)
+        ns = np.arange(math.ceil(10 * nb + 10))
         w = (nb / (1 + nb)) ** ns / (1 + nb)
-        weights = {int(n): float(wn) for n, wn in zip(ns, w) if wn > 1e-12}
-        nmax += max(30, nmax)
+        n0, w = ns[w > 1e-12], w[w > 1e-12]
 
-    dim = 4 * nmax
-    # basis: |s1 s2 n> with s in {down=0, up=1}
-    def idx(s1, s2, n):
-        return (s1 * 2 + s2) * nmax + n
+    # block states |00,n0>, |10,n0+1>, |01,n0+1>, |11,n0+2>
+    g_lo = omega0 * np.sqrt(n0 + 1) / 2.0
+    g_hi = omega0 * np.sqrt(n0 + 2) / 2.0
+    h = np.zeros((len(n0), 4, 4))
+    for (i, j), g in (((0, 1), eta1 * g_lo), ((0, 2), eta2 * g_lo),
+                      ((2, 3), eta1 * g_hi), ((1, 3), eta2 * g_hi)):
+        h[:, i, j] = h[:, j, i] = g
+    evals, evecs = np.linalg.eigh(h)
+    m = evecs * evecs[:, :1, :]      # m[k, b, j] = <b|j><j|psi0>, real basis
+    amps = np.einsum("tkj,kbj->tkb", np.exp(-1j * t[:, None, None] * evals), m)
 
-    h = np.zeros((dim, dim))
-    for n in range(nmax - 1):
-        g = math.sqrt(n + 1) / 2.0
-        for (s1, s2, s1p, s2p, eta) in (
-                (0, 0, 1, 0, eta1), (0, 1, 1, 1, eta1),
-                (0, 0, 0, 1, eta2), (1, 0, 1, 1, eta2)):
-            i, j = idx(s1, s2, n), idx(s1p, s2p, n + 1)
-            h[i, j] += omega0 * eta * g
-            h[j, i] += omega0 * eta * g
-    evals, evecs = eigh(h)
+    nmax = int(n0.max()) + 3
+    spins = np.array([0, 2, 1, 3])   # 2 s1 + s2 of each block state
+    flat = spins * nmax + n0[:, None] + np.array([0, 1, 1, 2])
+    pops = np.zeros((len(t), 4 * nmax))
+    pops[:, flat] = w[:, None] * np.abs(amps) ** 2
+    a_oper = np.repeat([0.0, 0.5, 0.5, 1.0], nmax)
 
-    a_oper = np.zeros(dim)
-    for n in range(nmax):
-        a_oper[idx(1, 1, n)] = 1.0
-        a_oper[idx(1, 0, n)] = 0.5
-        a_oper[idx(0, 1, n)] = 0.5
-
-    pops = np.zeros((len(t), dim))
-    a_steady = 0.0
-    for n0, wgt in weights.items():
-        c0 = evecs[idx(0, 0, n0), :]     # <k|psi0> for the real eigenbasis
-        m = evecs * c0[None, :]          # m[b, k] = <b|k><k|psi0>
-        phases = np.exp(-1j * np.outer(t, evals))
-        amps = phases @ m.T.astype(complex)
-        pops += wgt * np.abs(amps) ** 2
-        a_steady += wgt * float((np.abs(m) ** 2).sum(axis=1) @ a_oper)
+    # eigenvalues within a few ulps of the block norm are one eigenvalue
+    tol = 16 * np.finfo(float).eps * np.abs(evals).max(axis=1)
+    same = np.abs(evals[:, :, None] - evals[:, None, :]) <= tol[:, None, None]
+    a_steady = float(np.einsum("k,b,kij,kbi,kbj->", w, a_oper[flat[0]], same,
+                               m, m))
     return pops, a_oper, a_steady
 
 

@@ -5,12 +5,28 @@ H = sum hbar w_a (n_a + 1/2) + U3 + U4 for up to three modes in a product
 Fock basis, with U3 = sum G3_abc x_a x_b x_c (x = a + a^dag) and the quartic
 analog, then reads transition frequencies off eigenvalue differences between
 eigenstates matched to unperturbed labels by maximal overlap.
+
+H is a sparse matrix: the harmonic part is one diagonal, and each anharmonic
+term is a Kronecker product of banded per-mode powers of x.  Operators on
+different modes commute, so G3 and G4 enter once per sorted index multiset
+with their permutation-summed coefficient.  Each target level is found by
+shift-invert Lanczos (a few eigenpairs near the unperturbed level).  An
+eigenvector whose squared overlap with the label exceeds 1/2 is certified:
+the eigenvectors are orthonormal, so no other eigenstate can overlap the
+label more, and it is the state a full diagonalization would match.  When a
+level is not certified, or Lanczos fails, the transition is computed by
+dense diagonalization of the same H.
 """
 
 from __future__ import annotations
 
+import itertools
+from functools import reduce
+
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh
+from scipy.sparse.linalg import eigsh
 
 from .anharmonic import occupation_vector
 from .constants import HBAR, PLANCK
@@ -19,6 +35,8 @@ MAX_MODES = 3
 MAX_CUTOFF = 16
 BOUNDARY_POPULATION_LIMIT = 1e-6
 MIN_OVERLAP = 0.5
+NEAR_LEVELS = 6       # eigenpairs per shift-invert solve
+SHIFT_FRACTION = 0.1  # shift below the unperturbed level, x hbar min(omega)
 
 
 class CutoffError(RuntimeError):
@@ -29,46 +47,41 @@ class StateMatchError(RuntimeError):
     """No eigenstate has a dominant overlap with the requested label."""
 
 
-def _mode_operators(n_modes: int, cutoff: int):
-    a = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
-    eye = np.eye(cutoff)
-    ops = []
-    for k in range(n_modes):
-        factors = [eye] * n_modes
-        factors[k] = a
-        full = factors[0]
-        for f in factors[1:]:
-            full = np.kron(full, f)
-        ops.append(full)
-    return ops
+def _x_powers(cutoff: int):
+    """x^p for p = 0..4 on one truncated mode, as banded COO matrices."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    x = a + a.T
+    return [sparse.coo_matrix(np.linalg.matrix_power(x, p)) for p in range(5)]
 
 
-def build_hamiltonian(omega, g3=None, g4=None, cutoff: int = 10) -> np.ndarray:
-    """Dense Hamiltonian (J) in the truncated product Fock basis."""
+def build_hamiltonian(omega, g3=None, g4=None, cutoff: int = 10):
+    """Sparse (CSC) Hamiltonian (J) in the truncated product Fock basis."""
     omega = np.asarray(omega, dtype=float)
     nm = len(omega)
     if nm > MAX_MODES:
         raise ValueError(f"at most {MAX_MODES} modes supported, got {nm}")
     if cutoff > MAX_CUTOFF:
         raise ValueError(f"cutoff must be <= {MAX_CUTOFF}")
-    a_ops = _mode_operators(nm, cutoff)
+    n = np.indices((cutoff,) * nm).reshape(nm, -1)
+    terms = [sparse.diags(HBAR * (omega @ (n + 0.5)), format="coo")]
+    powers = _x_powers(cutoff)
+    for g in (g3, g4):
+        if g is None:
+            continue
+        g = np.asarray(g, dtype=float)
+        for idx in itertools.combinations_with_replacement(range(nm), g.ndim):
+            coeff = sum(g[p] for p in set(itertools.permutations(idx)))
+            if coeff:
+                counts = np.bincount(idx, minlength=nm)
+                terms.append(coeff * reduce(
+                    lambda u, v: sparse.kron(u, v, format="coo"),
+                    [powers[c] for c in counts]))
+    # duplicate (row, col) entries are summed by the conversion
     dim = cutoff**nm
-    h = np.zeros((dim, dim))
-    for k in range(nm):
-        nk = a_ops[k].T @ a_ops[k]
-        h += HBAR * omega[k] * (nk + 0.5 * np.eye(dim))
-    xs = [op + op.T for op in a_ops]
-    if g3 is not None:
-        g3 = np.asarray(g3, dtype=float)
-        for idx in np.ndindex(*g3.shape):
-            if g3[idx]:
-                h += g3[idx] * (xs[idx[0]] @ xs[idx[1]] @ xs[idx[2]])
-    if g4 is not None:
-        g4 = np.asarray(g4, dtype=float)
-        for idx in np.ndindex(*g4.shape):
-            if g4[idx]:
-                h += g4[idx] * (xs[idx[0]] @ xs[idx[1]] @ xs[idx[2]] @ xs[idx[3]])
-    return h
+    return sparse.csc_matrix(
+        (np.concatenate([t.data for t in terms]),
+         (np.concatenate([t.row for t in terms]),
+          np.concatenate([t.col for t in terms]))), shape=(dim, dim))
 
 
 def _match(evecs: np.ndarray, dims, label) -> int:
@@ -77,9 +90,33 @@ def _match(evecs: np.ndarray, dims, label) -> int:
     k = int(np.argmax(overlaps))
     if overlaps[k] < MIN_OVERLAP:
         raise StateMatchError(
-            f"ambiguous eigenstate match for label {tuple(label)} "
+            f"ambiguous eigenstate match for label {tuple(map(int, label))} "
             f"(max overlap {overlaps[k]:.3f} < {MIN_OVERLAP})")
     return k
+
+
+def _certified_level(h, omega: np.ndarray, dims, label):
+    """(energy, eigenvector) of the state ``_match`` picks for ``label``,
+    from a few shift-invert eigenpairs, or None if none is certified."""
+    flat = np.ravel_multi_index(tuple(label), dims)
+    hw = HBAR * float(np.min(omega))
+    sigma = HBAR * float(omega @ (label + 0.5)) - SHIFT_FRACTION * hw
+    # a fixed start vector (ARPACK's default is random): half the label's
+    # state, half uniform, so no Krylov space is invariant when H is diagonal
+    v0 = np.ones(h.shape[0])
+    v0[flat] += np.sqrt(h.shape[0])
+    try:
+        evals, evecs = eigsh(h, k=min(NEAR_LEVELS, h.shape[0] - 1),
+                             sigma=sigma, v0=v0)
+    except RuntimeError:
+        # ARPACK non-convergence and an exactly singular factorization;
+        # the dense path answers these
+        return None
+    weights = evecs[flat, :] ** 2
+    k = int(np.argmax(weights))
+    if weights[k] <= 0.5:
+        return None
+    return evals[k], evecs[:, k]
 
 
 def _check_boundary(vec: np.ndarray, dims):
@@ -110,12 +147,16 @@ def exact_transition_frequency(omega, g3, g4, occupations, z: int,
     if max(occ) + 2 >= cutoff:
         raise CutoffError("cutoff too small for the requested occupations")
     h = build_hamiltonian(omega, g3, g4, cutoff)
-    evals, evecs = eigh(h)
     dims = (cutoff,) * nm
     upper = occ.copy()
     upper[z] += 1
-    i_lo = _match(evecs, dims, occ)
-    i_hi = _match(evecs, dims, upper)
-    _check_boundary(evecs[:, i_lo], dims)
-    _check_boundary(evecs[:, i_hi], dims)
-    return float((evals[i_hi] - evals[i_lo]) / PLANCK)
+    labels = (occ, upper)
+    levels = [_certified_level(h, omega, dims, label) for label in labels]
+    if None in levels:
+        evals, evecs = eigh(h.toarray())
+        matched = [_match(evecs, dims, label) for label in labels]
+        levels = [(evals[k], evecs[:, k]) for k in matched]
+    (e_lo, v_lo), (e_hi, v_hi) = levels
+    _check_boundary(v_lo, dims)
+    _check_boundary(v_hi, dims)
+    return float((e_hi - e_lo) / PLANCK)

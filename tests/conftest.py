@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.optimize import root
 
 from ionmodes import BE9, MG24, MGH25, ChainConfiguration, axial_from_lambdas, \
@@ -169,3 +170,116 @@ def oracle_chi(tensors, spectrum):
     chi = np.array([[shift_oracle(tensors, spectrum, np.eye(d, dtype=int)[a], z)
                      for a in range(d)] for z in range(d)]) - base[:, None]
     return base, chi
+
+
+def mode_operators(n_modes: int, cutoff: int):
+    a = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
+    eye = np.eye(cutoff)
+    ops = []
+    for k in range(n_modes):
+        factors = [eye] * n_modes
+        factors[k] = a
+        full = factors[0]
+        for f in factors[1:]:
+            full = np.kron(full, f)
+        ops.append(full)
+    return ops
+
+
+def dense_hamiltonian(omega, g3=None, g4=None, cutoff: int = 10) -> np.ndarray:
+    """Dense Hamiltonian (J) in the truncated product Fock basis: one matrix
+    product chain per nonzero tensor entry (the library builds it sparse)."""
+    omega = np.asarray(omega, dtype=float)
+    nm = len(omega)
+    a_ops = mode_operators(nm, cutoff)
+    dim = cutoff**nm
+    h = np.zeros((dim, dim))
+    for k in range(nm):
+        nk = a_ops[k].T @ a_ops[k]
+        h += HBAR * omega[k] * (nk + 0.5 * np.eye(dim))
+    xs = [op + op.T for op in a_ops]
+    if g3 is not None:
+        g3 = np.asarray(g3, dtype=float)
+        for idx in np.ndindex(*g3.shape):
+            if g3[idx]:
+                h += g3[idx] * (xs[idx[0]] @ xs[idx[1]] @ xs[idx[2]])
+    if g4 is not None:
+        g4 = np.asarray(g4, dtype=float)
+        for idx in np.ndindex(*g4.shape):
+            if g4[idx]:
+                h += g4[idx] * (xs[idx[0]] @ xs[idx[1]] @ xs[idx[2]] @ xs[idx[3]])
+    return h
+
+
+def dense_transition_frequency(omega, g3, g4, occupations, z, cutoff):
+    """n_Z -> n_Z + 1 transition frequency (Hz) from a full dense eigh of
+    :func:`dense_hamiltonian`, each level the eigenstate of largest overlap
+    with its label.  Also returns each level's squared overlap."""
+    h = dense_hamiltonian(omega, g3, g4, cutoff)
+    evals, evecs = eigh(h)
+    dims = (cutoff,) * len(omega)
+    upper = list(occupations)
+    upper[z] += 1
+    energies, weights = [], []
+    for label in (occupations, upper):
+        row = evecs[np.ravel_multi_index(tuple(label), dims)] ** 2
+        energies.append(evals[np.argmax(row)])
+        weights.append(row.max())
+    return (energies[1] - energies[0]) / PLANCK, weights
+
+
+def dense_flop_populations(eta1, eta2, initial, omega0, t):
+    """Exact joint populations of the two-spin/shared-mode blue sideband.
+
+    Returns (pops, a_oper, a_steady): ``pops[k, b]`` is the population of
+    basis state b = (s1, s2, n) at time t[k]; ``a_oper`` maps populations to
+    the fluorescence observable; ``a_steady`` is its diagonal-ensemble
+    (infinite-time average) value.
+    """
+    if eta1 < 0 or eta2 < 0:
+        raise ValueError("Lamb-Dicke parameters must be non-negative")
+    if isinstance(initial, (int, np.integer)):
+        weights = {int(initial): 1.0}
+        nmax = int(initial) + max(30, 4 * int(initial))
+    else:
+        nb = float(initial)
+        if nb < 0:
+            raise ValueError("thermal nbar must be non-negative")
+        nmax = int(math.ceil(10 * nb + 10))
+        ns = np.arange(nmax)
+        w = (nb / (1 + nb)) ** ns / (1 + nb)
+        weights = {int(n): float(wn) for n, wn in zip(ns, w) if wn > 1e-12}
+        nmax += max(30, nmax)
+
+    dim = 4 * nmax
+    # basis: |s1 s2 n> with s in {down=0, up=1}
+    def idx(s1, s2, n):
+        return (s1 * 2 + s2) * nmax + n
+
+    h = np.zeros((dim, dim))
+    for n in range(nmax - 1):
+        g = math.sqrt(n + 1) / 2.0
+        for (s1, s2, s1p, s2p, eta) in (
+                (0, 0, 1, 0, eta1), (0, 1, 1, 1, eta1),
+                (0, 0, 0, 1, eta2), (1, 0, 1, 1, eta2)):
+            i, j = idx(s1, s2, n), idx(s1p, s2p, n + 1)
+            h[i, j] += omega0 * eta * g
+            h[j, i] += omega0 * eta * g
+    evals, evecs = eigh(h)
+
+    a_oper = np.zeros(dim)
+    for n in range(nmax):
+        a_oper[idx(1, 1, n)] = 1.0
+        a_oper[idx(1, 0, n)] = 0.5
+        a_oper[idx(0, 1, n)] = 0.5
+
+    pops = np.zeros((len(t), dim))
+    a_steady = 0.0
+    for n0, wgt in weights.items():
+        c0 = evecs[idx(0, 0, n0), :]     # <k|psi0> for the real eigenbasis
+        m = evecs * c0[None, :]          # m[b, k] = <b|k><k|psi0>
+        phases = np.exp(-1j * np.outer(t, evals))
+        amps = phases @ m.T.astype(complex)
+        pops += wgt * np.abs(amps) ** 2
+        a_steady += wgt * float((np.abs(m) ** 2).sum(axis=1) @ a_oper)
+    return pops, a_oper, a_steady

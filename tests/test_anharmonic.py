@@ -395,6 +395,55 @@ class TestDetectResonances:
             chi = chi_matrix(g, spec)
         assert chi.near_resonances
 
+    def test_one_scan_guard_matches_two_scans(self):
+        """The guard reads its hard flags off one soft-band scan; the error,
+        the warning and the returned flags equal those of a hard scan
+        followed by a soft scan."""
+        from ionmodes.anharmonic import RESONANCE_HARD, RESONANCE_SOFT, \
+            _resonance_guard
+
+        def two_scans(spec):
+            hard = detect_resonances(spec, RESONANCE_HARD)
+            if hard:
+                raise ResonanceError(
+                    "perturbation theory invalid near resonance(s): "
+                    + "; ".join(f"{f.kind} modes {f.modes} "
+                                f"|den|/max(w)^2={f.normalized:.2e}"
+                                for f in hard))
+            soft = detect_resonances(spec, RESONANCE_SOFT)
+            if soft:
+                warnings.warn(
+                    f"{len(soft)} near-resonant denominator(s) in the "
+                    f"[{RESONANCE_HARD:g}, {RESONANCE_SOFT:g}] band; "
+                    "shifts may be inaccurate", RuntimeWarning)
+            return tuple(soft)
+
+        def outcome(guard, spec):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    result = guard(spec)
+                except ResonanceError as err:
+                    result = str(err)
+            return result, [str(w.message) for w in caught]
+
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(300):
+            f = rng.uniform(1e6, 8e6, rng.integers(3, 7))
+            # pull mode 0 onto a 2:1, sum or difference resonance of modes
+            # 1 and 2, detuned by a log-uniform relative amount
+            detuning = rng.choice([-1, 1]) * 10 ** rng.uniform(-6, -1)
+            f[0] = (2 * f[1], f[1] + f[2], abs(f[1] - f[2]))[
+                rng.integers(3)] * (1 + detuning)
+            spec = fake_spectrum(f)
+            expected = outcome(two_scans, spec)
+            assert outcome(_resonance_guard, spec) == expected
+            result = expected[0]
+            seen.add("hard" if isinstance(result, str)
+                     else "soft" if result else "clean")
+        assert seen == {"hard", "soft", "clean"}
+
 
 class TestChiMatrix:
     def test_single_ion_harmonic_zero(self, mgh, mgh_trap):

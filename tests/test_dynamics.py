@@ -9,6 +9,9 @@ from ionmodes import FockSuperposition, GateParams, ThermalEnvironment, \
     fock_coherence, gate_fidelity, gate_trajectory, sideband_flop, \
     thermal_gate_infidelity, thermal_occupation
 from ionmodes.anharmonic import ChiMatrix
+from ionmodes.dynamics import _flop_populations
+
+from conftest import dense_flop_populations
 
 DOPPLER = ThermalEnvironment(temperature=0.7e-3)
 
@@ -267,3 +270,34 @@ class TestSidebandFlop:
                                                  abs=1e-10)
         a = sideband_flop(0.22, 0.11, 0, self.OMEGA0, None, self.T)
         assert np.all(a <= 1.0 + 1e-10) and np.all(a >= -1e-10)
+
+    @pytest.mark.parametrize("eta1,eta2,initial", [
+        (0.22, 0.11, 0), (0.18, 0.1125, 3), (0.2, 0.05, 1.5), (0.05, 0.25, 4.7)])
+    def test_block_populations_match_dense_oracle(self, eta1, eta2, initial):
+        pops, a_oper, a_steady = _flop_populations(eta1, eta2, initial,
+                                                   self.OMEGA0, self.T)
+        ref, ref_oper, ref_steady = dense_flop_populations(
+            eta1, eta2, initial, self.OMEGA0, self.T)
+        # both lay out basis state (s1, s2, n) at (2 s1 + s2) * nmax + n; the
+        # oracle pads n further to make its truncation harmless
+        nmax = pops.shape[1] // 4
+        ref = ref.reshape(len(self.T), 4, -1)
+        assert np.max(np.abs(pops.reshape(len(self.T), 4, nmax)
+                             - ref[:, :, :nmax])) <= 1e-12
+        assert np.max(np.abs(ref[:, :, nmax:])) <= 1e-12
+        assert np.array_equal(a_oper, ref_oper.reshape(4, -1)[:, :nmax].ravel())
+        assert a_steady == pytest.approx(ref_steady, abs=1e-12)
+
+    def test_equal_couplings_steady_state(self):
+        """At eta1 = eta2 zero is a double eigenvalue of every block; from
+        |00, 0> the infinite-time average of A is exactly 5/12."""
+        a = sideband_flop(0.18, 0.18, 0, self.OMEGA0, 60e-6, [0.0, 1.0])
+        assert a[-1] == pytest.approx(5 / 12, abs=1e-12)
+
+    @pytest.mark.parametrize("initial", [0, 2])
+    def test_steady_state_is_the_long_time_average(self, initial):
+        t = np.linspace(0.0, 0.2, 80001)
+        undamped = sideband_flop(0.22, 0.11, initial, self.OMEGA0, None, t)
+        _, _, a_steady = _flop_populations(0.22, 0.11, initial, self.OMEGA0,
+                                           t[:1])
+        assert a_steady == pytest.approx(undamped.mean(), abs=1e-3)

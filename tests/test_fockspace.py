@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ionmodes import CutoffError, StateMatchError, exact_transition_frequency
+from ionmodes import fockspace
 from ionmodes.constants import HBAR, PLANCK
 
-from conftest import rel_err
+from conftest import dense_hamiltonian, dense_transition_frequency
 
 
 def symmetric(rng, shape, scale):
@@ -82,7 +83,7 @@ class TestExactTransitionFrequency:
         g3 = np.zeros((2, 2, 2))
         for p in set(itertools.permutations((0, 1, 1))):
             g3[p] = 0.2 * HBAR * omega[1]
-        with pytest.raises(StateMatchError):
+        with pytest.raises(StateMatchError, match=r"label \(0, 2\)"):
             exact_transition_frequency(omega, g3, None, [0, 2], 1, cutoff=12)
 
     def test_non_integer_occupations_rejected(self):
@@ -95,3 +96,73 @@ class TestExactTransitionFrequency:
         with pytest.raises(ValueError):
             exact_transition_frequency(2 * np.pi * np.ones(4) * 1e6, None,
                                        None, [0, 0, 0, 0], 0)
+
+
+def random_couplings(seed, n_modes, cubic, quartic):
+    """Mode frequencies (rad/s) and random symmetric G3, G4 (J) scaled to
+    hbar times the lowest frequency."""
+    rng = np.random.default_rng(seed)
+    omega = 2 * np.pi * rng.uniform(1e6, 5e6, n_modes)
+    hw = HBAR * omega.min()
+    return (omega, symmetric(rng, (n_modes,) * 3, cubic * hw),
+            symmetric(rng, (n_modes,) * 4, quartic * hw))
+
+
+def eigensolver_floor(omega, cutoff):
+    """The benchmark oracle's eigensolver floor (Hz)."""
+    return 100 * np.finfo(float).eps * cutoff * np.sum(omega) / (2 * np.pi)
+
+
+class TestSparseSolver:
+    @pytest.mark.parametrize("n_modes,cutoff",
+                             [(1, 4), (1, 12), (2, 5), (2, 12), (3, 4), (3, 6)])
+    def test_hamiltonian_matches_dense_oracle(self, n_modes, cutoff):
+        omega, g3, g4 = random_couplings(n_modes + cutoff, n_modes, 1e-2, 1e-3)
+        h = fockspace.build_hamiltonian(omega, g3, g4, cutoff)
+        dense = dense_hamiltonian(omega, g3, g4, cutoff)
+        assert h.format == "csc"
+        assert np.max(np.abs(h.toarray() - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("n_modes,occupations,z,cutoff", [
+        (1, [2], 0, 12), (2, [1, 0], 1, 10), (2, [0, 2], 0, 12),
+        (3, [0, 1, 0], 0, 7), (3, [1, 0, 1], 2, 8)])
+    def test_certified_levels_match_dense_eigh(self, monkeypatch, n_modes,
+                                               occupations, z, cutoff):
+        omega, g3, g4 = random_couplings(7 * n_modes + z, n_modes, 2e-3, 2e-4)
+        expected, weights = dense_transition_frequency(omega, g3, g4,
+                                                       occupations, z, cutoff)
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense fallback taken")
+
+        monkeypatch.setattr(fockspace, "eigh", no_dense)
+        f = exact_transition_frequency(omega, g3, g4, occupations, z, cutoff)
+        assert min(weights) > 0.5
+        assert f == pytest.approx(expected, rel=0,
+                                  abs=eigensolver_floor(omega, cutoff))
+
+    def test_three_way_mixing_takes_dense_fallback(self, monkeypatch):
+        """|010> sits between |100> and |001>, each h x 1 kHz away and
+        coupled to it by h x 1 kHz, so it spreads about equally over three
+        eigenstates: no eigenvector has squared overlap above 1/2."""
+        delta = 2 * np.pi * 1e3
+        omega = 2 * np.pi * 2e6 + np.array([delta, 0.0, -delta])
+        g4 = np.zeros((3, 3, 3, 3))
+        for idx in ((0, 1, 2, 2), (1, 2, 0, 0)):
+            for p in set(itertools.permutations(idx)):
+                g4[p] = HBAR * delta / 12
+        expected, weights = dense_transition_frequency(omega, None, g4,
+                                                       [0, 0, 0], 1, 6)
+        assert 0.25 < weights[1] <= 0.5
+        calls = []
+        dense_eigh = fockspace.eigh
+
+        def counted_eigh(*args, **kwargs):
+            calls.append(args[0].shape)
+            return dense_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(fockspace, "eigh", counted_eigh)
+        f = exact_transition_frequency(omega, None, g4, [0, 0, 0], 1, cutoff=6)
+        assert calls == [(216, 216)]
+        assert f == pytest.approx(expected, rel=0,
+                                  abs=eigensolver_floor(omega, 6))
