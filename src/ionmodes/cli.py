@@ -23,13 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .anharmonic import ResonanceError, chi_from_configuration
-from .calibration import IN_PHASE, com_frequency_scan, field_sensitivity, \
-    null_parameter, BracketError
+from .calibration import BracketError, PotentialFamily, com_frequency_scan, \
+    field_sensitivity, null_parameter
 from .chifile import _matrix_lines, chi_to_text, format_value, read_chi
 from .config import ConfigError, RunConfig, apply_overrides, load_config, \
-    parse_family, parse_mode_label, validate_config, _integer, _number
+    validate_config
 from .dynamics import FockSuperposition, fock_coherence, thermal_gate_infidelity
-from .fockspace import CutoffError, StateMatchError
 from .modes import NotAtEquilibriumError, mode_spectrum
 from .statics import EquilibriumError, solve_equilibrium
 
@@ -51,48 +50,34 @@ def _precision() -> int:
     return p
 
 
-def _section(cfg: RunConfig, name: str) -> dict:
-    if name not in cfg.sections:
-        raise ConfigError(name, f"config section required for command {name!r}")
-    return cfg.sections[name]
+def _chi_input(cfg: RunConfig, command: str, config_dir: Path):
+    """Golden chi file if ``command``'s section names one, else chi computed
+    from the chain (chi_file paths are relative to the configuration)."""
+    name = cfg.sections[command].get("chi_file")
+    if name is None:
+        return chi_from_configuration(solve_equilibrium(cfg.chain, cfg.potential))
+    try:
+        return read_chi(config_dir / name)
+    except OSError as exc:
+        raise ConfigError(f"{command}.chi_file", str(exc)) from exc
 
 
-def _solved_spectrum(cfg: RunConfig):
-    eq = solve_equilibrium(cfg.chain, cfg.potential)
-    return mode_spectrum(eq)
-
-
-def _chi_input(cfg: RunConfig, section: dict, config_dir: Path):
-    """Golden chi file if configured, else chi computed from the chain."""
-    if "chi_file" in section:
-        path = Path(section["chi_file"])
-        if not path.is_absolute():
-            path = config_dir / path
-        try:
-            return read_chi(path)
-        except OSError as exc:
-            raise ConfigError("chi_file", str(exc)) from exc
-    if cfg.trap3d is None:
-        raise ConfigError("trap3d",
-                          "required to compute chi (or provide chi_file)")
-    return chi_from_configuration(solve_equilibrium(cfg.chain, cfg.potential))
-
-
-def _mode_index(section, n_modes, default=None) -> int:
-    """Config mode indices are 1-based in descending frequency order."""
-    if "mode_index" in section:
-        idx = _integer(section["mode_index"], "mode_index", minimum=1)
-    elif default is not None:
-        idx = default
-    else:
-        raise ConfigError("mode_index", "required")
+def _mode_index(cfg: RunConfig, command: str, n_modes: int) -> int:
+    """0-based index of ``command``'s 1-based mode_index, checked against
+    the modes of chi; explicit nbars must cover the same modes."""
+    nbar = cfg.environment.nbar
+    if nbar is not None and len(nbar) != n_modes:
+        raise ConfigError("environment.nbar",
+                          f"expected {n_modes} entries, one per mode")
+    idx = cfg.sections[command]["mode_index"]
     if idx > n_modes:
-        raise ConfigError("mode_index", f"only {n_modes} modes available")
+        raise ConfigError(f"{command}.mode_index",
+                          f"only {n_modes} modes available")
     return idx - 1
 
 
-def cmd_modes(cfg: RunConfig, section: dict, config_dir: Path, prec: int) -> str:
-    spectrum = _solved_spectrum(cfg)
+def cmd_modes(cfg: RunConfig, config_dir: Path, prec: int) -> str:
+    spectrum = mode_spectrum(solve_equilibrium(cfg.chain, cfg.potential))
     out = ["# ionmodes modes report",
            "# chain: " + " ".join(s.label for s in cfg.chain),
            "# equilibrium axial positions (m):"]
@@ -106,29 +91,16 @@ def cmd_modes(cfg: RunConfig, section: dict, config_dir: Path, prec: int) -> str
     return "\n".join(out) + "\n"
 
 
-def cmd_chi(cfg: RunConfig, section: dict, config_dir: Path, prec: int) -> str:
-    if cfg.trap3d is None:
-        raise ConfigError("trap3d", "required for the chi command")
-    chi = chi_from_configuration(solve_equilibrium(cfg.chain, cfg.potential))
-    return chi_to_text(chi, prec)
+def cmd_chi(cfg: RunConfig, config_dir: Path, prec: int) -> str:
+    return chi_to_text(_chi_input(cfg, "chi", config_dir), prec)
 
 
-def cmd_coherence(cfg: RunConfig, section: dict, config_dir: Path, prec: int) -> str:
-    if cfg.environment is None:
-        raise ConfigError("environment", "required for the coherence command")
-    if "t_max_s" not in section:
-        raise ConfigError("coherence.t_max_s", "required")
-    t_max = _number(section["t_max_s"], "coherence.t_max_s")
-    if t_max <= 0:
-        raise ConfigError("coherence.t_max_s", "must be positive")
-    samples = _integer(section.get("samples", 501), "coherence.samples",
-                       minimum=2)
-    chi = _chi_input(cfg, section, config_dir)
-    z = _mode_index(section, chi.n_modes, default=1)
-    sup = FockSuperposition(mode=z,
-                            n_upper=_integer(section.get("n_upper", 1),
-                                             "coherence.n_upper", minimum=1))
-    t = np.linspace(0.0, t_max, samples)
+def cmd_coherence(cfg: RunConfig, config_dir: Path, prec: int) -> str:
+    section = cfg.sections["coherence"]
+    chi = _chi_input(cfg, "coherence", config_dir)
+    z = _mode_index(cfg, "coherence", chi.n_modes)
+    sup = FockSuperposition(mode=z, n_upper=section["n_upper"])
+    t = np.linspace(0.0, section["t_max_s"], section["samples"])
     c = fock_coherence(chi, sup, cfg.environment, t)
     out = ["# ionmodes coherence decay",
            f"# mode_index (1-based, descending): {z + 1}",
@@ -139,14 +111,10 @@ def cmd_coherence(cfg: RunConfig, section: dict, config_dir: Path, prec: int) ->
     return "\n".join(out) + "\n"
 
 
-def cmd_gate(cfg: RunConfig, section: dict, config_dir: Path, prec: int) -> str:
-    if cfg.environment is None:
-        raise ConfigError("environment", "required for the gate command")
-    if "detuning_khz" not in section:
-        raise ConfigError("gate.detuning_khz", "required")
-    det = _number(section["detuning_khz"], "gate.detuning_khz", nonzero=True)
-    chi = _chi_input(cfg, section, config_dir)
-    z = _mode_index(section, chi.n_modes)
+def cmd_gate(cfg: RunConfig, config_dir: Path, prec: int) -> str:
+    det = cfg.sections["gate"]["detuning_khz"]
+    chi = _chi_input(cfg, "gate", config_dir)
+    z = _mode_index(cfg, "gate", chi.n_modes)
     delta = 2 * math.pi * det * 1e3
     inf = thermal_gate_infidelity(chi, z, delta, cfg.environment)
     out = ["# ionmodes thermal gate infidelity (dimensionless)",
@@ -156,13 +124,10 @@ def cmd_gate(cfg: RunConfig, section: dict, config_dir: Path, prec: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def cmd_scan(cfg: RunConfig, section: dict, config_dir: Path, prec: int) -> str:
-    if "n_max" not in section:
-        raise ConfigError("scan.n_max", "required")
-    n_min = _integer(section.get("n_min", 1), "scan.n_min", minimum=1)
-    n_max = _integer(section["n_max"], "scan.n_max", minimum=n_min)
+def cmd_scan(cfg: RunConfig, config_dir: Path, prec: int) -> str:
+    section = cfg.sections["scan"]
     result = com_frequency_scan(cfg.axial, cfg.chain[0],
-                                range(n_min, n_max + 1))
+                                range(section["n_min"], section["n_max"] + 1))
     out = ["# ionmodes centre-of-mass frequency scan",
            f"# species: {cfg.chain[0].label}",
            f"# slope_hz_per_ion: {format_value(result.slope, prec)}",
@@ -174,22 +139,14 @@ def cmd_scan(cfg: RunConfig, section: dict, config_dir: Path, prec: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def cmd_null(cfg: RunConfig, section: dict, config_dir: Path, prec: int) -> str:
-    if len(cfg.chain) != 2:
-        raise ConfigError("chain", "null requires a two-ion chain")
-    if "family" not in section:
-        raise ConfigError("null.family", "required")
-    if "bracket" not in section:
-        raise ConfigError("null.bracket", "required")
-    family = parse_family(section["family"], "null.family", cfg.axial)
-    bracket = section["bracket"]
-    if not isinstance(bracket, list) or len(bracket) != 2:
-        raise ConfigError("null.bracket", "expected [p_lo, p_hi]")
-    label = parse_mode_label(section.get("mode_label", IN_PHASE),
-                             "null.mode_label")
+def cmd_null(cfg: RunConfig, config_dir: Path, prec: int) -> str:
+    section = cfg.sections["null"]
+    fam = section["family"]
+    family = PotentialFamily(base=cfg.axial, kappa_actions=fam["kappa"],
+                             field_action=fam["field"])
+    label = section["mode_label"]
     p_star = null_parameter(family, cfg.chain[0], cfg.chain[1], label,
-                            (_number(bracket[0], "null.bracket[0]"),
-                             _number(bracket[1], "null.bracket[1]")))
+                            section["bracket"])
     out = ["# ionmodes odd-order anharmonicity null",
            f"# mode_label: {label}",
            "# root parameter p* (family parameter units):",
@@ -197,13 +154,12 @@ def cmd_null(cfg: RunConfig, section: dict, config_dir: Path, prec: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def cmd_sensitivity(cfg: RunConfig, section: dict, config_dir: Path, prec: int) -> str:
-    if "field_v_per_m" not in section:
-        raise ConfigError("sensitivity.field_v_per_m", "required")
-    field = _number(section["field_v_per_m"], "sensitivity.field_v_per_m")
-    mode = section.get("mode", "com")
-    if mode != "com":
-        mode = _integer(mode, "sensitivity.mode", minimum=0)
+def cmd_sensitivity(cfg: RunConfig, config_dir: Path, prec: int) -> str:
+    section = cfg.sections["sensitivity"]
+    field, mode = section["field_v_per_m"], section["mode"]
+    if mode != "com" and mode >= len(cfg.chain):
+        raise ConfigError("sensitivity.mode",
+                          f"must be below {len(cfg.chain)}, the number of axial modes")
     shift = field_sensitivity(cfg.axial, cfg.chain, field, mode)
     out = ["# ionmodes field sensitivity",
            f"# field_v_per_m: {format_value(field, prec)}",
@@ -247,15 +203,11 @@ def main(argv=None) -> int:
 
     try:
         prec = _precision()
-        raw = load_config(args.config)
-        raw = apply_overrides(raw, args.param)
-        cfg = validate_config(raw)
-        section = cfg.sections.get(args.command, {})
-        if args.command not in cfg.sections and args.command not in ("modes", "chi"):
-            section = _section(cfg, args.command)
-        text = COMMANDS[args.command](cfg, section, Path(args.config).resolve().parent,
+        raw = apply_overrides(load_config(args.config), args.param)
+        cfg = validate_config(raw, args.command)
+        text = COMMANDS[args.command](cfg, Path(args.config).resolve().parent,
                                       prec)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResonanceError as exc:
@@ -264,9 +216,8 @@ def main(argv=None) -> int:
     except BracketError as exc:
         print(f"bracket failure: {exc}", file=sys.stderr)
         return EXIT_BRACKET
-    except (EquilibriumError, NotAtEquilibriumError, CutoffError,
-            StateMatchError, np.linalg.LinAlgError, ZeroDivisionError,
-            ValueError) as exc:
+    except (EquilibriumError, NotAtEquilibriumError, np.linalg.LinAlgError,
+            ZeroDivisionError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

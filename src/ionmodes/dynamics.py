@@ -180,9 +180,11 @@ def _flop_populations(eta1, eta2, initial, omega0, t):
         nb = float(initial)
         if nb < 0:
             raise ValueError("thermal nbar must be non-negative")
-        ns = np.arange(math.ceil(10 * nb + 10))
-        w = (nb / (1 + nb)) ** ns / (1 + nb)
-        n0, w = ns[w > 1e-12], w[w > 1e-12]
+        # keep every n below the point where the thermal tail mass
+        # sum_{n >= N} w_n = q^N falls under 1e-12
+        q = nb / (1 + nb)
+        n0 = np.arange(math.ceil(math.log(1e-12) / math.log(q)) if q else 1)
+        w = q ** n0 / (1 + nb)
 
     # block states |00,n0>, |10,n0+1>, |01,n0+1>, |11,n0+2>
     g_lo = omega0 * np.sqrt(n0 + 1) / 2.0

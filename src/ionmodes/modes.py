@@ -44,14 +44,10 @@ def hessian(cfg: ChainConfiguration) -> np.ndarray:
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        for comp in out[:, k]:
-            if abs(comp) >= 1e-12:
-                if comp < 0:
-                    out[:, k] = -out[:, k]
-                break
-    return out
+    """Flip each column whose first entry with |v| >= 1e-12 is negative."""
+    first = np.argmax(np.abs(vecs) >= 1e-12, axis=0)
+    lead = vecs[first, np.arange(vecs.shape[1])]
+    return np.where(lead <= -1e-12, -vecs, vecs)
 
 
 @dataclass(frozen=True, eq=False)

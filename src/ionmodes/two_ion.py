@@ -13,6 +13,7 @@ Validity: corrections are asymptotic in l/lambda_n; outside the regime
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -30,8 +31,6 @@ _C_WC = 9 / 2 ** (7 / 3)    # in-phase cubic frequency coefficient
 _C_WS = 3 / 2 ** (7 / 3)    # out-of-phase cubic frequency coefficient
 _C_Q_Z2 = 1 / (3 * 2 ** (1 / 3))
 _C_Q_Z4 = 2 ** (4 / 3) / 9
-_C_Q_WC = 3 / 2 ** (4 / 3)
-_C_Q_WS = 5 / (3 * 2 ** (4 / 3))
 _C_U3 = 3 / 2 ** (8 / 3)    # unequal-mass cubic frequency coefficient
 _C_U4 = 1 / (3 * 2 ** (4 / 3))
 _C_V4 = 1 / 2 ** (1 / 3)    # unequal-mass quartic eigenvector coefficient
@@ -57,14 +56,13 @@ class TwoIonAnalytics:
 
 def _warn_regime(label: str, value: float, limit: float):
     if abs(value) >= limit:
+        # attribute the warning to the first caller outside this module
+        level = 2
+        while sys._getframe(level).f_globals is globals():
+            level += 1
         warnings.warn(
             f"{label} = {value:.3g} outside the perturbative regime (< {limit})",
-            RuntimeWarning, stacklevel=3)
-
-
-def _normalize(v):
-    v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v)
+            RuntimeWarning, stacklevel=level + 1)
 
 
 def cubic_equal(kappa2: float, lambda3: float, species: IonSpecies) -> TwoIonAnalytics:
@@ -80,8 +78,8 @@ def cubic_equal(kappa2: float, lambda3: float, species: IonSpecies) -> TwoIonAna
     omega_high = w0 * math.sqrt(3.0) * (1 - _C_WS * x**2)
     # First-order eigenvector corrections: the ion on the softer side of the
     # cubic term acquires the larger amplitude.
-    vec_low = _normalize([1 + _C_Z1 * x, 1 - _C_Z1 * x])
-    vec_high = _normalize([1 - _C_Z1 * x, -(1 + _C_Z1 * x)])
+    vec_low = [1 + _C_Z1 * x, 1 - _C_Z1 * x]
+    vec_high = [1 - _C_Z1 * x, -(1 + _C_Z1 * x)]
     return TwoIonAnalytics(z_plus=z_plus, z_minus=z_minus,
                            omega_high=omega_high, omega_low=omega_low,
                            eigvec_high=vec_high, eigvec_low=vec_low,
@@ -89,21 +87,13 @@ def cubic_equal(kappa2: float, lambda3: float, species: IonSpecies) -> TwoIonAna
 
 
 def quartic_equal(kappa2: float, lambda4: float, species: IonSpecies) -> TwoIonAnalytics:
-    """Two equal ions with a quartic perturbation V = kappa2 z^2 (1 + (z/lambda4)^2)."""
-    l = characteristic_length(species, kappa2)
-    y2 = (l / lambda4) ** 2
-    _warn_regime("(l/lambda4)^2", y2, QUARTIC_REGIME)
-    half = l / 2 ** (2 / 3) * (1 - _C_Q_Z2 * y2 + _C_Q_Z4 * y2**2)
-    w0 = math.sqrt(2 * species.charge_si * kappa2 / species.mass)
-    omega_low = w0 * (1 + _C_Q_WC * y2)
-    omega_high = w0 * math.sqrt(3.0) * (1 + _C_Q_WS * y2)
-    # Centre of the pair stays at z = 0 and the modes remain exactly the
-    # centre-of-mass and stretch combinations.
-    return TwoIonAnalytics(z_plus=half, z_minus=-half,
-                           omega_high=omega_high, omega_low=omega_low,
-                           eigvec_high=_normalize([1.0, -1.0]),
-                           eigvec_low=_normalize([1.0, 1.0]),
-                           order_tag=species.label)
+    """Two equal ions with a quartic perturbation V = kappa2 z^2 (1 + (z/lambda4)^2).
+
+    The mu = 1 case of ``quartic_unequal``: the centre of the pair stays at
+    z = 0 and the modes remain exactly the centre-of-mass and stretch
+    combinations.
+    """
+    return quartic_unequal(kappa2, lambda4, species, species)
 
 
 def _mu_terms(species1: IonSpecies, species2: IonSpecies):
@@ -140,10 +130,10 @@ def cubic_unequal(kappa2: float, lambda3: float, species1: IonSpecies,
     z_plus = half * (1 - _C_Z1 * x + _C_Z2 * x**2)
     z_minus = -half * (1 + _C_Z1 * x + _C_Z2 * x**2)
     k = _C_Z1 * (1 + mu) / s
-    vec_high = _normalize([1 - k * r_plus**2 / (1 + r_plus**2) * x,
-                           r_plus * (-1 - k / (1 + r_plus**2) * x)])
-    vec_low = _normalize([1 + k * r_minus**2 / (1 + r_minus**2) * x,
-                          r_minus * (1 - k / (1 + r_minus**2) * x)])
+    vec_high = [1 - k * r_plus**2 / (1 + r_plus**2) * x,
+                r_plus * (-1 - k / (1 + r_plus**2) * x)]
+    vec_low = [1 + k * r_minus**2 / (1 + r_minus**2) * x,
+               r_minus * (1 - k / (1 + r_minus**2) * x)]
     return TwoIonAnalytics(z_plus=z_plus, z_minus=z_minus,
                            omega_high=omega_high, omega_low=omega_low,
                            eigvec_high=vec_high, eigvec_low=vec_low,
@@ -162,10 +152,10 @@ def quartic_unequal(kappa2: float, lambda4: float, species1: IonSpecies,
     omega_low = w_minus0 * (1 + _C_U4 * (+(1 + mu) + 7 * s) / s * y2)
     half = l / 2 ** (2 / 3) * (1 - _C_Q_Z2 * y2 + _C_Q_Z4 * y2**2)
     q = _C_V4 * (1 - mu) / s
-    vec_high = _normalize([1 + q * r_plus**2 / (1 + r_plus**2) * y2,
-                           r_plus * (-1 - q / (1 + r_plus**2) * y2)])
-    vec_low = _normalize([1 - q * r_minus**2 / (1 + r_minus**2) * y2,
-                          r_minus * (1 - q / (1 + r_minus**2) * y2)])
+    vec_high = [1 + q * r_plus**2 / (1 + r_plus**2) * y2,
+                r_plus * (-1 - q / (1 + r_plus**2) * y2)]
+    vec_low = [1 - q * r_minus**2 / (1 + r_minus**2) * y2,
+               r_minus * (1 - q / (1 + r_minus**2) * y2)]
     return TwoIonAnalytics(z_plus=half, z_minus=-half,
                            omega_high=omega_high, omega_low=omega_low,
                            eigvec_high=vec_high, eigvec_low=vec_low,

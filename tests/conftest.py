@@ -245,11 +245,15 @@ def dense_flop_populations(eta1, eta2, initial, omega0, t):
         nb = float(initial)
         if nb < 0:
             raise ValueError("thermal nbar must be non-negative")
-        nmax = int(math.ceil(10 * nb + 10))
+        # the same weights as the code under test: every n below the point
+        # where the thermal tail mass q^N falls under 1e-12
+        q = nb / (1 + nb)
+        nmax = math.ceil(math.log(1e-12) / math.log(q)) if q else 1
         ns = np.arange(nmax)
-        w = (nb / (1 + nb)) ** ns / (1 + nb)
-        weights = {int(n): float(wn) for n, wn in zip(ns, w) if wn > 1e-12}
-        nmax += max(30, nmax)
+        w = q ** ns / (1 + nb)
+        weights = {int(n): float(wn) for n, wn in zip(ns, w)}
+        # the sideband moves n by at most 2, so this pad is exact and ample
+        nmax += 30
 
     dim = 4 * nmax
     # basis: |s1 s2 n> with s in {down=0, up=1}
@@ -275,11 +279,11 @@ def dense_flop_populations(eta1, eta2, initial, omega0, t):
 
     pops = np.zeros((len(t), dim))
     a_steady = 0.0
+    # |sum_k e^{-i E_k t} m[b, k]|^2 with real m, as two real products
+    cos_et, sin_et = np.cos(np.outer(t, evals)), np.sin(np.outer(t, evals))
     for n0, wgt in weights.items():
         c0 = evecs[idx(0, 0, n0), :]     # <k|psi0> for the real eigenbasis
         m = evecs * c0[None, :]          # m[b, k] = <b|k><k|psi0>
-        phases = np.exp(-1j * np.outer(t, evals))
-        amps = phases @ m.T.astype(complex)
-        pops += wgt * np.abs(amps) ** 2
+        pops += wgt * ((cos_et @ m.T) ** 2 + (sin_et @ m.T) ** 2)
         a_steady += wgt * float((np.abs(m) ** 2).sum(axis=1) @ a_oper)
     return pops, a_oper, a_steady

@@ -246,3 +246,166 @@ class TestCommandLine:
                    str(CONFIGS / "sensitivity_single_be.json")])
         assert rc == 0
         assert "field sensitivity" in capsys.readouterr().out
+
+
+DELETE = object()
+
+# (config file, command, {dotted path: new value or DELETE}, path the
+# error must name).  Physical ranges are reported at the path of the object
+# whose constructor rejects them; keys, types, defaults and "required" at
+# the field itself.
+MALFORMED = {
+    # ranges owned by the domain constructors
+    "mass_negative": ("modes_bmmb.json", "modes",
+                      {"species.Be9.mass_u": -1.0}, "species.Be9"),
+    "charge_zero": ("modes_bmmb.json", "modes",
+                    {"species.Be9.charge_e": 0}, "species.Be9"),
+    "kappa2_negative": ("modes_bmmb.json", "modes",
+                        {"potential.kappa2": -1.3e7}, "potential"),
+    "lambda_zero": ("null_kappa3.json", "null",
+                    {"potential.lambdas_um.3": 0.0}, "potential"),
+    "gradient_without_reference": (
+        "modes_bmmb.json", "modes",
+        {"potential.pseudo_gradient_ev_per_m": 5.0}, "potential"),
+    "radial_negative": ("chi_two_mgh_coulomb.json", "chi",
+                        {"trap3d.radial_mhz": [-7.0, 5.0]}, "trap3d"),
+    "tensor_shape": ("chi_two_mgh_coulomb.json", "chi",
+                     {"trap3d.cubic_tensor_v_per_m3": [[1.0, 2.0]]}, "trap3d"),
+    "tensor_object": ("chi_two_mgh_coulomb.json", "chi",
+                      {"trap3d.quartic_tensor_v_per_m4": {"x": 1}}, "trap3d"),
+    "environment_both": ("coherence_single_ion.json", "coherence",
+                         {"environment.nbar": [0.1, 0.1, 0.1]}, "environment"),
+    "environment_neither": ("coherence_single_ion.json", "coherence",
+                            {"environment.temperature_mk": DELETE},
+                            "environment"),
+    "temperature_negative": ("coherence_single_ion.json", "coherence",
+                             {"environment.temperature_mk": -0.7},
+                             "environment"),
+    "nbar_negative": ("gate_two_ion.json", "gate",
+                      {"environment": {"nbar": [0.1] * 5 + [-1.0]}},
+                      "environment"),
+    # command sections: keys, types, defaults and "required"
+    "t_max_missing": ("coherence_single_ion.json", "coherence",
+                      {"coherence.t_max_s": DELETE}, "coherence.t_max_s"),
+    "t_max_zero": ("coherence_single_ion.json", "coherence",
+                   {"coherence.t_max_s": 0}, "coherence.t_max_s"),
+    "samples_one": ("coherence_single_ion.json", "coherence",
+                    {"coherence.samples": 1}, "coherence.samples"),
+    "n_upper_zero": ("coherence_single_ion.json", "coherence",
+                     {"coherence.n_upper": 0}, "coherence.n_upper"),
+    "mode_index_zero": ("coherence_single_ion.json", "coherence",
+                        {"coherence.mode_index": 0}, "coherence.mode_index"),
+    "mode_index_beyond_modes": ("coherence_single_ion.json", "coherence",
+                                {"coherence.mode_index": 4},
+                                "coherence.mode_index"),
+    "gate_mode_index_missing": ("gate_two_ion.json", "gate",
+                                {"gate.mode_index": DELETE}, "gate.mode_index"),
+    "detuning_zero": ("gate_two_ion.json", "gate",
+                      {"gate.detuning_khz": 0.0}, "gate.detuning_khz"),
+    "detuning_string": ("gate_two_ion.json", "gate",
+                        {"gate.detuning_khz": "x"}, "gate.detuning_khz"),
+    "chi_file_missing": ("gate_two_ion.json", "gate",
+                         {"gate.chi_file": "no_such_chi.txt"}, "gate.chi_file"),
+    "n_max_missing": ("scan_com_be.json", "scan",
+                      {"scan.n_max": DELETE}, "scan.n_max"),
+    "n_max_below_n_min": ("scan_com_be.json", "scan",
+                          {"scan.n_min": 5, "scan.n_max": 3}, "scan.n_max"),
+    "scan_section_absent": ("scan_com_be.json", "scan",
+                            {"scan": DELETE}, "scan.n_max"),
+    "family_missing": ("null_kappa3.json", "null",
+                       {"null.family": DELETE}, "null.family"),
+    "family_acts_on_nothing": ("null_kappa3.json", "null",
+                               {"null.family": {}}, "null.family"),
+    "family_order_below_3": ("null_kappa3.json", "null",
+                             {"null.family.kappa": {"2": 1.0}},
+                             "null.family.kappa.2"),
+    "bracket_short": ("null_kappa3.json", "null",
+                      {"null.bracket": [0.0]}, "null.bracket"),
+    "bracket_entry": ("null_kappa3.json", "null",
+                      {"null.bracket": [0.0, "a"]}, "null.bracket[1]"),
+    "mode_label_unknown": ("null_kappa3.json", "null",
+                           {"null.mode_label": "sideways"}, "null.mode_label"),
+    "field_missing": ("sensitivity_single_be.json", "sensitivity",
+                      {"sensitivity.field_v_per_m": DELETE},
+                      "sensitivity.field_v_per_m"),
+    "sensitivity_mode_negative": ("sensitivity_single_be.json", "sensitivity",
+                                  {"sensitivity.mode": -1}, "sensitivity.mode"),
+    # what a command needs besides its own section
+    "coherence_without_environment": ("coherence_single_ion.json", "coherence",
+                                      {"environment": DELETE}, "environment"),
+    "chi_without_trap3d": ("chi_two_mgh_coulomb.json", "chi",
+                           {"trap3d": DELETE}, "trap3d"),
+    "computed_chi_without_trap3d": ("gate_two_ion.json", "gate",
+                                    {"gate.chi_file": DELETE}, "trap3d"),
+    "null_three_ions": ("null_kappa3.json", "null",
+                        {"chain": ["Be9", "Mg24", "Be9"]}, "chain"),
+    # inputs that crashed or exited 3 before the rules had one owner
+    "tensor_string": ("chi_two_mgh_coulomb.json", "chi",
+                      {"trap3d.cubic_tensor_v_per_m3": "abc"}, "trap3d"),
+    "chi_file_number": ("gate_two_ion.json", "gate",
+                        {"gate.chi_file": 5}, "gate.chi_file"),
+    "sensitivity_mode_beyond_chain": ("sensitivity_single_be.json",
+                                      "sensitivity", {"sensitivity.mode": 1},
+                                      "sensitivity.mode"),
+    "nbar_length": ("gate_two_ion.json", "gate",
+                    {"environment": {"nbar": [0.1, 0.1]}}, "environment.nbar"),
+    "chain_label_list": ("modes_bmmb.json", "modes",
+                         {"chain": [["Be9"]]}, "chain[0]"),
+    # every section in the file is checked, not only the command's
+    "unused_section_bad_value": ("chi_two_mgh_coulomb.json", "chi",
+                                 {"gate": {"mode_index": 1,
+                                           "detuning_khz": "x"}},
+                                 "gate.detuning_khz"),
+}
+
+
+def _mutated_config(tmp_path, name, edits):
+    cfg = json.loads((CONFIGS / name).read_text())
+    for section in ("coherence", "gate"):
+        # the copy lives elsewhere, so pin chi files to the original's folder
+        if "chi_file" in cfg.get(section, {}):
+            cfg[section]["chi_file"] = str(
+                (CONFIGS / cfg[section]["chi_file"]).resolve())
+    for dotted, value in edits.items():
+        *parents, leaf = dotted.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        if value is DELETE:
+            del node[leaf]
+        else:
+            node[leaf] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_2_naming_the_path(self, case, tmp_path, capsys):
+        name, command, edits, where = MALFORMED[case]
+        path = _mutated_config(tmp_path, name, edits)
+        rc = main([command, "--config", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {where}: ")
+        assert "Traceback" not in captured.err
+
+    def test_override_on_non_object_document(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert main(["modes", "--config", str(path), "--param", "a=1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: <document>: ")
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["modes", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
+    def test_shipped_configs_validate(self, command):
+        from ionmodes.config import validate_config
+
+        raw = json.loads((CONFIGS / COMMAND_CONFIGS[command]).read_text())
+        cfg = validate_config(raw, command)
+        assert command in cfg.sections

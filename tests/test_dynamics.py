@@ -262,13 +262,16 @@ class TestSidebandFlop:
         a_fock = sideband_flop(0.18, 0.18, 0, self.OMEGA0, None, self.T)
         assert a.max() < a_fock.max()
 
-    def test_unitarity_is_preserved(self):
+    # Fock 0 and thermal starts: a thermal start must keep all but 1e-12 of
+    # its weight, so populations still sum to one
+    @pytest.mark.parametrize("initial", [0, 1.5, 4.7, 100.0])
+    def test_unitarity_is_preserved(self, initial):
         from ionmodes.dynamics import _flop_populations
 
-        pops, _, _ = _flop_populations(0.22, 0.11, 0, self.OMEGA0, self.T)
+        pops, _, _ = _flop_populations(0.22, 0.11, initial, self.OMEGA0, self.T)
         assert pops.sum(axis=1) == pytest.approx(np.ones(len(self.T)),
                                                  abs=1e-10)
-        a = sideband_flop(0.22, 0.11, 0, self.OMEGA0, None, self.T)
+        a = sideband_flop(0.22, 0.11, initial, self.OMEGA0, None, self.T)
         assert np.all(a <= 1.0 + 1e-10) and np.all(a >= -1e-10)
 
     @pytest.mark.parametrize("eta1,eta2,initial", [

@@ -69,7 +69,31 @@ class TestHessian:
             hessian(off)
 
 
+def fix_signs_loop(vecs):
+    """Reference sign convention: flip a column whose first entry with
+    |v| >= 1e-12 is negative (the loop ``modes._fix_signs`` replaced)."""
+    out = vecs.copy()
+    for k in range(out.shape[1]):
+        for comp in out[:, k]:
+            if abs(comp) >= 1e-12:
+                if comp < 0:
+                    out[:, k] = -out[:, k]
+                break
+    return out
+
+
 class TestModeSpectrum:
+    def test_sign_convention_matches_loop(self):
+        from ionmodes.modes import _fix_signs
+
+        rng = np.random.default_rng(5)
+        vecs = rng.normal(size=(9, 40))
+        # leading entries below the 1e-12 threshold, of either sign
+        vecs[:3, ::2] = rng.normal(size=(3, 20)) * 1e-13
+        vecs[:, 7] = 0.0
+        vecs[:, 9] = -1e-13  # no entry reaches the threshold
+        assert np.array_equal(_fix_signs(vecs), fix_signs_loop(vecs))
+
     def test_single_ion_frequency(self, be, pot_harmonic):
         cfg = solve_equilibrium([be], pot_harmonic)
         spec = mode_spectrum(cfg)

@@ -42,11 +42,20 @@ class TestCubicEqual:
 
     def test_regime_warning(self, be):
         l = characteristic_length(be, KAPPA2)
-        with pytest.warns(RuntimeWarning, match="perturbative regime"):
+        with pytest.warns(RuntimeWarning, match="perturbative regime") as rec:
             cubic_equal(KAPPA2, l / 0.3, be)
+        assert rec[0].filename == __file__
 
 
 class TestQuarticEqual:
+    def test_regime_warning_names_the_caller(self, be):
+        # quartic_equal delegates to quartic_unequal; the warning must still
+        # point at the line that called it
+        l = characteristic_length(be, KAPPA2)
+        with pytest.warns(RuntimeWarning, match="perturbative regime") as rec:
+            quartic_equal(KAPPA2, l / 0.3, be)
+        assert rec[0].filename == __file__
+
     def test_harmonic_limit(self, be):
         an = quartic_equal(KAPPA2, 1e3, be)
         assert an.omega_high / an.omega_low == pytest.approx(math.sqrt(3),
