@@ -11,7 +11,7 @@ mass.
 from __future__ import annotations
 
 import dataclasses
-import math
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,16 +63,37 @@ class OrderShiftReport:
     delta: float  # Hz, f_ab - f_ba
 
 
-def _labelled_frequency(spectrum: ModeSpectrum, mode_label: str) -> float:
-    """Frequency of the two-ion mode with the requested phase relation."""
+def _labelled_frequencies(spectrum: ModeSpectrum) -> dict[str, float]:
+    """Frequency of each two-ion mode, keyed by its phase relation."""
     if spectrum.n_modes != 2:
         raise ValueError("in/out-of-phase labelling applies to two-ion spectra")
+    freqs = {}
     for k in range(2):
         v = spectrum.eigenvectors[:, k]
-        in_phase = v[0] * v[1] > 0
-        if (mode_label == IN_PHASE) == in_phase:
-            return float(spectrum.frequencies[k])
-    raise ValueError(f"no mode with label {mode_label!r}")
+        label = IN_PHASE if v[0] * v[1] > 0 else OUT_OF_PHASE
+        freqs.setdefault(label, float(spectrum.frequencies[k]))
+    return freqs
+
+
+def _order_frequencies(pot: AxialPotential, species_a: IonSpecies,
+                       species_b: IonSpecies) -> dict[str, tuple[float, float]]:
+    """(f_ab, f_ba) for each mode label: one solve per ion order."""
+    ab, ba = (_labelled_frequencies(mode_spectrum(solve_equilibrium(order, pot)))
+              for order in ((species_a, species_b), (species_b, species_a)))
+    return {label: (ab[label], ba[label]) for label in ab.keys() & ba.keys()}
+
+
+def _check_label(mode_label: str):
+    if mode_label not in (IN_PHASE, OUT_OF_PHASE):
+        raise ValueError(f"unknown mode label {mode_label!r}")
+
+
+def _delta(freqs: dict[str, tuple[float, float]], mode_label: str) -> float:
+    """Order shift f_ab - f_ba of the labelled mode."""
+    if mode_label not in freqs:
+        raise ValueError(f"no mode with label {mode_label!r}")
+    f_ab, f_ba = freqs[mode_label]
+    return f_ab - f_ba
 
 
 def order_shift(pot: AxialPotential, species_a: IonSpecies,
@@ -82,15 +103,10 @@ def order_shift(pot: AxialPotential, species_a: IonSpecies,
     The label is resolved by the eigenvector sign product, not by frequency
     order, so it survives mass-ratio changes.
     """
-    if mode_label not in (IN_PHASE, OUT_OF_PHASE):
-        raise ValueError(f"unknown mode label {mode_label!r}")
-    f = {}
-    for tag, order in (("ab", (species_a, species_b)),
-                       ("ba", (species_b, species_a))):
-        cfg = solve_equilibrium(order, pot)
-        f[tag] = _labelled_frequency(mode_spectrum(cfg), mode_label)
-    return OrderShiftReport(mode_label=mode_label, f_ab=f["ab"], f_ba=f["ba"],
-                            delta=f["ab"] - f["ba"])
+    _check_label(mode_label)
+    freqs = _order_frequencies(pot, species_a, species_b)
+    delta = _delta(freqs, mode_label)
+    return OrderShiftReport(mode_label, *freqs[mode_label], delta=delta)
 
 
 def null_parameter(family: PotentialFamily, species_a: IonSpecies,
@@ -102,10 +118,25 @@ def null_parameter(family: PotentialFamily, species_a: IonSpecies,
     Bracketed root finding (Brent); requires a sign change over the bracket
     and verifies |delta(p*)| < tol_hz.
     """
+    return _null(family, species_a, species_b, mode_label, bracket, tol_hz)[0]
+
+
+def _null(family, species_a, species_b, mode_label, bracket,
+          tol_hz=NULL_TOLERANCE_HZ):
+    """null_parameter's root p* and the labelled frequencies solved there.
+
+    Each parameter value is solved once per call: the bracket ends, Brent's
+    iterates and the residual check at p* share one memo.
+    """
+    _check_label(mode_label)
     p_lo, p_hi = bracket
 
+    @functools.cache
+    def solved(p):
+        return _order_frequencies(family.at(p), species_a, species_b)
+
     def delta(p):
-        return order_shift(family.at(p), species_a, species_b, mode_label).delta
+        return _delta(solved(p), mode_label)
 
     d_lo, d_hi = delta(p_lo), delta(p_hi)
     if max(abs(d_lo), abs(d_hi)) < tol_hz:
@@ -121,7 +152,7 @@ def null_parameter(family: PotentialFamily, species_a: IonSpecies,
     if abs(residual) >= tol_hz:
         raise BracketError(
             f"root residual {residual:.3g} Hz exceeds {tol_hz} Hz")
-    return float(p_star)
+    return float(p_star), solved(p_star)
 
 
 def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
@@ -134,17 +165,19 @@ def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
     null the in-phase order shift (as in the experiment), and the remaining
     out-of-phase shift is compared with the measurement.  Root-finds g; a
     round trip through the forward model recovers the generating gradient.
+    The out-of-phase shift is read from the null's own solves, and each
+    trial gradient is nulled once per call.
     """
     if family.base.pseudo_reference is None:
         raise ValueError("family base must carry a pseudo_reference species")
 
+    @functools.cache
     def residual(g):
         fam = dataclasses.replace(family,
                                   base=dataclasses.replace(family.base,
                                                            pseudo_gradient=g))
-        p_star = null_parameter(fam, species_a, species_b, IN_PHASE, param_bracket)
-        out = order_shift(fam.at(p_star), species_a, species_b, OUT_OF_PHASE)
-        return out.delta - measured_out_shift
+        _, freqs = _null(fam, species_a, species_b, IN_PHASE, param_bracket)
+        return _delta(freqs, OUT_OF_PHASE) - measured_out_shift
 
     g_lo, g_hi = gradient_bracket
     r_lo, r_hi = residual(g_lo), residual(g_hi)

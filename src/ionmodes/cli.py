@@ -58,7 +58,7 @@ def _chi_input(cfg: RunConfig, command: str, config_dir: Path):
         return chi_from_configuration(solve_equilibrium(cfg.chain, cfg.potential))
     try:
         return read_chi(config_dir / name)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{command}.chi_file", str(exc)) from exc
 
 

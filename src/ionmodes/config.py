@@ -339,7 +339,8 @@ def validate_config(raw: dict, command: str) -> RunConfig:
     _check_keys(raw, "<document>", TOP_LEVEL_KEYS)
     if "version" not in raw:
         raise ConfigError("version", "required")
-    if raw["version"] != CONFIG_VERSION:
+    # bool is an int subclass and True == 1: a flag is not a version number
+    if isinstance(raw["version"], bool) or raw["version"] != CONFIG_VERSION:
         raise ConfigError("version", f"unsupported version {raw['version']!r}; "
                           f"expected {CONFIG_VERSION}")
     for key in ("species", "chain", "potential"):

@@ -172,6 +172,8 @@ class TrapModel3D:
             else np.asarray(self.trap_quartic, dtype=float)
         if cubic.shape != (3, 3, 3) or quartic.shape != (3, 3, 3, 3):
             raise ValueError("trap tensors must have shapes (3,3,3) and (3,3,3,3)")
+        if not (np.isfinite(cubic).all() and np.isfinite(quartic).all()):
+            raise ValueError("trap tensors must be finite")
         for t in (cubic, quartic):
             if not np.allclose(t, _symmetrize(t), rtol=1e-10, atol=0.0):
                 raise ValueError("trap tensors must be symmetric under index permutation")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -5,10 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import eigh
-from scipy.optimize import root
+from scipy.optimize import brentq, root
 
-from ionmodes import BE9, MG24, MGH25, ChainConfiguration, axial_from_lambdas, \
-    energy_gradient, harmonic_axial
+from ionmodes import BE9, MG24, MGH25, BracketError, ChainConfiguration, \
+    OrderShiftReport, axial_from_lambdas, energy_gradient, harmonic_axial, \
+    mode_spectrum, solve_equilibrium
+from ionmodes.calibration import IN_PHASE, MAX_ROOT_ITER, NULL_TOLERANCE_HZ, \
+    OUT_OF_PHASE
 from ionmodes.constants import EPSILON_0, HBAR, PLANCK
 
 
@@ -287,3 +291,81 @@ def dense_flop_populations(eta1, eta2, initial, omega0, t):
         pops += wgt * ((cos_et @ m.T) ** 2 + (sin_et @ m.T) ** 2)
         a_steady += wgt * float((np.abs(m) ** 2).sum(axis=1) @ a_oper)
     return pops, a_oper, a_steady
+
+
+# ----------------------------------------------------- calibration oracle
+# The unshared root finds: every evaluation solves both ion orders afresh,
+# as calibration did before its solves were memoised per call.
+
+def _labelled_frequency_oracle(spectrum, mode_label):
+    if spectrum.n_modes != 2:
+        raise ValueError("in/out-of-phase labelling applies to two-ion spectra")
+    for k in range(2):
+        v = spectrum.eigenvectors[:, k]
+        in_phase = v[0] * v[1] > 0
+        if (mode_label == IN_PHASE) == in_phase:
+            return float(spectrum.frequencies[k])
+    raise ValueError(f"no mode with label {mode_label!r}")
+
+
+def order_shift_oracle(pot, species_a, species_b, mode_label=IN_PHASE):
+    if mode_label not in (IN_PHASE, OUT_OF_PHASE):
+        raise ValueError(f"unknown mode label {mode_label!r}")
+    f = {}
+    for tag, order in (("ab", (species_a, species_b)),
+                       ("ba", (species_b, species_a))):
+        cfg = solve_equilibrium(order, pot)
+        f[tag] = _labelled_frequency_oracle(mode_spectrum(cfg), mode_label)
+    return OrderShiftReport(mode_label=mode_label, f_ab=f["ab"], f_ba=f["ba"],
+                            delta=f["ab"] - f["ba"])
+
+
+def null_parameter_oracle(family, species_a, species_b, mode_label, bracket,
+                          tol_hz=NULL_TOLERANCE_HZ):
+    p_lo, p_hi = bracket
+
+    def delta(p):
+        return order_shift_oracle(family.at(p), species_a, species_b,
+                                  mode_label).delta
+
+    d_lo, d_hi = delta(p_lo), delta(p_hi)
+    if max(abs(d_lo), abs(d_hi)) < tol_hz:
+        raise BracketError(
+            "no sign change: order shift is already null across the bracket")
+    if not (np.isfinite(d_lo) and np.isfinite(d_hi)) or d_lo * d_hi > 0:
+        raise BracketError(
+            f"order shift does not change sign over the bracket: "
+            f"delta({p_lo}) = {d_lo:.3g} Hz, delta({p_hi}) = {d_hi:.3g} Hz")
+    p_star = brentq(delta, p_lo, p_hi, maxiter=MAX_ROOT_ITER,
+                    xtol=1e-14 * max(abs(p_lo), abs(p_hi), 1.0))
+    residual = delta(p_star)
+    if abs(residual) >= tol_hz:
+        raise BracketError(
+            f"root residual {residual:.3g} Hz exceeds {tol_hz} Hz")
+    return float(p_star)
+
+
+def infer_pseudo_gradient_oracle(family, species_a, species_b,
+                                 measured_out_shift, gradient_bracket,
+                                 param_bracket):
+    if family.base.pseudo_reference is None:
+        raise ValueError("family base must carry a pseudo_reference species")
+
+    def residual(g):
+        fam = dataclasses.replace(family,
+                                  base=dataclasses.replace(family.base,
+                                                           pseudo_gradient=g))
+        p_star = null_parameter_oracle(fam, species_a, species_b, IN_PHASE,
+                                       param_bracket)
+        out = order_shift_oracle(fam.at(p_star), species_a, species_b,
+                                 OUT_OF_PHASE)
+        return out.delta - measured_out_shift
+
+    g_lo, g_hi = gradient_bracket
+    r_lo, r_hi = residual(g_lo), residual(g_hi)
+    if r_lo * r_hi > 0:
+        raise BracketError(
+            f"no gradient root in bracket: residual({g_lo}) = {r_lo:.3g} Hz, "
+            f"residual({g_hi}) = {r_hi:.3g} Hz")
+    return float(brentq(residual, g_lo, g_hi, maxiter=MAX_ROOT_ITER,
+                        xtol=1e-10 * max(abs(g_lo), abs(g_hi), 1e-3)))

@@ -1,15 +1,23 @@
 import dataclasses
+import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ionmodes.calibration
 from ionmodes import BracketError, PotentialFamily, axial_from_lambdas, \
     characteristic_length, com_frequency_scan, field_sensitivity, \
     harmonic_axial, infer_pseudo_gradient, mode_spectrum, null_parameter, \
     order_shift, solve_equilibrium
+from ionmodes.config import validate_config
 
-from conftest import KAPPA2, LAMBDA3, LAMBDA4
+from conftest import KAPPA2, LAMBDA3, LAMBDA4, infer_pseudo_gradient_oracle, \
+    null_parameter_oracle, order_shift_oracle
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestOrderShift:
@@ -163,3 +171,119 @@ class TestComFrequencyScan:
     def test_invalid_counts(self, be, pot_harmonic):
         with pytest.raises(ValueError):
             com_frequency_scan(pot_harmonic, be, [0, 1])
+
+
+def _cubic_family(pot):
+    return PotentialFamily(base=pot, kappa_actions={3: -pot.kappa[3]})
+
+
+def _gradient_pot(be, g0):
+    return axial_from_lambdas(KAPPA2, {3: LAMBDA3}, pseudo_gradient=g0,
+                              pseudo_reference=be)
+
+
+class TestSharedSolvesMatchOracle:
+    """Sharing solves across labels and repeat evaluations changes no bit:
+    the library equals the unshared oracle in tests/conftest.py with ==."""
+
+    @pytest.mark.parametrize("label", ["in_phase", "out_of_phase"])
+    @pytest.mark.parametrize("pot_name", ["pot_cubic", "pot_anharmonic"])
+    def test_order_shift(self, request, be, mg, pot_name, label):
+        pot = request.getfixturevalue(pot_name)
+        for pair in ((be, mg), (mg, be)):
+            assert order_shift(pot, *pair, label) == \
+                order_shift_oracle(pot, *pair, label)
+
+    @pytest.mark.parametrize("label", ["in_phase", "out_of_phase"])
+    def test_null_cubic_family(self, be, mg, pot_cubic, label):
+        fam = _cubic_family(pot_cubic)
+        p1 = null_parameter(fam, be, mg, label, (0.0, 2.0))
+        assert p1 == null_parameter_oracle(fam, be, mg, label, (0.0, 2.0))
+        narrowed = (p1 - 0.3, p1 + 0.3)
+        assert null_parameter(fam, be, mg, label, narrowed) == \
+            null_parameter_oracle(fam, be, mg, label, narrowed)
+
+    def test_null_field_family(self, be, mg, pot_anharmonic):
+        fam = PotentialFamily(base=pot_anharmonic, field_action=1.0)
+        assert null_parameter(fam, be, mg, "in_phase", (0.0, 4000.0)) == \
+            null_parameter_oracle(fam, be, mg, "in_phase", (0.0, 4000.0))
+
+    def test_null_shipped_config(self):
+        cfg = validate_config(
+            json.loads((CONFIGS / "null_kappa3.json").read_text()), "null")
+        section = cfg.sections["null"]
+        fam = PotentialFamily(base=cfg.axial,
+                              kappa_actions=section["family"]["kappa"],
+                              field_action=section["family"]["field"])
+        args = (fam, cfg.chain[0], cfg.chain[1], section["mode_label"],
+                section["bracket"])
+        assert null_parameter(*args) == null_parameter_oracle(*args)
+
+    def test_null_error_message(self, be, mg, pot_harmonic):
+        fam = PotentialFamily(base=pot_harmonic, field_action=1.0)
+        messages = []
+        for fn in (null_parameter, null_parameter_oracle):
+            with pytest.raises(BracketError) as exc:
+                fn(fam, be, mg, "in_phase", (-100.0, 100.0))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("g0", [0.2, -0.2])
+    def test_infer_round_trip(self, be, mg, g0):
+        fam = _cubic_family(_gradient_pot(be, g0))
+        p_star = null_parameter(fam, be, mg, "in_phase", (0.0, 2.0))
+        assert p_star == null_parameter_oracle(fam, be, mg, "in_phase",
+                                               (0.0, 2.0))
+        measured = order_shift(fam.at(p_star), be, mg, "out_of_phase").delta
+        fam0 = _cubic_family(_gradient_pot(be, 0.0))
+        args = (fam0, be, mg, measured, (-1.0, 1.0), (0.0, 2.0))
+        g = infer_pseudo_gradient(*args)
+        assert g == infer_pseudo_gradient_oracle(*args)
+        assert g == pytest.approx(g0, rel=0.01)
+
+    def test_infer_error_message(self, be, mg, pot_cubic):
+        fam = _cubic_family(dataclasses.replace(
+            pot_cubic, pseudo_gradient=0.0, pseudo_reference=be))
+        messages = []
+        for fn in (infer_pseudo_gradient, infer_pseudo_gradient_oracle):
+            with pytest.raises(BracketError) as exc:
+                fn(fam, be, mg, 5e4, (-0.05, 0.05), (0.0, 2.0))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+
+class TestSolveCounts:
+    """No (ion order, potential) is solved twice within one call."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        counts = Counter()
+        solve = ionmodes.calibration.solve_equilibrium
+
+        def recorder(species, pot, *args, **kwargs):
+            counts[(tuple(s.label for s in species),
+                    tuple(sorted(pot.kappa.items())), pot.pseudo_gradient,
+                    pot.uniform_field)] += 1
+            return solve(species, pot, *args, **kwargs)
+
+        monkeypatch.setattr(ionmodes.calibration, "solve_equilibrium",
+                            recorder)
+        return counts
+
+    def test_order_shift_solves_each_order_once(self, solves, be, mg,
+                                                 pot_cubic):
+        order_shift(pot_cubic, be, mg, "out_of_phase")
+        assert sorted(solves.values()) == [1, 1]
+        assert {key[0] for key in solves} == {("Be9", "Mg24"), ("Mg24", "Be9")}
+
+    @pytest.mark.parametrize("label", ["in_phase", "out_of_phase"])
+    def test_null_parameter(self, solves, be, mg, pot_cubic, label):
+        null_parameter(_cubic_family(pot_cubic), be, mg, label, (0.0, 2.0))
+        assert max(solves.values()) == 1
+
+    def test_infer_pseudo_gradient(self, solves, be, mg):
+        fam = _cubic_family(_gradient_pot(be, 0.0))
+        infer_pseudo_gradient(fam, be, mg, 150.0, (-1.0, 1.0), (0.0, 2.0))
+        assert max(solves.values()) == 1
+        # several trial gradients, each nulled through several parameters
+        assert len({key[2] for key in solves}) > 2

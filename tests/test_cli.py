@@ -351,6 +351,11 @@ MALFORMED = {
                     {"environment": {"nbar": [0.1, 0.1]}}, "environment.nbar"),
     "chain_label_list": ("modes_bmmb.json", "modes",
                          {"chain": [["Be9"]]}, "chain[0]"),
+    # bad input that exited 3 or ran
+    "tensor_infinite": ("chi_two_mgh_coulomb.json", "chi",
+                        {"trap3d.cubic_tensor_v_per_m3":
+                         [[[math.inf] * 3] * 3] * 3}, "trap3d"),
+    "version_true": ("modes_bmmb.json", "modes", {"version": True}, "version"),
     # every section in the file is checked, not only the command's
     "unused_section_bad_value": ("chi_two_mgh_coulomb.json", "chi",
                                  {"gate": {"mode_index": 1,
@@ -391,6 +396,18 @@ class TestMalformedConfig:
         assert captured.out == ""
         assert captured.err.startswith(f"config error: {where}: ")
         assert "Traceback" not in captured.err
+
+    def test_malformed_chi_file(self, tmp_path, capsys):
+        (tmp_path / "ascending.txt").write_text(
+            "# frequencies_hz: 1e6 2e6\n0 0\n0 0\n")
+        path = _mutated_config(tmp_path, "gate_two_ion.json",
+                               {"gate.chi_file": "ascending.txt"})
+        rc = main(["gate", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("config error: gate.chi_file: ")
+        assert "descending" in captured.err
 
     def test_override_on_non_object_document(self, tmp_path, capsys):
         path = tmp_path / "list.json"

@@ -165,6 +165,15 @@ class TestTrap3D:
             trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2),
                                     trap_cubic=bad)
 
+    @pytest.mark.parametrize("which,value", [("trap_cubic", np.inf),
+                                             ("trap_quartic", -np.inf),
+                                             ("trap_cubic", np.nan)])
+    def test_nonfinite_tensor_rejected(self, be, which, value):
+        shape = (3,) * (3 if which == "trap_cubic" else 4)
+        with pytest.raises(ValueError, match="trap tensors must be finite"):
+            trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2),
+                                    **{which: np.full(shape, value)})
+
     def test_radial_mass_scaling(self, be, mg):
         trap = trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2))
         kx_be, _ = trap.radial_for(be)
