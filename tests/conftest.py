@@ -294,8 +294,8 @@ def dense_flop_populations(eta1, eta2, initial, omega0, t):
 
 
 # ----------------------------------------------------- calibration oracle
-# The unshared root finds: every evaluation solves both ion orders afresh,
-# as calibration did before its solves were memoised per call.
+# The unshared root finds: every evaluation solves both ion orders afresh.
+# The library shares solves within a call and must return the same floats.
 
 def _labelled_frequency_oracle(spectrum, mode_label):
     if spectrum.n_modes != 2:
