@@ -19,10 +19,14 @@ factorial normalization above.
 The shift is exactly linear in every occupation, Delta f_Z = base_Z + sum_a
 chi_Za n_a, and the per-quantum cross-coupling chi_Za is the coefficient of
 n_a in that closed form; frequency_shift and chi_matrix read one kernel.
+The kernel reads the quartic only on its pair diagonal G4_aaZZ (a = Z
+included), so chi_from_configuration contracts that diagonal straight from
+the statics blocks and never forms A4 or G4.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,8 +35,7 @@ import numpy as np
 
 from .constants import HBAR, PLANCK
 from .modes import ModeSpectrum, _at_equilibrium
-from .potentials import TrapModel3D
-from .statics import ChainConfiguration
+from .statics import ChainConfiguration, _Energy
 
 RESONANCE_HARD = 1e-3  # |denominator| below this (x max omega^2): error
 RESONANCE_SOFT = 1e-2  # warning band
@@ -111,13 +114,34 @@ def mode_tensors(tensors: DerivativeTensors, spectrum: ModeSpectrum) -> ModeTens
     e = spectrum.eigenvectors
     if tensors.A3.shape[0] != e.shape[0]:
         raise ValueError("tensor and spectrum dimensions do not match")
-    sig = spectrum.sigma_prime
-    g3 = np.einsum("ia,jb,kc,ijk->abc", e, e, e, tensors.A3, optimize=True)
-    g3 *= sig[:, None, None] * sig[None, :, None] * sig[None, None, :]
-    g4 = np.einsum("ia,jb,kc,ld,ijkl->abcd", e, e, e, e, tensors.A4, optimize=True)
-    g4 *= (sig[:, None, None, None] * sig[None, :, None, None]
-           * sig[None, None, :, None] * sig[None, None, None, :])
-    return ModeTensors(G3=g3, G4=g4)
+    u = e * spectrum.sigma_prime
+    return ModeTensors(G3=_to_modes(tensors.A3, u), G4=_to_modes(tensors.A4, u))
+
+
+def _to_modes(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_ij... t_ij... u_ia u_jb ...: every axis of t contracted with u,
+    one tensordot per axis (each moves the new mode axis to the end)."""
+    for _ in range(t.ndim):
+        t = np.tensordot(t, u, axes=(0, 0))
+    return t
+
+
+def _chi_tensors(cfg: ChainConfiguration, spectrum: ModeSpectrum):
+    """G3 and the pair-diagonal quartic Q[Z, a] = G4_aaZZ that chi reads,
+    contracted from the energy's blocks with u = e sigma' / sqrt(m) (the
+    spectrum's sigma_ion); no rank-4 array is formed."""
+    u = spectrum.sigma_ion
+    if u.shape[0] != len(cfg.coordinate_masses):
+        raise ValueError("tensor and spectrum dimensions do not match")
+    t3, = _at_equilibrium(cfg, 3)
+    q = _Energy(cfg.species, cfg.potential).quartic_diagonal(cfg.positions, u)
+    return _to_modes(t3 / 6.0, u), q / 24.0
+
+
+def _quartic_pairs(g4: np.ndarray) -> np.ndarray:
+    """Q[Z, a] = G4_aaZZ of a full quartic mode tensor."""
+    i = np.arange(len(g4))
+    return g4[i[None, :], i[None, :], i[:, None], i[:, None]]
 
 
 def detect_resonances(spectrum: ModeSpectrum, rel_tol: float = RESONANCE_HARD):
@@ -158,10 +182,14 @@ def _resonance_guard(spectrum: ModeSpectrum):
             + "; ".join(f"{f.kind} modes {f.modes} |den|/max(w)^2={f.normalized:.2e}"
                         for f in hard))
     if soft:
+        # attribute the warning to the first caller outside this module
+        level = 1
+        while sys._getframe(level).f_globals is globals():
+            level += 1
         warnings.warn(
             f"{len(soft)} near-resonant denominator(s) in the "
             f"[{RESONANCE_HARD:g}, {RESONANCE_SOFT:g}] band; shifts may be inaccurate",
-            RuntimeWarning, stacklevel=3)
+            RuntimeWarning, stacklevel=level + 1)
     return tuple(soft)
 
 
@@ -170,11 +198,11 @@ def _ratio(num, den, mask):
     return np.divide(num, den, out=np.zeros(np.shape(mask)), where=mask)
 
 
-def _shift_coefficients(tensors: ModeTensors, spectrum: ModeSpectrum):
+def _shift_coefficients(g3: np.ndarray, q: np.ndarray, spectrum: ModeSpectrum):
     """Zero-occupation shifts ``base`` and per-quantum ``chi`` (Hz) of every
-    mode, each term a masked broadcast over distinct (Z, a) or (Z, a, b).
+    mode from G3 and the quartic's pair diagonal q[Z, a] = G4_aaZZ, each
+    term a masked broadcast over distinct (Z, a) or (Z, a, b).
     """
-    g3, g4 = tensors.G3, tensors.G4
     w = spectrum.angular
     i = np.arange(len(w))
     z, a = i[:, None], i[None, :]
@@ -202,7 +230,7 @@ def _shift_coefficients(tensors: ModeTensors, spectrum: ModeSpectrum):
     # static cubic through mode a, weight 2 n_b + 1 (b != Z)
     x = np.where(off, _ratio(g_azz, wa, off) @ np.where(off, g3[z, a, a], 0.0), 0.0)
 
-    g4_zzzz, g4_aazz = g4[i, i, i, i], np.where(off, g4[a, a, z, z], 0.0)
+    g4_zzzz, g4_aazz = q[i, i], np.where(off, q, 0.0)
     base = (12.0 * (g4_zzzz + g4_aazz.sum(1))
             - 36.0 / HBAR * t.sum(1) - 6.0 / HBAR * u
             - 72.0 / HBAR * vs.sum((1, 2)) - 36.0 / HBAR * x.sum(1))
@@ -226,7 +254,8 @@ def frequency_shift(tensors: ModeTensors, spectrum: ModeSpectrum,
         raise IndexError(f"mode index {z} out of range")
     n = occupation_vector(occupations, d)
     _resonance_guard(spectrum)
-    base, chi = _shift_coefficients(tensors, spectrum)
+    base, chi = _shift_coefficients(tensors.G3, _quartic_pairs(tensors.G4),
+                                    spectrum)
     return float(base[z] + chi[z] @ n)
 
 
@@ -239,28 +268,29 @@ def chi_matrix(tensors: ModeTensors, spectrum: ModeSpectrum,
     is the coefficient of n_Z itself.
     """
     near = _resonance_guard(spectrum)
-    _, chi = _shift_coefficients(tensors, spectrum)
+    _, chi = _shift_coefficients(tensors.G3, _quartic_pairs(tensors.G4),
+                                 spectrum)
     return ChiMatrix(chi=chi, mode_frequencies=spectrum.frequencies.copy(),
                      provenance=provenance or {}, near_resonances=near)
 
 
 def chi_from_configuration(cfg: ChainConfiguration,
                            spectrum: ModeSpectrum | None = None) -> ChiMatrix:
-    """Full pipeline: derivative tensors -> mode tensors -> chi matrix."""
+    """Full pipeline: resonance guard -> G3 and the quartic pair diagonal
+    contracted from the chain's derivative blocks -> chi matrix.
+
+    Equal to chi_matrix(mode_tensors(derivative_tensors(cfg), spectrum),
+    spectrum) to rounding, in O(D^3) memory: no rank-4 tensor is built.
+    """
     from .modes import mode_spectrum
 
     if spectrum is None:
         spectrum = mode_spectrum(cfg)
-    tens = derivative_tensors(cfg)
-    gt = mode_tensors(tens, spectrum)
-    axial = cfg.potential.axial
-    prov = {
-        "coulomb": cfg.n_ions > 1,
-        "trap_cubic": bool(axial.kappa.get(3, 0.0)) or (
-            isinstance(cfg.potential, TrapModel3D)
-            and bool(np.any(cfg.potential.trap_cubic))),
-        "trap_quartic": bool(axial.kappa.get(4, 0.0)) or (
-            isinstance(cfg.potential, TrapModel3D)
-            and bool(np.any(cfg.potential.trap_quartic))),
-    }
-    return chi_matrix(gt, spectrum, provenance=prov)
+    near = _resonance_guard(spectrum)
+    g3, q = _chi_tensors(cfg, spectrum)
+    _, chi = _shift_coefficients(g3, q, spectrum)
+    pot = cfg.potential
+    prov = {"coulomb": cfg.n_ions > 1, "trap_cubic": pot.has_order(3),
+            "trap_quartic": pot.has_order(4)}
+    return ChiMatrix(chi=chi, mode_frequencies=spectrum.frequencies.copy(),
+                     provenance=prov, near_resonances=near)

@@ -9,6 +9,9 @@ flipping the sign once per index taken on ion j.
 import numpy as np
 
 
+_EYE = {k: np.eye(k) for k in (1, 3)}  # the component counts a pair can have
+
+
 def inv_r_derivatives(r, orders) -> list:
     """d^m(1/|r|)/dr_a1 ... dr_am for each m in ``orders`` (0 to 4).
 
@@ -36,7 +39,7 @@ def _derivative(r, rn, order):
     def d(a, b):  # Kronecker delta on derivative axes a and b
         shape = [1] * order
         shape[a] = shape[b] = k
-        return np.eye(k).reshape(shape)
+        return _EYE[k].reshape(shape)
 
     if order == 0:
         return 1.0 / rn

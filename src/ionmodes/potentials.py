@@ -83,6 +83,10 @@ class AxialPotential:
         """The axial polynomial itself (a TrapModel3D holds one too)."""
         return self
 
+    def has_order(self, n: int) -> bool:
+        """Whether the potential has a nonzero term of polynomial order n."""
+        return bool(self.kappa.get(n, 0.0))
+
     def derivatives(self, z, orders, charge, slope=0.0) -> list:
         """d^k/dz^k of charge * V(z) + slope * z, in J/m^k, for each k in
         ``orders`` (k >= 0).
@@ -175,7 +179,9 @@ class TrapModel3D:
         if not (np.isfinite(cubic).all() and np.isfinite(quartic).all()):
             raise ValueError("trap tensors must be finite")
         for t in (cubic, quartic):
-            if not np.allclose(t, _symmetrize(t), rtol=1e-10, atol=0.0):
+            # relative to the largest entry: an entry that nearly cancels
+            # carries the rounding of the whole tensor
+            if np.abs(t - _symmetrize(t)).max() > 1e-10 * np.abs(t).max():
                 raise ValueError("trap tensors must be symmetric under index permutation")
         object.__setattr__(self, "trap_cubic", cubic)
         object.__setattr__(self, "trap_quartic", quartic)
@@ -190,6 +196,13 @@ class TrapModel3D:
     @property
     def has_tensors(self) -> bool:
         return bool(np.any(self.trap_cubic) or np.any(self.trap_quartic))
+
+    def has_order(self, n: int) -> bool:
+        """Whether the axial polynomial or a trap tensor has a nonzero term
+        of polynomial order n."""
+        tensor = {3: self.trap_cubic, 4: self.trap_quartic}.get(n)
+        return self.axial.has_order(n) or (tensor is not None
+                                           and bool(tensor.any()))
 
 
 def trap3d_from_frequencies(ref: IonSpecies, f_radial: tuple[float, float],

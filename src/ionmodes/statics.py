@@ -71,6 +71,18 @@ def _as_positions(positions) -> np.ndarray:
     raise ValueError("positions must have shape (N,) or (N, 3)")
 
 
+def _diagonal_contraction(blocks, w) -> np.ndarray:
+    """sum over the leading axes of blocks[w^a, w^a, w^Z, w^Z] at (Z, a),
+    for blocks (..., k, k, k, k) and displacement columns w (..., k, D): one
+    batched matmul over the (k^2, k^2) blocks, one tensordot over the rest."""
+    k, d = w.shape[-2:]
+    lead = w.shape[:-2]
+    ww = (w[..., :, None, :] * w[..., None, :, :]).reshape(lead + (k * k, d))
+    bw = np.matmul(blocks.reshape(lead + (k * k, k * k)), ww)
+    axes = tuple(range(ww.ndim - 1))
+    return np.tensordot(bw, ww, axes=(axes, axes))
+
+
 class _Energy:
     """The chain energy U and its derivatives for fixed species and potential.
 
@@ -95,6 +107,28 @@ class _Energy:
     def __call__(self, positions, *orders):
         """[d^m U for m in orders]: U as a float, then arrays over the
         flattened coordinates (ion-major, x, y, z within an ion in 3D)."""
+        return [self._assemble(onsite, pair)
+                for onsite, pair in zip(*self._blocks(positions, orders))]
+
+    def quartic_diagonal(self, positions, u) -> np.ndarray:
+        """d^4U[u^a, u^a, u^Z, u^Z] at (Z, a) for every pair of columns of
+        ``u`` (flattened coordinates by D), without a rank-4 array over the
+        coordinates.
+
+        The Coulomb part sums each unordered ion pair's block against
+        delta = u_i - u_j (the sign flips cancel at even order); the on-site
+        part sums each ion's block against u_i.
+        """
+        (onsite,), (pair,) = self._blocks(positions, (4,))
+        n, k = onsite.shape[:2]
+        u = np.asarray(u, dtype=float).reshape(n, k, -1)
+        i, j = np.triu_indices(n, 1)
+        return (_diagonal_contraction(pair[i, j], u[i] - u[j])
+                + _diagonal_contraction(onsite, u))
+
+    def _blocks(self, positions, orders):
+        """On-site blocks d^m(q V_t), shape (N,) + (k,) * m, and pair blocks
+        C_ij d^m(1/|r|)(r_i - r_j), shape (N, N) + (k,) * m, of each order."""
         pos = _as_positions(positions)
         if self.trap is not None and pos.shape[1] != 3:
             raise ValueError("TrapModel3D requires (N, 3) positions")
@@ -108,36 +142,41 @@ class _Energy:
         axial = self.axial.derivatives(pos[:, -1], orders, self.charge,
                                        self.slope)
         coul = coulomb.inv_r_derivatives(sep, orders)
-        return [self._assemble(self._onsite(pos, m, a),
-                               self.coupling.reshape((n, n) + (1,) * m) * c)
-                for m, a, c in zip(orders, axial, coul)]
+        return (self._onsite(pos, orders, axial),
+                [self.coupling.reshape((n, n) + (1,) * m) * c
+                 for m, c in zip(orders, coul)])
 
-    def _onsite(self, pos, m, axial):
-        """Trap terms d^m(q V_t)/dr^m of each ion, shape (N,) + (k,) * m,
-        given the axial polynomial's term ``axial``."""
+    def _onsite(self, pos, orders, axial):
+        """Trap terms d^m(q V_t)/dr^m of each ion, shape (N,) + (k,) * m, for
+        each m in ``orders``, given the axial polynomial's terms ``axial``."""
         n, k = pos.shape
         if k == 1:
-            return axial.reshape((n,) + (1,) * m)
-        blk = np.zeros((n,) + (3,) * m)
-        blk[(slice(None),) + (2,) * m] = axial
-        if self.trap is None:
-            return blk
-        if m <= 2:
-            for a in (0, 1):
-                c = math.perm(2, m) * self.charge * self.radial[:, a]
-                blk[(slice(None),) + (a,) * m] += c * pos[:, a] ** (2 - m)
-        if self.trap.has_tensors:
-            v = pos - np.array([0.0, 0.0, self.axial.expansion_origin])
-            q = self.charge.reshape((n,) + (1,) * m)
-            for rank, coeffs in ((3, self.trap.trap_cubic),
-                                 (4, self.trap.trap_quartic)):
-                if m > rank:
-                    continue
-                t = np.broadcast_to(coeffs, (n,) + coeffs.shape)
-                for _ in range(rank - m):
-                    t = np.einsum("n...a,na->n...", t, v)
-                blk += math.perm(rank, m) * q * t
-        return blk
+            return [a.reshape((n,) + (1,) * m) for m, a in zip(orders, axial)]
+        blocks = []
+        for m, a in zip(orders, axial):
+            blk = np.zeros((n,) + (3,) * m)
+            blk[(slice(None),) + (2,) * m] = a
+            if self.trap is not None and m <= 2:
+                for ax in (0, 1):
+                    c = math.perm(2, m) * self.charge * self.radial[:, ax]
+                    blk[(slice(None),) + (ax,) * m] += c * pos[:, ax] ** (2 - m)
+            blocks.append(blk)
+        if self.trap is None or not self.trap.has_tensors:
+            return blocks
+        v = (pos - np.array([0.0, 0.0, self.axial.expansion_origin]))[:, :, None]
+        for rank, coeffs in ((3, self.trap.trap_cubic),
+                             (4, self.trap.trap_quartic)):
+            # T v^j for j = 0, 1, ...: one chain serves every order, each
+            # step contracting the last axis of every ion's tensor with v
+            chain = [coeffs[None]]
+            for _ in range(rank - min(orders)):
+                chain.append(np.matmul(chain[-1].reshape(len(chain[-1]), -1, 3), v))
+            for m, blk in zip(orders, blocks):
+                if m <= rank:
+                    q = self.charge.reshape((n,) + (1,) * m)
+                    blk += math.perm(rank, m) * q * chain[rank - m].reshape(
+                        (-1,) + (3,) * m)
+        return blocks
 
     def _assemble(self, onsite, pair):
         """Rank-m derivative from on-site blocks and the pair blocks

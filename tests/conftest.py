@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 from pathlib import Path
@@ -68,6 +69,13 @@ def make_cfg(species, potential, positions) -> ChainConfiguration:
                               residual_gradient=float(np.max(np.abs(g))))
 
 
+def symmetric_tensor(rng, shape, scale):
+    """A random tensor averaged over all permutations of its axes."""
+    t = rng.standard_normal(shape)
+    perms = list(itertools.permutations(range(len(shape))))
+    return sum(np.transpose(t, p) for p in perms) / len(perms) * scale
+
+
 def richardson_derivative(f, x, h):
     """Richardson-extrapolated central difference of a scalar function."""
     def central(step):
@@ -117,6 +125,39 @@ def chain_oracle(kappa, mass, charge, n):
     z = sol.x * unit
     w2 = np.linalg.eigvalsh(hessian(z) / mass)[::-1]
     return z, np.sqrt(w2) / (2 * math.pi)
+
+
+def onsite_oracle(energy, pos, m, axial):
+    """Trap terms d^m(q V_t)/dr^m of each ion, shape (N,) + (k,) * m, one
+    order at a time: each trap tensor broadcast over the ions and
+    contracted with v = r - (0, 0, z0) by one einsum per index.
+
+    The per-order form of ``statics._Energy._onsite``, which shares one
+    contraction chain between the orders of a call.
+    """
+    n, k = pos.shape
+    if k == 1:
+        return axial.reshape((n,) + (1,) * m)
+    blk = np.zeros((n,) + (3,) * m)
+    blk[(slice(None),) + (2,) * m] = axial
+    if energy.trap is None:
+        return blk
+    if m <= 2:
+        for a in (0, 1):
+            c = math.perm(2, m) * energy.charge * energy.radial[:, a]
+            blk[(slice(None),) + (a,) * m] += c * pos[:, a] ** (2 - m)
+    if energy.trap.has_tensors:
+        v = pos - np.array([0.0, 0.0, energy.axial.expansion_origin])
+        q = energy.charge.reshape((n,) + (1,) * m)
+        for rank, coeffs in ((3, energy.trap.trap_cubic),
+                             (4, energy.trap.trap_quartic)):
+            if m > rank:
+                continue
+            t = np.broadcast_to(coeffs, (n,) + coeffs.shape)
+            for _ in range(rank - m):
+                t = np.einsum("n...a,na->n...", t, v)
+            blk += math.perm(rank, m) * q * t
+    return blk
 
 
 def shift_oracle(tensors, spectrum, occupations, z):

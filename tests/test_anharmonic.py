@@ -1,21 +1,24 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from ionmodes import BE9, MGH25, ChainConfiguration, ResonanceError, \
+from ionmodes import BE9, MG24, MGH25, ChainConfiguration, ResonanceError, \
     axial_for_frequency, axial_from_lambdas, chi_from_configuration, \
     chi_matrix, derivative_tensors, detect_resonances, frequency_shift, \
     harmonic_axial, mode_spectrum, mode_tensors, solve_equilibrium, \
     trap3d_from_frequencies
-from ionmodes.anharmonic import DerivativeTensors, ModeTensors, occupation_vector
+from ionmodes import anharmonic
+from ionmodes.anharmonic import DerivativeTensors, ModeTensors, _chi_tensors, \
+    occupation_vector
 from ionmodes.constants import COULOMB, HBAR, PLANCK
 from ionmodes.modes import ModeSpectrum
 
 from conftest import KAPPA2, LAMBDA3, LAMBDA4, make_cfg, oracle_chi, \
-    rel_err, shift_oracle
+    rel_err, shift_oracle, symmetric_tensor
 
 
 def fake_spectrum(freqs_hz):
@@ -26,12 +29,6 @@ def fake_spectrum(freqs_hz):
     return ModeSpectrum(frequencies=freqs, eigenvectors=np.eye(d),
                         sigma_prime=np.sqrt(HBAR / (2 * omega)),
                         sigma_ion=np.zeros((d, d)), config=None)
-
-
-def symmetric_tensor(rng, shape, scale):
-    t = rng.standard_normal(shape)
-    perms = list(itertools.permutations(range(len(shape))))
-    return sum(np.transpose(t, p) for p in perms) / len(perms) * scale
 
 
 CALIBRATION_TARGET = np.array([[-2.9, -2.7, 0.04],
@@ -395,6 +392,22 @@ class TestDetectResonances:
             chi = chi_matrix(g, spec)
         assert chi.near_resonances
 
+    def test_warning_names_the_caller(self, mgh, mgh_trap):
+        cfg = solve_equilibrium([mgh, mgh], mgh_trap)
+        spec = mode_spectrum(cfg)
+        g = mode_tensors(derivative_tensors(cfg), spec)
+        calls = {
+            "chi_from_configuration": lambda: chi_from_configuration(cfg, spec),
+            "chi_matrix": lambda: chi_matrix(g, spec),
+            "frequency_shift": lambda: frequency_shift(
+                g, spec, np.zeros(spec.n_modes, int), 0),
+        }
+        for name, call in calls.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [w.filename for w in caught] == [__file__], name
+
     def test_one_scan_guard_matches_two_scans(self):
         """The guard reads its hard flags off one soft-band scan; the error,
         the warning and the returned flags equal those of a hard scan
@@ -497,6 +510,107 @@ class TestChiMatrix:
         # recomputation from the same trap is deterministic
         chi_again = chi_from_configuration(solve_equilibrium([mgh], trap))
         assert np.array_equal(chi_again.chi, chi.chi)
+
+
+def _trap_chain(species, seed, f_axial=0.6e6, f_radial=(9.3e6, 6.1e6),
+                tensors=True):
+    """A 3D chain as in the chi3d benchmark: an anharmonic axial polynomial
+    and, by default, random symmetric trap tensors (1e9 V/m^3, 1e13 V/m^4)."""
+    rng = np.random.default_rng(seed)
+    axial = axial_from_lambdas(axial_for_frequency(MGH25, f_axial).kappa2,
+                               {3: -600e-6, 4: 600e-6})
+    extra = {"trap_cubic": symmetric_tensor(rng, (3,) * 3, 1e9),
+             "trap_quartic": symmetric_tensor(rng, (3,) * 4, 1e13)} \
+        if tensors else {}
+    trap = trap3d_from_frequencies(MGH25, f_radial, axial, **extra)
+    return solve_equilibrium(species, trap)
+
+
+CONTRACTION_CASES = {
+    "be_mg_1d_n4": lambda: solve_equilibrium(
+        [BE9, MG24, MG24, BE9], axial_from_lambdas(KAPPA2, {3: LAMBDA3,
+                                                             4: LAMBDA4})),
+    "be_1d_n6": lambda: solve_equilibrium(
+        [BE9] * 6, axial_from_lambdas(KAPPA2, {3: LAMBDA3, 4: LAMBDA4})),
+    "mgh_3d_n2": lambda: _trap_chain([MGH25] * 2, 1),
+    "mgh_3d_n3": lambda: _trap_chain([MGH25] * 3, 2),
+    "mgh_3d_n4": lambda: _trap_chain([MGH25] * 4, 3),
+    "mgh_3d_n5": lambda: _trap_chain([MGH25] * 5, 4),
+    "mgh_3d_n6": lambda: _trap_chain([MGH25] * 6, 5),
+    "mgh_mg_3d_n3": lambda: _trap_chain([MGH25, MG24, MGH25], 6,
+                                        f_axial=1.8e6, f_radial=(7e6, 5e6)),
+}
+
+
+def _pair_diagonal(g4):
+    d = len(g4)
+    return np.array([[g4[a, a, z, z] for a in range(d)] for z in range(d)])
+
+
+class TestContractedChi:
+    """chi_from_configuration contracts G3 and G4_aaZZ from the chain's
+    derivative blocks; the dense route through the public rank-4 tensors
+    is its oracle."""
+
+    @pytest.mark.parametrize("case", sorted(CONTRACTION_CASES))
+    def test_matches_dense_route(self, case):
+        cfg = CONTRACTION_CASES[case]()
+        spec = mode_spectrum(cfg)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*near-resonant", RuntimeWarning)
+            got = chi_from_configuration(cfg, spec)
+            want = chi_matrix(mode_tensors(derivative_tensors(cfg), spec), spec)
+        scale = np.max(np.abs(want.chi))
+        assert scale > 0
+        assert np.max(np.abs(got.chi - want.chi)) <= 1e-12 * scale
+        assert got.near_resonances == want.near_resonances
+        assert np.array_equal(got.mode_frequencies, want.mode_frequencies)
+
+    @pytest.mark.parametrize("case", sorted(CONTRACTION_CASES))
+    def test_tensors_match_dense_route(self, case):
+        cfg = CONTRACTION_CASES[case]()
+        spec = mode_spectrum(cfg)
+        g3, q = _chi_tensors(cfg, spec)
+        dense = mode_tensors(derivative_tensors(cfg), spec)
+        want_q = _pair_diagonal(dense.G4)
+        assert np.max(np.abs(q - want_q)) <= 1e-12 * np.max(np.abs(want_q))
+        assert np.max(np.abs(g3 - dense.G3)) <= 1e-12 * np.max(np.abs(dense.G3))
+
+    @pytest.mark.filterwarnings("ignore:.*near-resonant:RuntimeWarning")
+    def test_no_dense_tensors_on_the_chi_path(self, monkeypatch):
+        cfg = CONTRACTION_CASES["mgh_3d_n4"]()
+        want = chi_from_configuration(cfg).chi
+
+        def refuse(*args):
+            raise AssertionError("dense tensor route called")
+
+        monkeypatch.setattr(anharmonic, "derivative_tensors", refuse)
+        monkeypatch.setattr(anharmonic, "mode_tensors", refuse)
+        assert np.array_equal(chi_from_configuration(cfg).chi, want)
+
+    def test_refused_chain_does_no_tensor_work(self, monkeypatch):
+        cfg = _trap_chain([MGH25] * 8, 0, f_axial=0.3e6, tensors=False)
+
+        def refuse(*args):
+            raise AssertionError("tensor stage ran before the guard")
+
+        monkeypatch.setattr(anharmonic, "_chi_tensors", refuse)
+        with pytest.raises(ResonanceError):
+            chi_from_configuration(cfg)
+
+    def test_d90_tensor_stage_memory(self):
+        """3D N = 30 (D = 90): a dense rank-4 tensor alone would be 525 MB."""
+        cfg = _trap_chain([MGH25] * 30, 0, f_axial=0.3e6, tensors=False)
+        spec = mode_spectrum(cfg)
+        tracemalloc.start()
+        try:
+            g3, q = _chi_tensors(cfg, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g3.shape == (90,) * 3 and q.shape == (90, 90)
+        assert peak < 100e6
+        assert np.allclose(q, q.T, rtol=0, atol=1e-12 * np.max(np.abs(q)))
 
 
 class TestOccupationVector:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -164,6 +165,43 @@ class TestTrap3D:
         with pytest.raises(ValueError):
             trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2),
                                     trap_cubic=bad)
+
+    @staticmethod
+    def _near_cancelling_quartic():
+        """Symmetrised as a mean over index permutations, with the orbit of
+        (2, 1, 1, 1) summing to about 2e-6 of the largest entry: its entries
+        round differently by about 2e-10 of their own size."""
+        t = np.random.default_rng(0).uniform(-1.0, 1.0, (3,) * 4)
+        t[1, 1, 1, 2] = -(t[2, 1, 1, 1] + t[1, 2, 1, 1] + t[1, 1, 2, 1]) + 4e-6
+        perms = list(itertools.permutations(range(4)))
+        return sum(np.transpose(t, p) for p in perms) / len(perms) * 1e13
+
+    def test_symmetrised_tensor_with_near_cancelling_entry_accepted(self, be):
+        quartic = self._near_cancelling_quartic()
+        small = abs(quartic[2, 1, 1, 1]) / np.abs(quartic).max()
+        assert 1e-6 < small < 1e-5
+        trap = trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2),
+                                       trap_quartic=quartic)
+        assert np.array_equal(trap.trap_quartic, quartic)
+
+    def test_entry_off_by_a_millionth_of_max_rejected(self, be):
+        quartic = self._near_cancelling_quartic()
+        quartic[0, 1, 2, 2] += 1e-6 * np.abs(quartic).max()
+        with pytest.raises(ValueError, match="symmetric"):
+            trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2),
+                                    trap_quartic=quartic)
+
+    def test_has_order(self, be):
+        axial = axial_from_lambdas(KAPPA2, {3: -200e-6})
+        assert axial.has_order(2) and axial.has_order(3)
+        assert not axial.has_order(4)
+        quartic = np.zeros((3,) * 4)
+        quartic[2, 2, 2, 2] = 1e12
+        trap = trap3d_from_frequencies(be, (12e6, 12e6), axial,
+                                       trap_quartic=quartic)
+        assert trap.has_order(3) and trap.has_order(4)
+        plain = trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2))
+        assert not plain.has_order(3) and not plain.has_order(4)
 
     @pytest.mark.parametrize("which,value", [("trap_cubic", np.inf),
                                              ("trap_quartic", -np.inf),

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from ionmodes import IonSpecies, axial_from_lambdas, chain_length, \
-    characteristic_length, energy_gradient, energy_hessian, harmonic_axial, \
-    solve_equilibrium, total_energy
+from ionmodes import MG24, MGH25, IonSpecies, axial_from_lambdas, \
+    chain_length, characteristic_length, energy_gradient, energy_hessian, \
+    harmonic_axial, solve_equilibrium, total_energy, trap3d_from_frequencies
 from ionmodes.constants import COULOMB
+from ionmodes.statics import _Energy
 
-from conftest import KAPPA2, LAMBDA3, make_cfg, richardson_derivative
+from conftest import KAPPA2, LAMBDA3, make_cfg, onsite_oracle, \
+    richardson_derivative, symmetric_tensor
 
 
 class TestCharacteristicLength:
@@ -249,3 +251,46 @@ class TestCharacteristicScales:
         scales = characteristic_scales(solve([be], pot_harmonic))
         assert scales.L == 0.0 and scales.l > 0
 
+
+
+class TestOnsiteTerms:
+    """One contraction chain per call serves every requested order; the
+    per-order einsum loop is its oracle."""
+
+    @staticmethod
+    def _energy(cubic, quartic, species):
+        rng = np.random.default_rng(23)
+        axial = axial_from_lambdas(KAPPA2, {3: LAMBDA3, 4: 300e-6},
+                                   expansion_origin=2e-6)
+        trap = trap3d_from_frequencies(
+            MGH25, (9.3e6, 6.1e6), axial,
+            trap_cubic=symmetric_tensor(rng, (3,) * 3, 1e9) if cubic else None,
+            trap_quartic=symmetric_tensor(rng, (3,) * 4, 1e13)
+            if quartic else None)
+        pos = rng.normal(scale=5e-6, size=(len(species), 3))
+        return _Energy(species, trap), pos
+
+    @pytest.mark.parametrize("orders", [(0, 1, 2, 3, 4), (0, 1, 2), (1, 3),
+                                        (4,), (2,)])
+    @pytest.mark.parametrize("tensors", ["both", "cubic", "quartic", "none"])
+    def test_matches_per_order_einsum(self, orders, tensors):
+        energy, pos = self._energy(tensors in ("both", "cubic"),
+                                   tensors in ("both", "quartic"),
+                                   (MGH25, MG24, MGH25, MG24))
+        axial = energy.axial.derivatives(pos[:, -1], orders, energy.charge,
+                                         energy.slope)
+        got = energy._onsite(pos, orders, axial)
+        assert len(got) == len(orders)
+        for m, a, blk in zip(orders, axial, got):
+            want = onsite_oracle(energy, pos, m, a)
+            assert blk.shape == want.shape == (4,) + (3,) * m
+            assert np.max(np.abs(blk - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_linear_chain_blocks(self, be, mg, pot_anharmonic):
+        energy = _Energy((be, mg, be), pot_anharmonic)
+        pos = np.array([[-4e-6], [0.5e-6], [5e-6]])
+        orders = (0, 1, 2, 3, 4)
+        axial = energy.axial.derivatives(pos[:, -1], orders, energy.charge,
+                                         energy.slope)
+        for m, a, blk in zip(orders, axial, energy._onsite(pos, orders, axial)):
+            assert np.array_equal(blk, onsite_oracle(energy, pos, m, a))
