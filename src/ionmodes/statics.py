@@ -121,7 +121,7 @@ class _Energy:
         """
         (onsite,), (pair,) = self._blocks(positions, (4,))
         n, k = onsite.shape[:2]
-        u = np.asarray(u, dtype=float).reshape(n, k, -1)
+        u = u.reshape(n, k, -1)
         i, j = np.triu_indices(n, 1)
         return (_diagonal_contraction(pair[i, j], u[i] - u[j])
                 + _diagonal_contraction(onsite, u))
