@@ -10,7 +10,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 
 import ionmodes as im
 from ionmodes.chifile import chi_to_text, read_chi

@@ -12,7 +12,7 @@ from .anharmonic import ChiMatrix, DerivativeTensors, ModeTensors, \
 from .calibration import ComScanResult, OrderShiftReport, PotentialFamily, \
     BracketError, com_frequency_scan, field_sensitivity, \
     infer_pseudo_gradient, null_parameter, order_shift
-from .chifile import chi_to_text, read_chi, write_chi
+from .chifile import chi_to_text, read_chi
 from .dynamics import FockSuperposition, GateParams, ThermalEnvironment, \
     fock_coherence, gate_fidelity, gate_trajectory, sideband_flop, \
     thermal_gate_infidelity, thermal_occupation

@@ -26,16 +26,14 @@ the statics blocks and never forms A4 or G4.
 
 from __future__ import annotations
 
-import sys
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .constants import HBAR, PLANCK
-from .modes import ModeSpectrum, _at_equilibrium
-from .statics import ChainConfiguration, _Energy
+from .modes import ModeSpectrum, _at_equilibrium, mode_spectrum
+from .statics import ChainConfiguration, _Energy, _warn_caller
 
 RESONANCE_HARD = 1e-3  # |denominator| below this (x max omega^2): error
 RESONANCE_SOFT = 1e-2  # warning band
@@ -182,14 +180,9 @@ def _resonance_guard(spectrum: ModeSpectrum):
             + "; ".join(f"{f.kind} modes {f.modes} |den|/max(w)^2={f.normalized:.2e}"
                         for f in hard))
     if soft:
-        # attribute the warning to the first caller outside this module
-        level = 1
-        while sys._getframe(level).f_globals is globals():
-            level += 1
-        warnings.warn(
+        _warn_caller(
             f"{len(soft)} near-resonant denominator(s) in the "
-            f"[{RESONANCE_HARD:g}, {RESONANCE_SOFT:g}] band; shifts may be inaccurate",
-            RuntimeWarning, stacklevel=level + 1)
+            f"[{RESONANCE_HARD:g}, {RESONANCE_SOFT:g}] band; shifts may be inaccurate")
     return tuple(soft)
 
 
@@ -259,8 +252,7 @@ def frequency_shift(tensors: ModeTensors, spectrum: ModeSpectrum,
     return float(base[z] + chi[z] @ n)
 
 
-def chi_matrix(tensors: ModeTensors, spectrum: ModeSpectrum,
-               provenance: dict | None = None) -> ChiMatrix:
+def chi_matrix(tensors: ModeTensors, spectrum: ModeSpectrum) -> ChiMatrix:
     """Per-quantum cross-coupling matrix chi_Za (Hz).
 
     chi_Za is the coefficient of n_a in the closed-form shift of mode Z's
@@ -271,7 +263,7 @@ def chi_matrix(tensors: ModeTensors, spectrum: ModeSpectrum,
     _, chi = _shift_coefficients(tensors.G3, _quartic_pairs(tensors.G4),
                                  spectrum)
     return ChiMatrix(chi=chi, mode_frequencies=spectrum.frequencies.copy(),
-                     provenance=provenance or {}, near_resonances=near)
+                     provenance={}, near_resonances=near)
 
 
 def chi_from_configuration(cfg: ChainConfiguration,
@@ -282,8 +274,6 @@ def chi_from_configuration(cfg: ChainConfiguration,
     Equal to chi_matrix(mode_tensors(derivative_tensors(cfg), spectrum),
     spectrum) to rounding, in O(D^3) memory: no rank-4 tensor is built.
     """
-    from .modes import mode_spectrum
-
     if spectrum is None:
         spectrum = mode_spectrum(cfg)
     near = _resonance_guard(spectrum)

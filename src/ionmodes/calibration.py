@@ -111,18 +111,16 @@ def order_shift(pot: AxialPotential, species_a: IonSpecies,
 
 def null_parameter(family: PotentialFamily, species_a: IonSpecies,
                    species_b: IonSpecies, mode_label: str,
-                   bracket: tuple[float, float],
-                   tol_hz: float = NULL_TOLERANCE_HZ) -> float:
+                   bracket: tuple[float, float]) -> float:
     """Parameter value nulling the order shift of the labelled mode.
 
     Bracketed root finding (Brent); requires a sign change over the bracket
-    and verifies |delta(p*)| < tol_hz.
+    and verifies |delta(p*)| < NULL_TOLERANCE_HZ.
     """
-    return _null(family, species_a, species_b, mode_label, bracket, tol_hz)[0]
+    return _null(family, species_a, species_b, mode_label, bracket)[0]
 
 
-def _null(family, species_a, species_b, mode_label, bracket,
-          tol_hz=NULL_TOLERANCE_HZ):
+def _null(family, species_a, species_b, mode_label, bracket):
     """null_parameter's root p* and the labelled frequencies solved there.
 
     Each parameter value is solved once per call: the bracket ends, Brent's
@@ -139,7 +137,7 @@ def _null(family, species_a, species_b, mode_label, bracket,
         return _delta(solved(p), mode_label)
 
     d_lo, d_hi = delta(p_lo), delta(p_hi)
-    if max(abs(d_lo), abs(d_hi)) < tol_hz:
+    if max(abs(d_lo), abs(d_hi)) < NULL_TOLERANCE_HZ:
         raise BracketError(
             "no sign change: order shift is already null across the bracket")
     if not (np.isfinite(d_lo) and np.isfinite(d_hi)) or d_lo * d_hi > 0:
@@ -149,9 +147,9 @@ def _null(family, species_a, species_b, mode_label, bracket,
     p_star = brentq(delta, p_lo, p_hi, maxiter=MAX_ROOT_ITER,
                     xtol=1e-14 * max(abs(p_lo), abs(p_hi), 1.0))
     residual = delta(p_star)
-    if abs(residual) >= tol_hz:
+    if abs(residual) >= NULL_TOLERANCE_HZ:
         raise BracketError(
-            f"root residual {residual:.3g} Hz exceeds {tol_hz} Hz")
+            f"root residual {residual:.3g} Hz exceeds {NULL_TOLERANCE_HZ} Hz")
     return float(p_star), solved(p_star)
 
 
@@ -232,11 +230,6 @@ class ComScanResult:
     slope: float                    # Hz per ion
     intercept: float                # Hz
     r_squared: float
-
-    @property
-    def residuals(self) -> np.ndarray:
-        n = np.array(self.counts, dtype=float)
-        return np.array(self.frequencies) - (self.slope * n + self.intercept)
 
 
 def com_frequency_scan(pot: AxialPotential, species: IonSpecies,

@@ -8,8 +8,6 @@ consumed as golden inputs by the coherence and gate commands.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from .anharmonic import ChiMatrix
@@ -27,26 +25,21 @@ def _matrix_lines(mat, precision: int = 12) -> list[str]:
     return [" ".join(c.rjust(width) for c in row) for row in cells]
 
 
-def write_chi(chi: ChiMatrix, stream, precision: int = 12):
-    """Write a chi matrix in the plain-text format."""
-    stream.write("# ionmodes chi matrix\n")
-    stream.write("# units: Hz per quantum; mode order: descending frequency\n")
+def chi_to_text(chi: ChiMatrix, precision: int = 12) -> str:
+    """A chi matrix in the plain-text format."""
     freqs = " ".join(format_value(f, precision) for f in chi.mode_frequencies)
-    stream.write(f"# frequencies_hz: {freqs}\n")
+    lines = ["# ionmodes chi matrix",
+             "# units: Hz per quantum; mode order: descending frequency",
+             f"# frequencies_hz: {freqs}"]
     if chi.provenance:
         keys = " ".join(f"{k}={chi.provenance[k]}" for k in sorted(chi.provenance))
-        stream.write(f"# provenance: {keys}\n")
-    stream.writelines(line + "\n" for line in _matrix_lines(chi.chi, precision))
-
-
-def chi_to_text(chi: ChiMatrix, precision: int = 12) -> str:
-    buf = io.StringIO()
-    write_chi(chi, buf, precision)
-    return buf.getvalue()
+        lines.append(f"# provenance: {keys}")
+    lines += _matrix_lines(chi.chi, precision)
+    return "\n".join(lines) + "\n"
 
 
 def read_chi(path_or_stream) -> ChiMatrix:
-    """Read a chi matrix written by write_chi (or hand-authored)."""
+    """Read a chi matrix written by chi_to_text (or hand-authored)."""
     if hasattr(path_or_stream, "read"):
         text = path_or_stream.read()
         source = "<stream>"

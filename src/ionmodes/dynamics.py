@@ -63,19 +63,17 @@ class FockSuperposition:
 class GateParams:
     """Drive parameters of the geometric phase gate."""
 
-    omega_drive: float            # rad/s, state-dependent-force strength
-    delta: float                  # rad/s, detuning from the gate mode
-    duration: float | None = None  # s; defaults to one loop, 2 pi / delta
-    mode_index: int = 0
-    eta: float = 0.0
+    omega_drive: float  # rad/s, state-dependent-force strength
+    delta: float        # rad/s, detuning from the gate mode
 
     def __post_init__(self):
         if self.delta == 0:
             raise ValueError("detuning must be nonzero")
-        if self.duration is None:
-            object.__setattr__(self, "duration", 2 * math.pi / abs(self.delta))
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+
+    @property
+    def duration(self) -> float:
+        """One phase-space loop, 2 pi / |delta| (s)."""
+        return 2 * math.pi / abs(self.delta)
 
 
 def thermal_occupation(f_hz: float, temperature: float) -> float:

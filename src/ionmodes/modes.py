@@ -74,10 +74,6 @@ class ModeSpectrum:
     def angular(self) -> np.ndarray:
         return 2 * np.pi * self.frequencies
 
-    def ascending(self) -> np.ndarray:
-        """Frequencies in ascending order (COM-like mode first)."""
-        return self.frequencies[::-1]
-
 
 def mode_spectrum(cfg: ChainConfiguration) -> ModeSpectrum:
     """Diagonalize the mass-weighted Hessian into a ModeSpectrum."""

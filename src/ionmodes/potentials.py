@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import ELEMENTARY_CHARGE
 from .species import IonSpecies
 
 
@@ -109,10 +108,6 @@ class AxialPotential:
                     acc = acc - charge * self.uniform_field + slope
             out.append(acc if np.ndim(acc) else float(acc))
         return out
-
-    def energy(self, species: IonSpecies, z: float) -> float:
-        """Potential energy qV(z) of one ion, in J."""
-        return self.energy_derivative(species, z, 0)
 
     def energy_derivative(self, species: IonSpecies, z, order: int = 1):
         """d^k(qV)/dz^k; z may be an array."""

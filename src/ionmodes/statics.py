@@ -14,6 +14,8 @@ since ion order is physically meaningful for mixed-species chains.
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -48,6 +50,16 @@ class UnconfinedPotentialError(EquilibriumError):
 
 class LinearChainInstabilityError(UnconfinedPotentialError):
     """The linear chain is a saddle: a radial (zigzag) mode is soft."""
+
+
+def _warn_caller(message: str):
+    """Issue a RuntimeWarning attributed to the first caller outside the
+    module that issues it."""
+    home = sys._getframe(1).f_globals
+    level = 2
+    while sys._getframe(level).f_globals is home:
+        level += 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level + 1)
 
 
 def characteristic_length(species: IonSpecies, kappa2: float) -> float:
@@ -130,8 +142,9 @@ class _Energy:
         """On-site blocks d^m(q V_t), shape (N,) + (k,) * m, and pair blocks
         C_ij d^m(1/|r|)(r_i - r_j), shape (N, N) + (k,) * m, of each order."""
         pos = _as_positions(positions)
-        if self.trap is not None and pos.shape[1] != 3:
-            raise ValueError("TrapModel3D requires (N, 3) positions")
+        if pos.shape[1] != (1 if self.trap is None else 3):
+            raise ValueError("positions must be (N,) for an AxialPotential "
+                             "and (N, 3) for a TrapModel3D")
         n = len(pos)
         sep = pos[:, None, :] - pos[None, :, :]
         sep[self.diag] = 1.0  # self-pairs carry no coupling
@@ -156,12 +169,12 @@ class _Energy:
         for m, a in zip(orders, axial):
             blk = np.zeros((n,) + (3,) * m)
             blk[(slice(None),) + (2,) * m] = a
-            if self.trap is not None and m <= 2:
+            if m <= 2:
                 for ax in (0, 1):
                     c = math.perm(2, m) * self.charge * self.radial[:, ax]
                     blk[(slice(None),) + (ax,) * m] += c * pos[:, ax] ** (2 - m)
             blocks.append(blk)
-        if self.trap is None or not self.trap.has_tensors:
+        if not self.trap.has_tensors:
             return blocks
         v = (pos - np.array([0.0, 0.0, self.axial.expansion_origin]))[:, :, None]
         for rank, coeffs in ((3, self.trap.trap_cubic),

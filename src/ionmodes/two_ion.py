@@ -13,14 +13,12 @@ Validity: corrections are asymptotic in l/lambda_n; outside the regime
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .species import IonSpecies
-from .statics import characteristic_length
+from .statics import _warn_caller, characteristic_length
 
 CUBIC_REGIME = 0.2     # |l/lambda_3|
 QUARTIC_REGIME = 0.05  # (l/lambda_4)^2
@@ -46,7 +44,6 @@ class TwoIonAnalytics:
     omega_low: float         # rad/s, in-phase mode
     eigvec_high: np.ndarray  # (2,), ion order, normalized
     eigvec_low: np.ndarray
-    order_tag: str           # label of the species at lower z
 
     def __post_init__(self):
         for name in ("eigvec_high", "eigvec_low"):
@@ -56,13 +53,8 @@ class TwoIonAnalytics:
 
 def _warn_regime(label: str, value: float, limit: float):
     if abs(value) >= limit:
-        # attribute the warning to the first caller outside this module
-        level = 2
-        while sys._getframe(level).f_globals is globals():
-            level += 1
-        warnings.warn(
-            f"{label} = {value:.3g} outside the perturbative regime (< {limit})",
-            RuntimeWarning, stacklevel=level + 1)
+        _warn_caller(
+            f"{label} = {value:.3g} outside the perturbative regime (< {limit})")
 
 
 def cubic_equal(kappa2: float, lambda3: float, species: IonSpecies) -> TwoIonAnalytics:
@@ -82,8 +74,7 @@ def cubic_equal(kappa2: float, lambda3: float, species: IonSpecies) -> TwoIonAna
     vec_high = [1 - _C_Z1 * x, -(1 + _C_Z1 * x)]
     return TwoIonAnalytics(z_plus=z_plus, z_minus=z_minus,
                            omega_high=omega_high, omega_low=omega_low,
-                           eigvec_high=vec_high, eigvec_low=vec_low,
-                           order_tag=species.label)
+                           eigvec_high=vec_high, eigvec_low=vec_low)
 
 
 def quartic_equal(kappa2: float, lambda4: float, species: IonSpecies) -> TwoIonAnalytics:
@@ -136,8 +127,7 @@ def cubic_unequal(kappa2: float, lambda3: float, species1: IonSpecies,
                r_minus * (1 - k / (1 + r_minus**2) * x)]
     return TwoIonAnalytics(z_plus=z_plus, z_minus=z_minus,
                            omega_high=omega_high, omega_low=omega_low,
-                           eigvec_high=vec_high, eigvec_low=vec_low,
-                           order_tag=species1.label)
+                           eigvec_high=vec_high, eigvec_low=vec_low)
 
 
 def quartic_unequal(kappa2: float, lambda4: float, species1: IonSpecies,
@@ -158,5 +148,4 @@ def quartic_unequal(kappa2: float, lambda4: float, species1: IonSpecies,
                r_minus * (1 - q / (1 + r_minus**2) * y2)]
     return TwoIonAnalytics(z_plus=half, z_minus=-half,
                            omega_high=omega_high, omega_low=omega_low,
-                           eigvec_high=vec_high, eigvec_low=vec_low,
-                           order_tag=species1.label)
+                           eigvec_high=vec_high, eigvec_low=vec_low)

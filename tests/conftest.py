@@ -140,8 +140,6 @@ def onsite_oracle(energy, pos, m, axial):
         return axial.reshape((n,) + (1,) * m)
     blk = np.zeros((n,) + (3,) * m)
     blk[(slice(None),) + (2,) * m] = axial
-    if energy.trap is None:
-        return blk
     if m <= 2:
         for a in (0, 1):
             c = math.perm(2, m) * energy.charge * energy.radial[:, a]

@@ -10,7 +10,6 @@ docstrings give the published value, the model value and the oracle.
 """
 
 import itertools
-import json
 import math
 import subprocess
 import sys
@@ -22,7 +21,7 @@ import numpy as np
 import pytest
 
 import ionmodes as im
-from ionmodes.constants import EPSILON_0, HBAR, PLANCK
+from ionmodes.constants import EPSILON_0, HBAR
 from ionmodes.anharmonic import ModeTensors, chi_matrix, frequency_shift, \
     mode_tensors
 from ionmodes.chifile import read_chi

@@ -1,19 +1,16 @@
 import itertools
-import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from ionmodes import BE9, MG24, MGH25, ChainConfiguration, ResonanceError, \
-    axial_for_frequency, axial_from_lambdas, chi_from_configuration, \
-    chi_matrix, derivative_tensors, detect_resonances, frequency_shift, \
-    harmonic_axial, mode_spectrum, mode_tensors, solve_equilibrium, \
-    trap3d_from_frequencies
+from ionmodes import BE9, MG24, MGH25, ResonanceError, axial_for_frequency, \
+    axial_from_lambdas, chi_from_configuration, chi_matrix, \
+    derivative_tensors, detect_resonances, frequency_shift, mode_spectrum, \
+    mode_tensors, solve_equilibrium, trap3d_from_frequencies
 from ionmodes import anharmonic
-from ionmodes.anharmonic import DerivativeTensors, ModeTensors, _chi_tensors, \
-    occupation_vector
+from ionmodes.anharmonic import ModeTensors, _chi_tensors, occupation_vector
 from ionmodes.constants import COULOMB, HBAR, PLANCK
 from ionmodes.modes import ModeSpectrum
 

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 from collections import Counter
 from pathlib import Path
 
@@ -10,8 +9,8 @@ import pytest
 import ionmodes.calibration
 from ionmodes import BracketError, PotentialFamily, axial_from_lambdas, \
     characteristic_length, com_frequency_scan, field_sensitivity, \
-    harmonic_axial, infer_pseudo_gradient, mode_spectrum, null_parameter, \
-    order_shift, solve_equilibrium
+    infer_pseudo_gradient, mode_spectrum, null_parameter, order_shift, \
+    solve_equilibrium
 from ionmodes.config import validate_config
 
 from conftest import KAPPA2, LAMBDA3, LAMBDA4, infer_pseudo_gradient_oracle, \

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ionmodes.anharmonic import ChiMatrix
-from ionmodes.chifile import chi_to_text, read_chi, write_chi
+from ionmodes.chifile import chi_to_text, read_chi
 from ionmodes.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -44,6 +44,22 @@ class TestChiFile:
         chi = self._chi()
         back = read_chi(io.StringIO(chi_to_text(chi)))
         assert back.chi == pytest.approx(chi.chi, rel=1e-11)
+
+    @pytest.mark.parametrize("provenance,line", [
+        ({"trap_cubic": False, "coulomb": True},
+         "# provenance: coulomb=True trap_cubic=False\n"),
+        ({}, "")])
+    def test_exact_text(self, provenance, line):
+        chi = ChiMatrix(chi=np.array([[1.5, -0.25], [-0.25, 12.0]]),
+                        mode_frequencies=np.array([2e6, 1e6]),
+                        provenance=provenance)
+        assert chi_to_text(chi) == (
+            "# ionmodes chi matrix\n"
+            "# units: Hz per quantum; mode order: descending frequency\n"
+            "# frequencies_hz: 2000000 1000000\n"
+            + line +
+            "  1.5 -0.25\n"
+            "-0.25    12\n")
 
     def test_reads_reference_files(self):
         single = read_chi(DATA / "chi_single_ion_surface_trap.txt")

@@ -8,11 +8,11 @@ from scipy.linalg import expm
 
 from ionmodes import ChainConfiguration, NotAtEquilibriumError, \
     amplitude_ratio, axial_from_lambdas, carrier_matrix_element, \
-    characteristic_length, ground_state_size, harmonic_axial, hessian, \
-    lamb_dicke, mode_spectrum, solve_equilibrium
+    characteristic_length, ground_state_size, hessian, lamb_dicke, \
+    mode_spectrum, solve_equilibrium
 from ionmodes.constants import EPSILON_0, HBAR
 
-from conftest import KAPPA2, LAMBDA3
+from conftest import KAPPA2
 
 DELTA_K = 2 * math.pi * math.sqrt(2) / 313e-9  # counter-propagating Raman pair
 

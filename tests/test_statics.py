@@ -1,17 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from ionmodes import MG24, MGH25, IonSpecies, axial_from_lambdas, \
     chain_length, characteristic_length, energy_gradient, energy_hessian, \
-    harmonic_axial, solve_equilibrium, total_energy, trap3d_from_frequencies
+    solve_equilibrium, total_energy, trap3d_from_frequencies
 from ionmodes.constants import COULOMB
 from ionmodes.statics import _Energy
 
-from conftest import KAPPA2, LAMBDA3, make_cfg, onsite_oracle, \
-    richardson_derivative, symmetric_tensor
+from conftest import KAPPA2, LAMBDA3, onsite_oracle, richardson_derivative, \
+    symmetric_tensor
 
 
 class TestCharacteristicLength:
@@ -43,6 +41,22 @@ class TestTotalEnergy:
     def test_coincident_ions_rejected(self, be, pot_harmonic):
         with pytest.raises(ValueError, match="coincident"):
             total_energy(np.array([1e-6, 1e-6 + 1e-13]), (be, be), pot_harmonic)
+
+    @pytest.mark.parametrize("evaluate", [total_energy, energy_gradient,
+                                          energy_hessian])
+    def test_3d_chain_in_axial_potential_rejected(self, be, pot_harmonic,
+                                                  evaluate):
+        # an (N, 3) chain has no radial confinement in a 1D potential
+        pos = np.array([[0.0, 0.0, -2.4e-6], [0.0, 0.0, 2.4e-6]])
+        with pytest.raises(ValueError, match=r"\(N,\) for an AxialPotential"):
+            evaluate(pos, (be, be), pot_harmonic)
+
+    @pytest.mark.parametrize("evaluate", [total_energy, energy_gradient,
+                                          energy_hessian])
+    def test_axial_chain_in_3d_trap_rejected(self, be, pot_harmonic, evaluate):
+        trap = trap3d_from_frequencies(be, (5e6, 4e6), pot_harmonic)
+        with pytest.raises(ValueError, match=r"\(N, 3\) for a TrapModel3D"):
+            evaluate(np.array([-2.4e-6, 2.4e-6]), (be, be), trap)
 
 
 class TestEnergyGradient:
@@ -163,6 +177,11 @@ class TestSolveEquilibrium:
     def test_unordered_guess_rejected(self, be, pot_harmonic):
         with pytest.raises(ValueError, match="increasing"):
             solve_equilibrium([be, be], pot_harmonic, initial_guess=[1e-6, -1e-6])
+
+    def test_3d_guess_for_axial_potential_rejected(self, be, pot_harmonic):
+        guess = [[0.0, 0.0, -2.4e-6], [0.0, 0.0, 2.4e-6]]
+        with pytest.raises(ValueError, match="3D guess .* 1D axial potential"):
+            solve_equilibrium([be, be], pot_harmonic, initial_guess=guess)
 
     def test_species_order_preserved(self, be, mg, pot_cubic):
         cfg = solve_equilibrium([be, mg], pot_cubic)
