@@ -13,9 +13,8 @@ from .calibration import ComScanResult, OrderShiftReport, PotentialFamily, \
     BracketError, com_frequency_scan, field_sensitivity, \
     infer_pseudo_gradient, null_parameter, order_shift
 from .chifile import chi_to_text, read_chi
-from .dynamics import FockSuperposition, GateParams, ThermalEnvironment, \
-    fock_coherence, gate_fidelity, gate_trajectory, sideband_flop, \
-    thermal_gate_infidelity, thermal_occupation
+from .dynamics import FockSuperposition, ThermalEnvironment, fock_coherence, \
+    sideband_flop, thermal_gate_infidelity, thermal_occupation
 from .fockspace import CutoffError, StateMatchError, exact_transition_frequency
 from .modes import ModeSpectrum, NotAtEquilibriumError, amplitude_ratio, \
     carrier_matrix_element, ground_state_size, hessian, lamb_dicke, \
@@ -23,11 +22,10 @@ from .modes import ModeSpectrum, NotAtEquilibriumError, amplitude_ratio, \
 from .potentials import AxialPotential, TrapModel3D, axial_for_frequency, \
     axial_from_lambdas, harmonic_axial, trap3d_from_frequencies
 from .species import BE9, MG24, MGH25, IonSpecies, make_species
-from .statics import ChainConfiguration, CharacteristicScales, \
-    ConvergenceError, EquilibriumError, IonCrossingError, \
-    LinearChainInstabilityError, UnconfinedPotentialError, chain_length, \
-    characteristic_length, characteristic_scales, energy_gradient, \
-    energy_hessian, solve_equilibrium, total_energy
+from .statics import ChainConfiguration, ConvergenceError, EquilibriumError, \
+    IonCrossingError, LinearChainInstabilityError, UnconfinedPotentialError, \
+    chain_length, characteristic_length, energy_gradient, energy_hessian, \
+    solve_equilibrium, total_energy
 from .two_ion import TwoIonAnalytics, cubic_equal, cubic_unequal, \
     quartic_equal, quartic_unequal
 

@@ -190,8 +190,7 @@ def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
 def _mode_pick(spectrum: ModeSpectrum, mode) -> int:
     """Resolve 'com' (lowest, all-in-phase) or a descending index."""
     if mode == "com":
-        k = spectrum.n_modes - 1  # lowest frequency
-        return k
+        return spectrum.n_modes - 1  # lowest frequency
     k = int(mode)
     if not 0 <= k < spectrum.n_modes:
         raise IndexError(f"mode index {k} out of range")
@@ -236,13 +235,12 @@ def com_frequency_scan(pot: AxialPotential, species: IonSpecies,
                        counts) -> ComScanResult:
     """Lowest (in-phase) axial mode frequency for chains of N equal ions."""
     counts = [int(n) for n in counts]
+    if not counts:
+        raise ValueError("ion counts must be non-empty")
     if any(n < 1 for n in counts):
         raise ValueError("ion counts must be positive")
-    freqs = []
-    for n in counts:
-        cfg = solve_equilibrium((species,) * n, pot)
-        spec = mode_spectrum(cfg)
-        freqs.append(float(spec.frequencies[-1]))
+    freqs = [float(_solved_frequency(pot, (species,) * n, "com"))
+             for n in counts]
     n_arr = np.array(counts, dtype=float)
     f_arr = np.array(freqs)
     if len(counts) >= 2:

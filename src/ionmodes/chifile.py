@@ -65,6 +65,10 @@ def read_chi(path_or_stream) -> ChiMatrix:
     n = len(freqs)
     if mat.shape != (n, n):
         raise ValueError(f"{source}: expected a {n}x{n} matrix, got {mat.shape}")
+    if not (np.isfinite(mat).all() and np.isfinite(freqs).all()
+            and (freqs > 0).all()):
+        raise ValueError(f"{source}: entries must be finite and frequencies "
+                         "finite and positive")
     if np.any(np.diff(freqs) > 0):
         raise ValueError(f"{source}: frequencies must be in descending order")
     return ChiMatrix(chi=mat, mode_frequencies=freqs,

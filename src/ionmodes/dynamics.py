@@ -59,23 +59,6 @@ class FockSuperposition:
             raise ValueError("n_upper must be >= 1")
 
 
-@dataclass(frozen=True)
-class GateParams:
-    """Drive parameters of the geometric phase gate."""
-
-    omega_drive: float  # rad/s, state-dependent-force strength
-    delta: float        # rad/s, detuning from the gate mode
-
-    def __post_init__(self):
-        if self.delta == 0:
-            raise ValueError("detuning must be nonzero")
-
-    @property
-    def duration(self) -> float:
-        """One phase-space loop, 2 pi / |delta| (s)."""
-        return 2 * math.pi / abs(self.delta)
-
-
 def thermal_occupation(f_hz: float, temperature: float) -> float:
     """Bose-Einstein occupation nbar = 1/(exp(h f / k_B T) - 1)."""
     if f_hz <= 0 or temperature <= 0:
@@ -107,33 +90,6 @@ def fock_coherence(chi: ChiMatrix, sup: FockSuperposition,
     return c if c.shape else float(c)
 
 
-def gate_trajectory(params: GateParams, t):
-    """Phase-space displacement alpha(t) and geometric phase Phi(t).
-
-    alpha(t) = -(Omega/delta) e^(-i delta t / 2) sin(delta t / 2),
-    Phi(t)   = (Omega/delta)^2 [sin(delta t) - delta t] / 4.
-    """
-    t = np.asarray(t, dtype=float)
-    om, de = params.omega_drive, params.delta
-    alpha = -(om / de) * np.exp(-1j * de * t / 2) * np.sin(de * t / 2)
-    phi = (om / de) ** 2 / 4.0 * (np.sin(de * t) - de * t)
-    if t.shape:
-        return alpha, phi
-    return complex(alpha), float(phi)
-
-
-def gate_fidelity(alpha, phi) -> float:
-    """Bell-state fidelity after the spin-echo gate sequence.
-
-    F = 3/8 + (1/8) e^(-2|alpha|^2) + (1/2) e^(-|alpha|^2/2) sin |Phi|.
-    Only |Phi| = pi/2 is constrained by the ideal outcome, so the magnitude
-    of the geometric phase is used.
-    """
-    a2 = abs(alpha) ** 2
-    return float(3 / 8 + np.exp(-2 * a2) / 8
-                 + np.exp(-a2 / 2) * np.sin(abs(phi)) / 2)
-
-
 def thermal_gate_infidelity(chi: ChiMatrix, z: int, delta: float,
                             env: ThermalEnvironment) -> float:
     """Gate infidelity from thermally occupied cross-coupled modes.
@@ -142,6 +98,8 @@ def thermal_gate_infidelity(chi: ChiMatrix, z: int, delta: float,
             + sum_a chi_Za^2 nbar_a (2 nbar_a + 1) ],
     with chi in Hz and delta in rad/s; the sums run over all modes
     including the gate mode itself (it is Doppler-cooled like the rest).
+    This is the thermal average of the ideal loop's 1 - F ~ (3 pi^2 / 4)
+    (eps/delta)^2 for a detuning error eps = 2 pi sum_a chi_Za n_a.
     """
     if delta == 0:
         raise ValueError("detuning must be nonzero")

@@ -421,16 +421,3 @@ def chain_length(cfg: ChainConfiguration) -> float:
     z = cfg.axial_positions
     return float(z[-1] - z[0])
 
-
-@dataclass(frozen=True)
-class CharacteristicScales:
-    """Coulomb length scale l and chain length L of a configuration."""
-
-    l: float
-    L: float  # 0 for a single ion
-
-
-def characteristic_scales(cfg: ChainConfiguration) -> CharacteristicScales:
-    l = characteristic_length(cfg.species[0], cfg.potential.axial.kappa2)
-    return CharacteristicScales(l=l,
-                                L=chain_length(cfg) if cfg.n_ions > 1 else 0.0)

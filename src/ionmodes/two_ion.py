@@ -58,23 +58,16 @@ def _warn_regime(label: str, value: float, limit: float):
 
 
 def cubic_equal(kappa2: float, lambda3: float, species: IonSpecies) -> TwoIonAnalytics:
-    """Two equal ions with a cubic perturbation V = kappa2 z^2 (1 + z/lambda3)."""
-    l = characteristic_length(species, kappa2)
-    x = l / lambda3
-    _warn_regime("l/lambda3", x, CUBIC_REGIME)
-    half = l / 2 ** (2 / 3)
-    z_plus = half * (1 - _C_Z1 * x + _C_Z2 * x**2)
-    z_minus = -half * (1 + _C_Z1 * x + _C_Z2 * x**2)
-    w0 = math.sqrt(2 * species.charge_si * kappa2 / species.mass)
-    omega_low = w0 * (1 - _C_WC * x**2)
-    omega_high = w0 * math.sqrt(3.0) * (1 - _C_WS * x**2)
-    # First-order eigenvector corrections: the ion on the softer side of the
-    # cubic term acquires the larger amplitude.
-    vec_low = [1 + _C_Z1 * x, 1 - _C_Z1 * x]
-    vec_high = [1 - _C_Z1 * x, -(1 + _C_Z1 * x)]
-    return TwoIonAnalytics(z_plus=z_plus, z_minus=z_minus,
-                           omega_high=omega_high, omega_low=omega_low,
-                           eigvec_high=vec_high, eigvec_low=vec_low)
+    """Two equal ions with a cubic perturbation V = kappa2 z^2 (1 + z/lambda3).
+
+    The mu = 1 case of ``cubic_unequal``, whose first-order frequency shift
+    vanishes there, with the second-order frequency factors added.  The ion
+    on the softer side of the cubic term has the larger amplitude.
+    """
+    x, fields = _cubic_fields(kappa2, lambda3, species, species)
+    fields["omega_high"] *= 1 - _C_WS * x**2
+    fields["omega_low"] *= 1 - _C_WC * x**2
+    return TwoIonAnalytics(**fields)
 
 
 def quartic_equal(kappa2: float, lambda4: float, species: IonSpecies) -> TwoIonAnalytics:
@@ -102,6 +95,27 @@ def _harmonic_unequal(kappa2, species1, mu, s):
     return w_plus, w_minus
 
 
+def _cubic_fields(kappa2, lambda3, species1, species2):
+    """x = l/lambda3 and cubic_unequal's fields, eigenvectors unnormalized."""
+    l = characteristic_length(species1, kappa2)
+    x = l / lambda3
+    _warn_regime("l/lambda3", x, CUBIC_REGIME)
+    mu, s, r_plus, r_minus = _mu_terms(species1, species2)
+    w_plus0, w_minus0 = _harmonic_unequal(kappa2, species1, mu, s)
+    shift = _C_U3 * (1 - mu) / s * x
+    half = l / 2 ** (2 / 3)
+    k = _C_Z1 * (1 + mu) / s
+    return x, dict(
+        z_plus=half * (1 - _C_Z1 * x + _C_Z2 * x**2),
+        z_minus=-half * (1 + _C_Z1 * x + _C_Z2 * x**2),
+        omega_high=w_plus0 * (1 - shift),
+        omega_low=w_minus0 * (1 + shift),
+        eigvec_high=[1 - k * r_plus**2 / (1 + r_plus**2) * x,
+                     r_plus * (-1 - k / (1 + r_plus**2) * x)],
+        eigvec_low=[1 + k * r_minus**2 / (1 + r_minus**2) * x,
+                    r_minus * (1 - k / (1 + r_minus**2) * x)])
+
+
 def cubic_unequal(kappa2: float, lambda3: float, species1: IonSpecies,
                   species2: IonSpecies) -> TwoIonAnalytics:
     """Unequal-mass pair, cubic perturbation; ion 1 sits at lower z.
@@ -109,25 +123,8 @@ def cubic_unequal(kappa2: float, lambda3: float, species1: IonSpecies,
     The first-order frequency shift is odd in l/lambda3 and therefore
     depends on the ion order; swapping the species flips its sign.
     """
-    l = characteristic_length(species1, kappa2)
-    x = l / lambda3
-    _warn_regime("l/lambda3", x, CUBIC_REGIME)
-    mu, s, r_plus, r_minus = _mu_terms(species1, species2)
-    w_plus0, w_minus0 = _harmonic_unequal(kappa2, species1, mu, s)
-    shift = _C_U3 * (1 - mu) / s * x
-    omega_high = w_plus0 * (1 - shift)
-    omega_low = w_minus0 * (1 + shift)
-    half = l / 2 ** (2 / 3)
-    z_plus = half * (1 - _C_Z1 * x + _C_Z2 * x**2)
-    z_minus = -half * (1 + _C_Z1 * x + _C_Z2 * x**2)
-    k = _C_Z1 * (1 + mu) / s
-    vec_high = [1 - k * r_plus**2 / (1 + r_plus**2) * x,
-                r_plus * (-1 - k / (1 + r_plus**2) * x)]
-    vec_low = [1 + k * r_minus**2 / (1 + r_minus**2) * x,
-               r_minus * (1 - k / (1 + r_minus**2) * x)]
-    return TwoIonAnalytics(z_plus=z_plus, z_minus=z_minus,
-                           omega_high=omega_high, omega_low=omega_low,
-                           eigvec_high=vec_high, eigvec_low=vec_low)
+    return TwoIonAnalytics(**_cubic_fields(kappa2, lambda3, species1,
+                                           species2)[1])
 
 
 def quartic_unequal(kappa2: float, lambda4: float, species1: IonSpecies,

@@ -332,6 +332,55 @@ def dense_flop_populations(eta1, eta2, initial, omega0, t):
     return pops, a_oper, a_steady
 
 
+# ------------------------------------------------------------ gate oracle
+# The ideal phase-space loop of the geometric phase gate (Leibfried et al.,
+# Nature 422, 412 (2003)); thermal_gate_infidelity is its thermal average
+# to leading order in the detuning error.
+
+@dataclasses.dataclass(frozen=True)
+class GateParams:
+    """Drive parameters of the geometric phase gate."""
+
+    omega_drive: float  # rad/s, state-dependent-force strength
+    delta: float        # rad/s, detuning from the gate mode
+
+    def __post_init__(self):
+        if self.delta == 0:
+            raise ValueError("detuning must be nonzero")
+
+    @property
+    def duration(self) -> float:
+        """One phase-space loop, 2 pi / |delta| (s)."""
+        return 2 * math.pi / abs(self.delta)
+
+
+def gate_trajectory(params: GateParams, t):
+    """Phase-space displacement alpha(t) and geometric phase Phi(t).
+
+    alpha(t) = -(Omega/delta) e^(-i delta t / 2) sin(delta t / 2),
+    Phi(t)   = (Omega/delta)^2 [sin(delta t) - delta t] / 4.
+    """
+    t = np.asarray(t, dtype=float)
+    om, de = params.omega_drive, params.delta
+    alpha = -(om / de) * np.exp(-1j * de * t / 2) * np.sin(de * t / 2)
+    phi = (om / de) ** 2 / 4.0 * (np.sin(de * t) - de * t)
+    if t.shape:
+        return alpha, phi
+    return complex(alpha), float(phi)
+
+
+def gate_fidelity(alpha, phi) -> float:
+    """Bell-state fidelity after the spin-echo gate sequence.
+
+    F = 3/8 + (1/8) e^(-2|alpha|^2) + (1/2) e^(-|alpha|^2/2) sin |Phi|.
+    Only |Phi| = pi/2 is constrained by the ideal outcome, so the magnitude
+    of the geometric phase is used.
+    """
+    a2 = abs(alpha) ** 2
+    return float(3 / 8 + np.exp(-2 * a2) / 8
+                 + np.exp(-a2 / 2) * np.sin(abs(phi)) / 2)
+
+
 # ----------------------------------------------------- calibration oracle
 # The unshared root finds: every evaluation solves both ion orders afresh.
 # The library shares solves within a call and must return the same floats.

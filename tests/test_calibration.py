@@ -171,6 +171,10 @@ class TestComFrequencyScan:
         with pytest.raises(ValueError):
             com_frequency_scan(pot_harmonic, be, [0, 1])
 
+    def test_empty_counts(self, be, pot_harmonic):
+        with pytest.raises(ValueError, match="non-empty"):
+            com_frequency_scan(pot_harmonic, be, [])
+
 
 def _cubic_family(pot):
     return PotentialFamily(base=pot, kappa_actions={3: -pot.kappa[3]})

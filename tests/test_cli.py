@@ -84,6 +84,19 @@ class TestChiFile:
         with pytest.raises(ValueError, match="descending"):
             read_chi(io.StringIO(bad))
 
+    @pytest.mark.parametrize("bad", [
+        "# frequencies_hz: 2e6 1e6\nnan 1\n1 2\n",
+        "# frequencies_hz: 2e6 1e6\n1 2\n-inf 4\n",
+        "# frequencies_hz: nan 1e6\n1 2\n3 4\n",
+        "# frequencies_hz: inf 1e6\n1 2\n3 4\n",
+        "# frequencies_hz: 1e6 0\n1 2\n3 4\n",
+        "# frequencies_hz: 1e6 -1e6\n1 2\n3 4\n",
+    ], ids=["nan_entry", "inf_entry", "nan_frequency", "inf_frequency",
+            "zero_frequency", "negative_frequency"])
+    def test_non_finite_or_non_positive_rejected(self, bad):
+        with pytest.raises(ValueError, match="^<stream>: .*(finite|positive)"):
+            read_chi(io.StringIO(bad))
+
 
 def run_cli(*args, env_extra=None):
     import os
@@ -424,6 +437,21 @@ class TestMalformedConfig:
         assert captured.out == ""
         assert captured.err.startswith("config error: gate.chi_file: ")
         assert "descending" in captured.err
+
+    @pytest.mark.parametrize("text", [
+        "# frequencies_hz: 2e6 1e6\nnan 1.0\n1.0 inf\n",
+        "# frequencies_hz: inf 1e6\n0 0\n0 0\n",
+    ], ids=["nan_entry", "inf_frequency"])
+    def test_non_finite_chi_file(self, text, tmp_path, capsys):
+        (tmp_path / "non_finite.txt").write_text(text)
+        path = _mutated_config(tmp_path, "gate_two_ion.json",
+                               {"gate.chi_file": "non_finite.txt"})
+        rc = main(["gate", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("config error: gate.chi_file: ")
+        assert "finite" in captured.err
 
     def test_override_on_non_object_document(self, tmp_path, capsys):
         path = tmp_path / "list.json"

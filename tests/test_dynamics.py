@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionmodes import FockSuperposition, GateParams, ThermalEnvironment, \
-    fock_coherence, gate_fidelity, gate_trajectory, sideband_flop, \
-    thermal_gate_infidelity, thermal_occupation
+from ionmodes import FockSuperposition, ThermalEnvironment, fock_coherence, \
+    sideband_flop, thermal_gate_infidelity, thermal_occupation
 from ionmodes.anharmonic import ChiMatrix
 from ionmodes.dynamics import _flop_populations
 
-from conftest import dense_flop_populations
+from conftest import GateParams, dense_flop_populations, gate_fidelity, \
+    gate_trajectory
 
 DOPPLER = ThermalEnvironment(temperature=0.7e-3)
 
@@ -214,6 +214,37 @@ class TestThermalGateInfidelity:
     def test_zero_detuning_rejected(self):
         with pytest.raises(ValueError):
             thermal_gate_infidelity(chi_two_ion(), 1, 0.0, DOPPLER)
+
+    def test_thermal_average_of_ideal_loop(self):
+        # With Omega = delta the unperturbed loop closes at T = 2 pi/delta
+        # with |Phi| = pi/2.  A thermal draw n detunes it by
+        # eps = 2 pi sum_a chi_Za n_a; each mode's geometric distribution is
+        # enumerated exactly up to a tail weight of 1e-12.
+        chi = ChiMatrix(chi=np.array([[-3.0, 1.7, 0.0],
+                                      [1.7, -0.5, 0.2],
+                                      [0.0, 0.2, -0.1]]),
+                        mode_frequencies=np.array([5e6, 3e6, 1e6]),
+                        provenance={})
+        env = ThermalEnvironment(nbar=(2.0, 4.0, 0.5))
+        eps, weight = np.zeros(1), np.ones(1)
+        for c, nb in zip(chi.chi[0], env.nbar):
+            q = nb / (1 + nb)
+            n = np.arange(math.ceil(math.log(1e-12) / math.log(q)))
+            eps = (eps[:, None] + 2 * math.pi * c * n).ravel()
+            weight = (weight[:, None] * q ** n / (1 + nb)).ravel()
+        eps, inverse = np.unique(eps, return_inverse=True)
+        weight = np.bincount(inverse, weight)
+        rel = {}
+        for khz in (20, 100):
+            delta = 2 * math.pi * khz * 1e3
+            loss = [1 - gate_fidelity(*gate_trajectory(
+                GateParams(omega_drive=delta, delta=delta + e),
+                2 * math.pi / delta)) for e in eps]
+            oracle = float(weight @ loss)
+            rel[khz] = abs(thermal_gate_infidelity(chi, 0, delta, env)
+                           / oracle - 1)
+        assert rel[20] < 1e-3
+        assert rel[100] < rel[20] / 3
 
 
 class TestSidebandFlop:

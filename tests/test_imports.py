@@ -1,12 +1,16 @@
-"""Every imported name is used: the library, the tests and the scripts.
+"""Every imported name is used, and every exported name has a caller.
 
 An import that nothing reads is dead code that still costs a load and
 misleads the reader about a module's dependencies.  ``__init__.py`` imports
 are the package's re-exports, and ``from __future__`` imports are
 directives, so both are exempt.
+
+A name the package exports must be reached by the library, a benchmark
+workload or a script; a name only tests reach belongs in ``tests/``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,44 @@ def test_checker_flags_unused_and_ignores_used():
            "x = os.sep + str(pi)\n")
     assert unused_imports(src) == ["osp (line 2)", "numpy (line 3)",
                                    "turn (line 4)"]
+
+
+# the only public way into the statics kernel at off-equilibrium positions,
+# which the README documents and ``hessian``/``derivative_tensors`` refuse
+NO_CALLER_NEEDED = {"total_energy", "energy_gradient", "energy_hessian"}
+
+
+def exported_names(init_source: str) -> list[str]:
+    """Names an ``__init__.py`` re-exports through ``from . import``."""
+    return [alias.asname or alias.name for node in ast.parse(init_source).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def names_without_caller(names, sources) -> list[str]:
+    """Names that appear as a whole word in none of the sources, not
+    counting the ``def``/``class`` line that defines them."""
+    missing = []
+    for name in names:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
+        if not any(word.search(line) and not own.match(line)
+                   for src in sources for line in src.splitlines()):
+            missing.append(name)
+    return missing
+
+
+def test_every_export_has_a_caller():
+    callers = [p.read_text() for pattern in ("src/ionmodes/*.py", "bench/*.py",
+                                              "scripts/*.py")
+               for p in ROOT.glob(pattern) if p.name != "__init__.py"]
+    names = exported_names((ROOT / "src/ionmodes/__init__.py").read_text())
+    assert names_without_caller(
+        [n for n in names if n not in NO_CALLER_NEEDED], callers) == []
+
+
+def test_caller_checker_ignores_definitions_and_substrings():
+    init = "from .a import f, g as h, C\nfrom .b import k\n"
+    sources = ["def f(x):\n    return ff(x)\n",
+               "class C:\n    pass\n\ny = C()\n", "z = h + 1\n"]
+    assert exported_names(init) == ["f", "h", "C", "k"]
+    assert names_without_caller(exported_names(init), sources) == ["f", "k"]

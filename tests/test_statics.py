@@ -256,20 +256,18 @@ class TestChainLength:
 
 class TestCharacteristicScales:
     def test_pair_scales(self, be, pot_harmonic):
-        from ionmodes import characteristic_scales, solve_equilibrium as solve
-
-        cfg = solve([be, be], pot_harmonic)
-        scales = characteristic_scales(cfg)
-        assert scales.l == pytest.approx(
+        cfg = solve_equilibrium([be, be], pot_harmonic)
+        l = characteristic_length(cfg.species[0], cfg.potential.axial.kappa2)
+        assert l == pytest.approx(
             characteristic_length(be, KAPPA2), rel=1e-14)
-        assert scales.L == pytest.approx(2 ** (1 / 3) * scales.l, rel=1e-10)
+        assert chain_length(cfg) == pytest.approx(2 ** (1 / 3) * l, rel=1e-10)
 
     def test_single_ion_has_no_extent(self, be, pot_harmonic):
-        from ionmodes import characteristic_scales, solve_equilibrium as solve
-
-        scales = characteristic_scales(solve([be], pot_harmonic))
-        assert scales.L == 0.0 and scales.l > 0
-
+        cfg = solve_equilibrium([be], pot_harmonic)
+        assert characteristic_length(cfg.species[0],
+                                     cfg.potential.axial.kappa2) > 0
+        with pytest.raises(ValueError):
+            chain_length(cfg)
 
 
 class TestOnsiteTerms:

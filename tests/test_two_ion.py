@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ionmodes import axial_from_lambdas, characteristic_length, cubic_equal, \
     cubic_unequal, mode_spectrum, quartic_equal, quartic_unequal, \
     solve_equilibrium
+from ionmodes.two_ion import _C_WC, _C_WS
 
 from conftest import KAPPA2
 
@@ -45,6 +47,25 @@ class TestCubicEqual:
         with pytest.warns(RuntimeWarning, match="perturbative regime") as rec:
             cubic_equal(KAPPA2, l / 0.3, be)
         assert rec[0].filename == __file__
+
+    @pytest.mark.parametrize("x", [0.05, -0.1, 0.3, -0.3])
+    def test_is_unequal_at_unit_mass_ratio(self, be, x):
+        lam3 = characteristic_length(be, KAPPA2) / x
+        x = characteristic_length(be, KAPPA2) / lam3
+        records = []
+        for build in (lambda: cubic_equal(KAPPA2, lam3, be),
+                      lambda: cubic_unequal(KAPPA2, lam3, be, be)):
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                records.append((build(), [(str(w.message), w.filename)
+                                          for w in rec]))
+        (eq, eq_warn), (un, un_warn) = records
+        assert eq_warn == un_warn and len(eq_warn) == (abs(x) >= 0.2)
+        assert (eq.z_plus, eq.z_minus) == (un.z_plus, un.z_minus)
+        assert np.array_equal(eq.eigvec_high, un.eigvec_high)
+        assert np.array_equal(eq.eigvec_low, un.eigvec_low)
+        assert eq.omega_high == un.omega_high * (1 - _C_WS * x**2)
+        assert eq.omega_low == un.omega_low * (1 - _C_WC * x**2)
 
 
 class TestQuarticEqual:
