@@ -1,14 +1,14 @@
 """Third/fourth-order potential tensors and anharmonic frequency shifts.
 
 The cubic and quartic Taylor coefficients of the total potential about
-equilibrium are stored mass-weighted and factorial-normalized,
+equilibrium are factorial-normalized derivatives in plain coordinates,
 
-    A3_ijk  = (1/3!) (m_i m_j m_k)^(-1/2)   d3U/dz_i dz_j dz_k,
-    A4_ijkl = (1/4!) (m_i ... m_l)^(-1/2)   d4U/dz_i ... dz_l,
+    A3_ijk  = (1/3!) d3U/dz_i dz_j dz_k,
+    A4_ijkl = (1/4!) d4U/dz_i ... dz_l,
 
-and transformed to the normal-mode basis with the sigma' factors absorbed,
+and are carried to the normal-mode basis by sigma_ion = e' sigma' / sqrt(m),
 
-    G3_abc = sigma'_a sigma'_b sigma'_c  sum_ijk e_i^a e_j^b e_k^c A3_ijk,
+    G3_abc = sum_ijk sigma_ion_ia sigma_ion_jb sigma_ion_kc A3_ijk,
 
 so that the cubic/quartic Hamiltonian terms are sum G3 x_a x_b x_c and
 sum G4 x_a x_b x_c x_d with x = a + a^dag.  The per-transition frequency
@@ -45,10 +45,10 @@ class ResonanceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DerivativeTensors:
-    """Mass-weighted, factorial-normalized cubic/quartic potential tensors."""
+    """Taylor coefficients A3 = d3U/3!, A4 = d4U/4! of the total potential."""
 
-    A3: np.ndarray  # (D, D, D),    kg^(-3/2) J m^-3
-    A4: np.ndarray  # (D, D, D, D), kg^-2 J m^-4
+    A3: np.ndarray  # (D, D, D),    J m^-3
+    A4: np.ndarray  # (D, D, D, D), J m^-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,20 +99,14 @@ def derivative_tensors(cfg: ChainConfiguration) -> DerivativeTensors:
     Both the Coulomb interaction and the anharmonic trap terms contribute.
     """
     t3, t4 = _at_equilibrium(cfg, 3, 4)
-    m = cfg.coordinate_masses
-    sq = np.sqrt(m)
-    a3 = t3 / 6.0 / (sq[:, None, None] * sq[None, :, None] * sq[None, None, :])
-    a4 = t4 / 24.0 / (sq[:, None, None, None] * sq[None, :, None, None]
-                      * sq[None, None, :, None] * sq[None, None, None, :])
-    return DerivativeTensors(A3=a3, A4=a4)
+    return DerivativeTensors(A3=t3 / 6.0, A4=t4 / 24.0)
 
 
 def mode_tensors(tensors: DerivativeTensors, spectrum: ModeSpectrum) -> ModeTensors:
-    """Transform derivative tensors to the normal-mode basis (units J)."""
-    e = spectrum.eigenvectors
-    if tensors.A3.shape[0] != e.shape[0]:
+    """Carry derivative tensors to the normal-mode basis by sigma_ion (J)."""
+    u = spectrum.sigma_ion
+    if tensors.A3.shape[0] != u.shape[0]:
         raise ValueError("tensor and spectrum dimensions do not match")
-    u = e * spectrum.sigma_prime
     return ModeTensors(G3=_to_modes(tensors.A3, u), G4=_to_modes(tensors.A4, u))
 
 
@@ -126,8 +120,8 @@ def _to_modes(t: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _chi_tensors(cfg: ChainConfiguration, spectrum: ModeSpectrum):
     """G3 and the pair-diagonal quartic Q[Z, a] = G4_aaZZ that chi reads,
-    contracted from the energy's blocks with u = e sigma' / sqrt(m) (the
-    spectrum's sigma_ion); no rank-4 array is formed."""
+    contracted from the energy's blocks with the spectrum's sigma_ion, as
+    mode_tensors does; no rank-4 array is formed."""
     u = spectrum.sigma_ion
     if u.shape[0] != len(cfg.coordinate_masses):
         raise ValueError("tensor and spectrum dimensions do not match")

@@ -49,16 +49,23 @@ def read_chi(path_or_stream) -> ChiMatrix:
         source = str(path_or_stream)
     freqs = None
     rows = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("frequencies_hz:"):
-                freqs = np.array([float(v) for v in body.split(":", 1)[1].split()])
-            continue
-        rows.append([float(v) for v in line.split()])
+        try:
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if body.startswith("frequencies_hz:"):
+                    freqs = np.array([float(v) for v in
+                                      body.split(":", 1)[1].split()])
+                continue
+            rows.append([float(v) for v in line.split()])
+        except ValueError as exc:
+            raise ValueError(f"{source}, line {lineno}: {exc}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise ValueError(f"{source}, line {lineno}: {len(rows[-1])} entries "
+                             f"where the first row has {len(rows[0])}")
     if freqs is None:
         raise ValueError(f"{source}: missing '# frequencies_hz:' header")
     mat = np.array(rows, dtype=float)

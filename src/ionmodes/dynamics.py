@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -30,12 +31,17 @@ class ThermalEnvironment:
     def __post_init__(self):
         if (self.temperature is None) == (self.nbar is None):
             raise ValueError("specify exactly one of temperature or nbar")
-        if self.temperature is not None and self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if self.temperature is not None:
+            if not self.temperature > 0:
+                raise ValueError("temperature must be positive")
+            if not math.isfinite(self.temperature):
+                raise ValueError("temperature must be finite")
         if self.nbar is not None:
             nb = tuple(float(v) for v in self.nbar)
-            if any(v < 0 for v in nb):
+            if not all(v >= 0 for v in nb):
                 raise ValueError("nbar entries must be non-negative")
+            if not all(map(math.isfinite, nb)):
+                raise ValueError("nbar entries must be finite")
             object.__setattr__(self, "nbar", nb)
 
     def occupations(self, frequencies_hz: np.ndarray) -> np.ndarray:
@@ -55,13 +61,15 @@ class FockSuperposition:
     n_upper: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.n_upper, Integral):
+            raise ValueError(f"n_upper must be an integer, got {self.n_upper!r}")
         if self.n_upper < 1:
             raise ValueError("n_upper must be >= 1")
 
 
 def thermal_occupation(f_hz: float, temperature: float) -> float:
     """Bose-Einstein occupation nbar = 1/(exp(h f / k_B T) - 1)."""
-    if f_hz <= 0 or temperature <= 0:
+    if not (f_hz > 0 and temperature > 0):
         raise ValueError("frequency and temperature must be positive")
     return 1.0 / math.expm1(PLANCK * f_hz / (BOLTZMANN * temperature))
 
@@ -79,14 +87,13 @@ def fock_coherence(chi: ChiMatrix, sup: FockSuperposition,
         raise IndexError(f"mode index {z} out of range")
     t = np.asarray(t, dtype=float)
     nbar = env.occupations(chi.mode_frequencies)
-    exp_mx = nbar / (1.0 + nbar)  # e^(-x) in terms of the occupation
-    c = np.ones(t.shape, dtype=float)
-    for a in range(d):
-        if a == z:
-            continue
-        theta = 2 * np.pi * chi.chi[z, a] * sup.n_upper * t
-        denom = np.abs(1.0 - exp_mx[a] * np.exp(-1j * theta))
-        c *= (1.0 - exp_mx[a]) / denom
+    spectator = np.arange(d) != z
+    # e^(-x_a) in terms of the occupation, one row per spectator mode
+    exp_mx = (nbar / (1.0 + nbar))[spectator].reshape((-1,) + (1,) * t.ndim)
+    theta = 2 * np.pi * chi.chi[z, spectator].reshape(exp_mx.shape) \
+        * sup.n_upper * t
+    c = np.prod((1.0 - exp_mx) / np.abs(1.0 - exp_mx * np.exp(-1j * theta)),
+                axis=0, initial=1.0)
     return c if c.shape else float(c)
 
 
@@ -128,13 +135,13 @@ def _flop_populations(eta1, eta2, initial, omega0, t):
     projects onto each distinct eigenvalue of a block, so a degenerate pair
     (the double zero at eta1 = eta2) keeps its time-independent coherence.
     """
-    if eta1 < 0 or eta2 < 0:
+    if not (eta1 >= 0 and eta2 >= 0):
         raise ValueError("Lamb-Dicke parameters must be non-negative")
     if isinstance(initial, (int, np.integer)):
         n0, w = np.array([int(initial)]), np.ones(1)
     else:
         nb = float(initial)
-        if nb < 0:
+        if not nb >= 0:
             raise ValueError("thermal nbar must be non-negative")
         # keep every n below the point where the thermal tail mass
         # sum_{n >= N} w_n = q^N falls under 1e-12

@@ -104,7 +104,7 @@ def ground_state_size(spectrum: ModeSpectrum, ion: int, mode: int) -> float:
 
 def lamb_dicke(spectrum: ModeSpectrum, delta_k: float, ion: int, mode: int) -> float:
     """Lamb-Dicke parameter eta = delta_k * |sigma_i| for an ion-mode pair."""
-    if delta_k <= 0:
+    if not delta_k > 0:
         raise ValueError("delta_k must be positive")
     return delta_k * abs(ground_state_size(spectrum, ion, mode))
 
@@ -127,7 +127,7 @@ def carrier_matrix_element(eta: float, n: int) -> float:
     Equals exp(-eta^2/2) L_n(eta^2); the flopping rate of a carrier
     transition on an ion in Fock state n is reduced by this factor.
     """
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError("eta must be non-negative")
     if n < 0 or int(n) != n:
         raise ValueError("n must be a non-negative integer")

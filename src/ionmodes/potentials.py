@@ -43,8 +43,12 @@ class AxialPotential:
         for n in ks:
             if n < 2:
                 raise ValueError(f"polynomial orders start at n=2, got {n}")
-        if ks.get(2, 0.0) <= 0:
+        if not ks.get(2, 0.0) > 0:
             raise ValueError("kappa_2 must be positive (confining harmonic term)")
+        if not np.isfinite([*ks.values(), self.uniform_field,
+                            self.pseudo_gradient, self.expansion_origin]).all():
+            raise ValueError("kappa, uniform_field, pseudo_gradient and "
+                             "expansion_origin must be finite")
         if self.pseudo_gradient != 0.0 and self.pseudo_reference is None:
             raise ValueError("pseudo_gradient requires a reference species")
         object.__setattr__(self, "kappa", ks)
@@ -122,7 +126,7 @@ def axial_from_lambdas(kappa2: float, lambdas: dict[int, float],
     kappa_n = kappa_2 * lambda_n^(2-n); round-trips through
     ``AxialPotential.lambdas`` to relative 1e-12.
     """
-    if kappa2 <= 0:
+    if not kappa2 > 0:
         raise ValueError("kappa2 must be positive")
     kappa = {2: kappa2}
     for n, lam in lambdas.items():
@@ -163,8 +167,10 @@ class TrapModel3D:
 
     def __post_init__(self):
         kx, ky = self.radial_curvatures
-        if kx <= 0 or ky <= 0:
+        if not (kx > 0 and ky > 0):
             raise ValueError("radial curvatures must be positive")
+        if not np.isfinite(self.radial_curvatures).all():
+            raise ValueError("radial curvatures must be finite")
         cubic = np.zeros((3, 3, 3)) if self.trap_cubic is None \
             else np.asarray(self.trap_cubic, dtype=float)
         quartic = np.zeros((3, 3, 3, 3)) if self.trap_quartic is None \
@@ -188,10 +194,6 @@ class TrapModel3D:
             kx, ky = kx * s, ky * s
         return kx, ky
 
-    @property
-    def has_tensors(self) -> bool:
-        return bool(np.any(self.trap_cubic) or np.any(self.trap_quartic))
-
     def has_order(self, n: int) -> bool:
         """Whether the axial polynomial or a trap tensor has a nonzero term
         of polynomial order n."""
@@ -210,7 +212,7 @@ def trap3d_from_frequencies(ref: IonSpecies, f_radial: tuple[float, float],
     of the returned model reproduce the inputs for the reference species.
     """
     fx, fy = f_radial
-    if fx <= 0 or fy <= 0:
+    if not (fx > 0 and fy > 0):
         raise ValueError("radial frequencies must be positive")
     kx = ref.mass * (2 * math.pi * fx) ** 2 / (2 * ref.charge_si)
     ky = ref.mass * (2 * math.pi * fy) ** 2 / (2 * ref.charge_si)
@@ -226,7 +228,7 @@ def harmonic_axial(kappa2: float, **kwargs) -> AxialPotential:
 
 def axial_for_frequency(species: IonSpecies, f_hz: float) -> AxialPotential:
     """Harmonic axial potential giving a single ion the frequency f_hz."""
-    if f_hz <= 0:
+    if not f_hz > 0:
         raise ValueError("frequency must be positive")
     k2 = species.mass * (2 * math.pi * f_hz) ** 2 / (2 * species.charge_si)
     return harmonic_axial(k2)

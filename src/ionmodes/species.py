@@ -1,6 +1,8 @@
 """Ion species: mass and charge of one ion type."""
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from .constants import ATOMIC_MASS, ELEMENTARY_CHARGE
 
@@ -14,8 +16,12 @@ class IonSpecies:
     charge: int = 1
 
     def __post_init__(self):
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise ValueError(f"ion mass must be positive, got {self.mass}")
+        if not math.isfinite(self.mass):
+            raise ValueError(f"ion mass must be finite, got {self.mass}")
+        if not isinstance(self.charge, Integral):
+            raise ValueError(f"ion charge must be an integer, got {self.charge!r}")
         if self.charge == 0:
             raise ValueError("ion charge must be nonzero")
 
@@ -27,9 +33,9 @@ class IonSpecies:
 
 def make_species(label: str, mass_u: float, charge_e: int = 1) -> IonSpecies:
     """Build an IonSpecies from a mass in atomic mass units."""
-    if mass_u <= 0:
+    if not mass_u > 0:
         raise ValueError(f"mass_u must be positive, got {mass_u}")
-    return IonSpecies(label=label, mass=mass_u * ATOMIC_MASS, charge=int(charge_e))
+    return IonSpecies(label=label, mass=mass_u * ATOMIC_MASS, charge=charge_e)
 
 
 # Species used throughout the experiments this package models.

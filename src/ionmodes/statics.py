@@ -68,7 +68,7 @@ def characteristic_length(species: IonSpecies, kappa2: float) -> float:
     Two ions in the harmonic well sit 2^(1/3) l apart; the formula is
     mass-independent.
     """
-    if kappa2 <= 0:
+    if not kappa2 > 0:
         raise ValueError("kappa2 must be positive")
     return (species.charge_si / (8 * math.pi * EPSILON_0 * kappa2)) ** (1.0 / 3.0)
 
@@ -99,7 +99,7 @@ class _Energy:
     """The chain energy U and its derivatives for fixed species and potential.
 
     Per-chain constants (charges, pseudopotential slopes, pair couplings,
-    radial curvatures) are set up once; each call evaluates the on-site trap
+    on-site trap tensors) are set up once; each call evaluates the on-site trap
     terms and the Coulomb pair terms of every requested order at once, with
     a linear chain as the one-component case of the pair kernel.
     """
@@ -114,7 +114,12 @@ class _Energy:
         self.pairs = np.nonzero(~np.eye(len(species), dtype=bool))  # i != j
         self.diag = np.diag_indices(len(species))
         if self.trap is not None:
-            self.radial = np.array([self.trap.radial_for(sp) for sp in species])
+            # on-site Taylor tensors, leading axis over ions: the radial
+            # curvatures diag(kx, ky, 0), then the nonzero trap tensors
+            radial = np.zeros((len(species), 3, 3))
+            radial[:, (0, 1), (0, 1)] = [self.trap.radial_for(sp) for sp in species]
+            self.tensors = [radial] + [t[None] for t in (
+                self.trap.trap_cubic, self.trap.trap_quartic) if t.any()]
 
     def __call__(self, positions, *orders):
         """[d^m U for m in orders]: U as a float, then arrays over the
@@ -169,19 +174,13 @@ class _Energy:
         for m, a in zip(orders, axial):
             blk = np.zeros((n,) + (3,) * m)
             blk[(slice(None),) + (2,) * m] = a
-            if m <= 2:
-                for ax in (0, 1):
-                    c = math.perm(2, m) * self.charge * self.radial[:, ax]
-                    blk[(slice(None),) + (ax,) * m] += c * pos[:, ax] ** (2 - m)
             blocks.append(blk)
-        if not self.trap.has_tensors:
-            return blocks
         v = (pos - np.array([0.0, 0.0, self.axial.expansion_origin]))[:, :, None]
-        for rank, coeffs in ((3, self.trap.trap_cubic),
-                             (4, self.trap.trap_quartic)):
+        for coeffs in self.tensors:
+            rank = coeffs.ndim - 1
             # T v^j for j = 0, 1, ...: one chain serves every order, each
             # step contracting the last axis of every ion's tensor with v
-            chain = [coeffs[None]]
+            chain = [coeffs]
             for _ in range(rank - min(orders)):
                 chain.append(np.matmul(chain[-1].reshape(len(chain[-1]), -1, 3), v))
             for m, blk in zip(orders, blocks):

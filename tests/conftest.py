@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,47 @@ def pytest_configure(config):
     src = str(Path(__file__).resolve().parents[1] / "src")
     os.environ["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+
+# ------------------------------------------------------------ approx guard
+# pytest.approx falls back to abs=1e-12 when no abs is given, so an
+# approx comparison of SI quantities far below 1e-12 (energies near 1e-25 J,
+# tensors near 1e-30 J) passes whatever its rel says.  Every approx made
+# without an explicit abs therefore also checks its own rel with abs=0 and
+# fails, naming its call site, when only the default abs let it pass.
+
+_approx = pytest.approx
+_guarded_types = {}
+
+
+def _guarded_eq(self, actual):
+    __tracebackhide__ = True
+    ok = super(type(self), self).__eq__(actual)
+    if ok and not self.strict == actual:
+        pytest.fail(f"{self.site}: pytest.approx passes only through its "
+                    "default abs=1e-12; give abs explicitly", pytrace=False)
+    return ok
+
+
+def guarded_approx(expected, rel=None, abs=None, nan_ok=False):
+    """pytest.approx whose comparisons fail when they pass only through
+    the default absolute tolerance."""
+    approx = _approx(expected, rel=rel, abs=abs, nan_ok=nan_ok)
+    if abs is None:
+        base = type(approx)
+        if base not in _guarded_types:
+            _guarded_types[base] = type(base.__name__, (base,),
+                                        {"__eq__": _guarded_eq})
+        approx.__class__ = _guarded_types[base]
+        approx.strict = _approx(expected, rel=1e-6 if rel is None else rel,
+                                abs=0, nan_ok=nan_ok)
+        caller = sys._getframe(1)
+        approx.site = (f"{Path(caller.f_code.co_filename).name}:"
+                       f"{caller.f_lineno}")
+    return approx
+
+
+pytest.approx = guarded_approx
 
 
 KAPPA2 = 1.3e7  # V/m^2, the two-layer-trap working point (2.655 MHz for Be+)
@@ -127,34 +169,37 @@ def chain_oracle(kappa, mass, charge, n):
     return z, np.sqrt(w2) / (2 * math.pi)
 
 
-def onsite_oracle(energy, pos, m, axial):
+def onsite_oracle(potential, species, pos, m, axial):
     """Trap terms d^m(q V_t)/dr^m of each ion, shape (N,) + (k,) * m, one
-    order at a time: each trap tensor broadcast over the ions and
-    contracted with v = r - (0, 0, z0) by one einsum per index.
+    order at a time: each ion's radial curvatures from ``radial_for``, one
+    term per transverse axis, and each nonzero trap tensor broadcast over the
+    ions and contracted with v = r - (0, 0, z0) by one einsum per index.
 
-    The per-order form of ``statics._Energy._onsite``, which shares one
-    contraction chain between the orders of a call.
+    The per-order, per-term form of ``statics._Energy._onsite``, which runs
+    every on-site tensor through one contraction chain shared between the
+    orders of a call.
     """
     n, k = pos.shape
     if k == 1:
         return axial.reshape((n,) + (1,) * m)
+    charge = np.array([sp.charge_si for sp in species])
     blk = np.zeros((n,) + (3,) * m)
     blk[(slice(None),) + (2,) * m] = axial
     if m <= 2:
+        radial = np.array([potential.radial_for(sp) for sp in species])
         for a in (0, 1):
-            c = math.perm(2, m) * energy.charge * energy.radial[:, a]
+            c = math.perm(2, m) * charge * radial[:, a]
             blk[(slice(None),) + (a,) * m] += c * pos[:, a] ** (2 - m)
-    if energy.trap.has_tensors:
-        v = pos - np.array([0.0, 0.0, energy.axial.expansion_origin])
-        q = energy.charge.reshape((n,) + (1,) * m)
-        for rank, coeffs in ((3, energy.trap.trap_cubic),
-                             (4, energy.trap.trap_quartic)):
-            if m > rank:
-                continue
-            t = np.broadcast_to(coeffs, (n,) + coeffs.shape)
-            for _ in range(rank - m):
-                t = np.einsum("n...a,na->n...", t, v)
-            blk += math.perm(rank, m) * q * t
+    v = pos - np.array([0.0, 0.0, potential.axial.expansion_origin])
+    q = charge.reshape((n,) + (1,) * m)
+    for rank, coeffs in ((3, potential.trap_cubic),
+                         (4, potential.trap_quartic)):
+        if m > rank or not coeffs.any():
+            continue
+        t = np.broadcast_to(coeffs, (n,) + coeffs.shape)
+        for _ in range(rank - m):
+            t = np.einsum("n...a,na->n...", t, v)
+        blk += math.perm(rank, m) * q * t
     return blk
 
 

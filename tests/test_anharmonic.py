@@ -75,10 +75,10 @@ class TestDerivativeTensors:
         pot = axial_from_lambdas(KAPPA2, {3: -230e-6})
         cfg = solve_equilibrium([be], pot)
         t = derivative_tensors(cfg)
-        # raw third derivative 6 q kappa3, normalized by 3! and mass-weighted
+        # raw third derivative 6 q kappa3, normalized by 3!
         z0 = cfg.positions[0]
         kappa_local = pot.kappa[3]
-        expected = be.charge_si * kappa_local / be.mass**1.5
+        expected = be.charge_si * kappa_local
         assert t.A3[0, 0, 0] == pytest.approx(expected, rel=1e-10)
         assert np.count_nonzero(t.A3) == 1
 
@@ -87,7 +87,7 @@ class TestDerivativeTensors:
         d = cfg.positions[1] - cfg.positions[0]
         t = derivative_tensors(cfg)
         # pure third derivative with respect to the higher-z ion coordinate
-        raw = t.A3[1, 1, 1] * 6 * be.mass**1.5
+        raw = t.A3[1, 1, 1] * 6
         assert raw == pytest.approx(-6 * COULOMB * be.charge_si**2 / d**4,
                                     rel=1e-10)
 
@@ -107,9 +107,8 @@ class TestDerivativeTensors:
         z = np.array([-2.3e-6, 2.0e-6])
         cfg = make_cfg(species, pot_anharmonic, z)
         t = derivative_tensors(cfg)
-        sq = np.sqrt(np.array([be.mass, mg.mass]))
-        raw3 = t.A3 * 6 * np.einsum("i,j,k->ijk", sq, sq, sq)
-        raw4 = t.A4 * 24 * np.einsum("i,j,k,l->ijkl", sq, sq, sq, sq)
+        raw3 = t.A3 * 6
+        raw4 = t.A4 * 24
         h = 1e-3 * (z[1] - z[0])
         for k in range(2):
             def hess_at(zk, k=k):
@@ -126,7 +125,7 @@ class TestDerivativeTensors:
                 zz = z.copy()
                 zz[k] = zk
                 tt = derivative_tensors(make_cfg(species, pot_anharmonic, zz))
-                return tt.A3 * 6 * np.einsum("i,j,k->ijk", sq, sq, sq)
+                return tt.A3 * 6
 
             fd4 = ((4 * (third_at(z[k] + h / 2) - third_at(z[k] - h / 2)) / h
                     - (third_at(z[k] + h) - third_at(z[k] - h)) / (2 * h)) / 3)
@@ -147,8 +146,7 @@ class TestDerivativeTensors:
                         [-0.03e-6, 0.06e-6, 2.2e-6]])
         cfg = make_cfg(species, trap, pos)
         t = derivative_tensors(cfg)
-        sq = np.sqrt(cfg.coordinate_masses)
-        raw3 = t.A3 * 6 * np.einsum("i,j,k->ijk", sq, sq, sq)
+        raw3 = t.A3 * 6
         h = 1e-9
         flat = pos.ravel()
         for k in (0, 2, 4, 5):  # sample of coordinates
@@ -171,10 +169,8 @@ class TestDerivativeTensors:
         species = (mgh, mgh)
         pos = np.array([[0.05e-6, -0.04e-6, -2.1e-6],
                         [-0.03e-6, 0.06e-6, 2.2e-6]])
-        sq = np.sqrt(make_cfg(species, trap, pos).coordinate_masses)
-        w3 = 6 * np.einsum("i,j,k->ijk", sq, sq, sq)
         t = derivative_tensors(make_cfg(species, trap, pos))
-        raw4 = t.A4 * 24 * np.einsum("i,j,k,l->ijkl", sq, sq, sq, sq)
+        raw4 = t.A4 * 24
         for p in itertools.permutations(range(4)):
             assert np.allclose(raw4, np.transpose(raw4, p), rtol=1e-10,
                                atol=1e-12 * np.max(np.abs(raw4)))
@@ -185,7 +181,7 @@ class TestDerivativeTensors:
                 vv = flat.copy()
                 vv[k] = vk
                 cfg = make_cfg(species, trap, vv.reshape(2, 3))
-                return derivative_tensors(cfg).A3 * w3
+                return derivative_tensors(cfg).A3 * 6
 
             fd4 = ((4 * (third_at(flat[k] + h / 2) - third_at(flat[k] - h / 2)) / h
                     - (third_at(flat[k] + h) - third_at(flat[k] - h)) / (2 * h)) / 3)
@@ -225,7 +221,7 @@ class TestModeTensors:
         t = derivative_tensors(cfg)
         g = mode_tensors(t, spec)
         assert g.G3[0, 0, 0] == pytest.approx(
-            spec.sigma_prime[0] ** 3 * t.A3[0, 0, 0], rel=1e-12)
+            spec.sigma_ion[0, 0] ** 3 * t.A3[0, 0, 0], rel=1e-12, abs=0)
 
     def test_com_cubic_coupling_vanishes(self, be, pot_harmonic):
         # internal Coulomb forces cannot couple to rigid translation
@@ -527,6 +523,8 @@ CONTRACTION_CASES = {
     "be_mg_1d_n4": lambda: solve_equilibrium(
         [BE9, MG24, MG24, BE9], axial_from_lambdas(KAPPA2, {3: LAMBDA3,
                                                              4: LAMBDA4})),
+    "be_1d_n3": lambda: solve_equilibrium(
+        [BE9] * 3, axial_from_lambdas(KAPPA2, {3: LAMBDA3, 4: LAMBDA4})),
     "be_1d_n6": lambda: solve_equilibrium(
         [BE9] * 6, axial_from_lambdas(KAPPA2, {3: LAMBDA3, 4: LAMBDA4})),
     "mgh_3d_n2": lambda: _trap_chain([MGH25] * 2, 1),
@@ -572,6 +570,16 @@ class TestContractedChi:
         want_q = _pair_diagonal(dense.G4)
         assert np.max(np.abs(q - want_q)) <= 1e-12 * np.max(np.abs(want_q))
         assert np.max(np.abs(g3 - dense.G3)) <= 1e-12 * np.max(np.abs(dense.G3))
+
+    @pytest.mark.parametrize("case", ["be_1d_n3", "mgh_3d_n2", "mgh_3d_n4",
+                                      "mgh_3d_n6"])
+    def test_g3_is_one_computation(self, case):
+        """Both routes carry d3U/3! to the modes by sigma_ion with the same
+        code, so their G3 agree bit for bit."""
+        cfg = CONTRACTION_CASES[case]()
+        spec = mode_spectrum(cfg)
+        assert np.array_equal(mode_tensors(derivative_tensors(cfg), spec).G3,
+                              _chi_tensors(cfg, spec)[0])
 
     @pytest.mark.filterwarnings("ignore:.*near-resonant:RuntimeWarning")
     def test_no_dense_tensors_on_the_chi_path(self, monkeypatch):

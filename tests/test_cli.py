@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,14 @@ COMMAND_CONFIGS = {
     "null": "null_kappa3.json",
     "scan": "scan_com_be.json",
     "sensitivity": "sensitivity_single_be.json",
+}
+
+
+# chi files that fail to parse, and the line each error names
+MALFORMED_CHI_TEXT = {
+    "ragged_row": ("# frequencies_hz: 2e6 1e6\n1 2\n3\n", 3),
+    "non_number": ("# frequencies_hz: 2e6 1e6\n1 x\n3 4\n", 2),
+    "non_number_frequency": ("# frequencies_hz: 2e6 y\n1 2\n3 4\n", 1),
 }
 
 
@@ -78,6 +87,15 @@ class TestChiFile:
     def test_missing_frequencies_rejected(self):
         with pytest.raises(ValueError, match="frequencies_hz"):
             read_chi(io.StringIO("1 2\n3 4\n"))
+
+    @pytest.mark.parametrize("text,where", MALFORMED_CHI_TEXT.values(),
+                             ids=list(MALFORMED_CHI_TEXT))
+    def test_parse_errors_name_file_and_line(self, text, where, tmp_path):
+        path = tmp_path / "bad_chi.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}, line {where}: "):
+            read_chi(path)
 
     def test_ascending_frequencies_rejected(self):
         bad = "# frequencies_hz: 1e6 2e6\n1 2\n3 4\n"
@@ -452,6 +470,19 @@ class TestMalformedConfig:
         assert captured.out == ""
         assert captured.err.startswith("config error: gate.chi_file: ")
         assert "finite" in captured.err
+
+    @pytest.mark.parametrize("text", [t for t, _ in MALFORMED_CHI_TEXT.values()],
+                             ids=list(MALFORMED_CHI_TEXT))
+    def test_unparsable_chi_file(self, text, tmp_path, capsys):
+        (tmp_path / "unparsable.txt").write_text(text)
+        path = _mutated_config(tmp_path, "gate_two_ion.json",
+                               {"gate.chi_file": "unparsable.txt"})
+        rc = main(["gate", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("config error: gate.chi_file: ")
+        assert "unparsable.txt, line " in captured.err
 
     def test_override_on_non_object_document(self, tmp_path, capsys):
         path = tmp_path / "list.json"

@@ -60,12 +60,27 @@ class TestEnvironment:
         with pytest.raises(ValueError):
             ThermalEnvironment(temperature=1e-3, nbar=(1.0,))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"temperature": math.nan}, {"temperature": math.inf},
+        {"nbar": [math.nan]}, {"nbar": [0.1, math.inf]}],
+        ids=["nan_temperature", "inf_temperature", "nan_nbar", "inf_nbar"])
+    def test_non_finite_values_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ThermalEnvironment(**kwargs)
+
     def test_nbar_equivalence(self):
         freqs = np.array([7e6, 5e6, 1.8e6])
         temp_env = ThermalEnvironment(temperature=0.7e-3)
         nbar_env = ThermalEnvironment(nbar=tuple(temp_env.occupations(freqs)))
         assert nbar_env.occupations(freqs) == pytest.approx(
             temp_env.occupations(freqs), rel=1e-14)
+
+
+class TestFockSuperposition:
+    @pytest.mark.parametrize("n_upper", [1.5, 2.0, math.nan])
+    def test_non_integer_n_upper_rejected(self, n_upper):
+        with pytest.raises(ValueError):
+            FockSuperposition(mode=0, n_upper=n_upper)
 
 
 class TestFockCoherence:

@@ -1,12 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionmodes import AxialPotential, IonSpecies, axial_from_lambdas, \
-    harmonic_axial, make_species, mode_spectrum, \
+from ionmodes import BE9, AxialPotential, IonSpecies, TrapModel3D, \
+    axial_from_lambdas, harmonic_axial, make_species, mode_spectrum, \
     solve_equilibrium, trap3d_from_frequencies
 from ionmodes.constants import ATOMIC_MASS, ELEMENTARY_CHARGE
 
@@ -33,10 +34,28 @@ class TestMakeSpecies:
         with pytest.raises(ValueError):
             make_species("X", 9.0, 0)
 
+    @pytest.mark.parametrize("mass_u,charge_e", [
+        (math.nan, 1), (math.inf, 1), (9.0, 1.5)],
+        ids=["nan_mass", "inf_mass", "fractional_charge"])
+    def test_non_finite_mass_or_fractional_charge_rejected(self, mass_u,
+                                                           charge_e):
+        with pytest.raises(ValueError):
+            make_species("X", mass_u, charge_e)
+
     @given(st.floats(0.5, 300.0))
     def test_si_conversion(self, mass_u):
         assert make_species("X", mass_u).mass == pytest.approx(
             mass_u * ATOMIC_MASS, rel=1e-15)
+
+
+class TestIonSpecies:
+    @pytest.mark.parametrize("mass,charge", [
+        (math.nan, 1), (math.inf, 1), (1.5e-26, 1.5), (1.5e-26, math.nan)],
+        ids=["nan_mass", "inf_mass", "fractional_charge", "nan_charge"])
+    def test_non_finite_mass_or_non_integer_charge_rejected(self, mass,
+                                                            charge):
+        with pytest.raises(ValueError):
+            IonSpecies("X", mass, charge)
 
 
 class TestAxialFromLambdas:
@@ -115,12 +134,18 @@ class TestEvaluateAxial:
 
 
 class TestPseudoGradient:
+    # The slope term q g z (~1e-25 J) is read as the difference of two
+    # energies that share the ~200x larger harmonic term q kappa2 z^2; the
+    # difference is exact (Sterbenz), so its error is the rounding of that
+    # sum, at most half an ulp of the harmonic term: 1.5e-14 of the
+    # reference slope term and 3.1e-14 of the heavy one.
     def test_reference_species_slope(self, be):
         pot = harmonic_axial(KAPPA2, pseudo_gradient=0.2, pseudo_reference=be)
         z = 3e-6
         grad_part = (pot.energy_derivative(be, z, 0)
                      - harmonic_axial(KAPPA2).energy_derivative(be, z, 0))
-        assert grad_part == pytest.approx(0.2 * be.charge_si * z, rel=1e-14)
+        assert grad_part == pytest.approx(0.2 * be.charge_si * z, rel=1e-13,
+                                          abs=0)
 
     def test_inverse_mass_scaling(self, be):
         heavy = IonSpecies("heavy", 2 * be.mass, be.charge)
@@ -131,11 +156,33 @@ class TestPseudoGradient:
                     - base.energy_derivative(be, z, 0))
         heavy_part = (pot.energy_derivative(heavy, z, 0)
                       - base.energy_derivative(heavy, z, 0))
-        assert heavy_part == pytest.approx(ref_part / 2, rel=1e-14)
+        assert heavy_part == pytest.approx(ref_part / 2, rel=1e-13, abs=0)
 
     def test_gradient_requires_reference(self):
         with pytest.raises(ValueError):
             harmonic_axial(KAPPA2, pseudo_gradient=0.1)
+
+
+class TestAxialPotentialRanges:
+    @pytest.mark.parametrize("kwargs", [
+        {"kappa": {2: math.nan}},
+        {"kappa": {2: math.inf}},
+        {"kappa": {2: KAPPA2, 3: math.nan}},
+        {"kappa": {2: KAPPA2, 4: -math.inf}},
+        {"kappa": {2: KAPPA2}, "uniform_field": math.nan},
+        {"kappa": {2: KAPPA2}, "uniform_field": math.inf},
+        {"kappa": {2: KAPPA2}, "pseudo_gradient": math.nan,
+         "pseudo_reference": BE9},
+        {"kappa": {2: KAPPA2}, "pseudo_gradient": -math.inf,
+         "pseudo_reference": BE9},
+        {"kappa": {2: KAPPA2}, "expansion_origin": math.nan},
+        {"kappa": {2: KAPPA2}, "expansion_origin": math.inf},
+    ], ids=["nan_kappa2", "inf_kappa2", "nan_kappa3", "inf_kappa4",
+            "nan_field", "inf_field", "nan_gradient", "inf_gradient",
+            "nan_origin", "inf_origin"])
+    def test_non_finite_coefficients_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            AxialPotential(**kwargs)
 
 
 class TestTrap3D:
@@ -157,7 +204,19 @@ class TestTrap3D:
         trap = trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2))
         assert not trap.trap_cubic.any()
         assert not trap.trap_quartic.any()
-        assert not trap.has_tensors
+
+    @pytest.mark.parametrize("f_radial", [(math.nan, 5e6), (7e6, math.inf)],
+                             ids=["nan", "inf"])
+    def test_non_finite_frequency_rejected(self, be, f_radial):
+        with pytest.raises(ValueError):
+            trap3d_from_frequencies(be, f_radial, harmonic_axial(KAPPA2))
+
+    @pytest.mark.parametrize("curvatures", [(math.nan, 1e8), (1e8, math.inf)],
+                             ids=["nan", "inf"])
+    def test_non_finite_curvature_rejected(self, be, curvatures):
+        with pytest.raises(ValueError):
+            TrapModel3D(axial=harmonic_axial(KAPPA2),
+                        radial_curvatures=curvatures, reference=be)
 
     def test_nonpositive_frequency_rejected(self, be):
         with pytest.raises(ValueError):
