@@ -15,7 +15,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .modes import ModeSpectrum, mode_spectrum
 from .potentials import AxialPotential
@@ -126,6 +125,8 @@ def _null(family, species_a, species_b, mode_label, bracket):
     Each parameter value is solved once per call: the bracket ends, Brent's
     iterates and the residual check at p* share one memo.
     """
+    from scipy.optimize import brentq
+
     _check_label(mode_label)
     p_lo, p_hi = bracket
 
@@ -166,6 +167,8 @@ def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
     The out-of-phase shift is read from the null's own solves, and each
     trial gradient is nulled once per call.
     """
+    from scipy.optimize import brentq
+
     if family.base.pseudo_reference is None:
         raise ValueError("family base must carry a pseudo_reference species")
 

@@ -61,6 +61,10 @@ class FockSuperposition:
     n_upper: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.mode, Integral) or isinstance(self.mode, bool):
+            raise ValueError(f"mode must be an integer, got {self.mode!r}")
+        if self.mode < 0:
+            raise ValueError("mode must be >= 0")
         if not isinstance(self.n_upper, Integral):
             raise ValueError(f"n_upper must be an integer, got {self.n_upper!r}")
         if self.n_upper < 1:
@@ -110,6 +114,8 @@ def thermal_gate_infidelity(chi: ChiMatrix, z: int, delta: float,
     """
     if delta == 0:
         raise ValueError("detuning must be nonzero")
+    if not math.isfinite(delta):
+        raise ValueError("detuning must be finite")
     if not 0 <= z < chi.n_modes:
         raise IndexError(f"mode index {z} out of range")
     nbar = env.occupations(chi.mode_frequencies)

@@ -82,6 +82,11 @@ class TestFockSuperposition:
         with pytest.raises(ValueError):
             FockSuperposition(mode=0, n_upper=n_upper)
 
+    @pytest.mark.parametrize("mode", [1.5, True, -1])
+    def test_invalid_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="mode must be"):
+            FockSuperposition(mode=mode)
+
 
 class TestFockCoherence:
     def test_starts_at_unity(self):
@@ -229,6 +234,11 @@ class TestThermalGateInfidelity:
     def test_zero_detuning_rejected(self):
         with pytest.raises(ValueError):
             thermal_gate_infidelity(chi_two_ion(), 1, 0.0, DOPPLER)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detuning_rejected(self, delta):
+        with pytest.raises(ValueError, match="detuning must be finite"):
+            thermal_gate_infidelity(chi_two_ion(), 1, delta, DOPPLER)
 
     def test_thermal_average_of_ideal_loop(self):
         # With Omega = delta the unperturbed loop closes at T = 2 pi/delta

@@ -2,12 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse import linalg as sparse_linalg
 
 from ionmodes import CutoffError, StateMatchError, exact_transition_frequency
 from ionmodes import fockspace
 from ionmodes.constants import HBAR, PLANCK
 
 from conftest import dense_hamiltonian, dense_transition_frequency
+
+
+OMEGA2 = 2 * np.pi * np.array([4.9e6, 1.7e6])
 
 
 def symmetric(rng, shape, scale):
@@ -97,6 +101,28 @@ class TestExactTransitionFrequency:
             exact_transition_frequency(2 * np.pi * np.ones(4) * 1e6, None,
                                        None, [0, 0, 0, 0], 0)
 
+    @pytest.mark.parametrize("bad", [
+        {"omega": -OMEGA2}, {"omega": np.array([np.nan, 1e7])},
+        {"g3": np.zeros((3, 3, 3))}, {"g4": np.zeros((2, 2, 2))},
+        {"g4": np.full((2, 2, 2, 2), np.inf)}, {"cutoff": 0},
+        {"cutoff": 1}, {"cutoff": 9.0}, {"cutoff": True}, {"z": 0.5},
+        {"z": True}],
+        ids=["negative_omega", "nan_omega", "g3_too_many_modes", "g4_rank_3",
+             "inf_g4", "cutoff_0", "cutoff_1", "float_cutoff", "bool_cutoff",
+             "float_z", "bool_z"])
+    def test_invalid_inputs_rejected(self, bad):
+        """Each bad argument is named in a ValueError, by both entry points
+        (z only reaches exact_transition_frequency)."""
+        args = {"omega": OMEGA2, "g3": None, "g4": None, "cutoff": 8, **bad}
+        (name,) = bad
+        z = args.pop("z", 0)
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            exact_transition_frequency(args["omega"], args["g3"], args["g4"],
+                                       [0, 0], z, args["cutoff"])
+        if name != "z":
+            with pytest.raises(ValueError, match=rf"^{name} must"):
+                fockspace.build_hamiltonian(**args)
+
 
 def random_couplings(seed, n_modes, cubic, quartic):
     """Mode frequencies (rad/s) and random symmetric G3, G4 (J) scaled to
@@ -114,10 +140,15 @@ def eigensolver_floor(omega, cutoff):
 
 
 class TestSparseSolver:
-    @pytest.mark.parametrize("n_modes,cutoff",
-                             [(1, 4), (1, 12), (2, 5), (2, 12), (3, 4), (3, 6)])
-    def test_hamiltonian_matches_dense_oracle(self, n_modes, cutoff):
+    @pytest.mark.parametrize("n_modes,cutoff,terms", [
+        *(pytest.param(n, c, "g3 g4", id=f"{n}-{c}") for n, c in
+          ((1, 4), (1, 12), (2, 5), (2, 12), (3, 4), (3, 6), (2, 14))),
+        pytest.param(3, 5, "g3", id="3-5-g3_only"),
+        pytest.param(2, 14, "g4", id="2-14-g4_only")])
+    def test_hamiltonian_matches_dense_oracle(self, n_modes, cutoff, terms):
         omega, g3, g4 = random_couplings(n_modes + cutoff, n_modes, 1e-2, 1e-3)
+        g3 = g3 if "g3" in terms.split() else None
+        g4 = g4 if "g4" in terms.split() else None
         h = fockspace.build_hamiltonian(omega, g3, g4, cutoff)
         dense = dense_hamiltonian(omega, g3, g4, cutoff)
         assert h.format == "csc"
@@ -166,3 +197,49 @@ class TestSparseSolver:
         assert calls == [(216, 216)]
         assert f == pytest.approx(expected, rel=0,
                                   abs=eigensolver_floor(omega, 6))
+
+    def test_each_level_factorized_once_and_passed_as_opinv(self, monkeypatch):
+        omega, g3, g4 = random_couplings(16, 2, 2e-3, 2e-4)
+        factorized, opinv = [], []
+        splu, eigsh = sparse_linalg.splu, sparse_linalg.eigsh
+
+        def counted_splu(*args, **kwargs):
+            factorized.append(kwargs.get("permc_spec"))
+            return splu(*args, **kwargs)
+
+        def recorded_eigsh(*args, **kwargs):
+            opinv.append(kwargs.get("OPinv"))
+            return eigsh(*args, **kwargs)
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense fallback taken")
+
+        monkeypatch.setattr(sparse_linalg, "splu", counted_splu)
+        monkeypatch.setattr(sparse_linalg, "eigsh", recorded_eigsh)
+        monkeypatch.setattr(fockspace, "eigh", no_dense)
+        f = exact_transition_frequency(omega, g3, g4, [1, 0], 1, 10)
+        assert factorized == ["MMD_AT_PLUS_A"] * 2
+        assert len(opinv) == 2 and all(op is not None for op in opinv)
+        expected, _ = dense_transition_frequency(omega, g3, g4, [1, 0], 1, 10)
+        assert f == pytest.approx(expected, rel=0,
+                                  abs=eigensolver_floor(omega, 10))
+
+    def test_singular_shift_takes_dense_fallback(self, monkeypatch):
+        omega, g3, g4 = random_couplings(16, 2, 2e-3, 2e-4)
+        calls = []
+        dense_eigh = fockspace.eigh
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        def counted_eigh(*args, **kwargs):
+            calls.append(args[0].shape)
+            return dense_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(sparse_linalg, "splu", singular)
+        monkeypatch.setattr(fockspace, "eigh", counted_eigh)
+        f = exact_transition_frequency(omega, g3, g4, [1, 0], 1, 10)
+        expected, _ = dense_transition_frequency(omega, g3, g4, [1, 0], 1, 10)
+        assert calls == [(100, 100)]
+        assert f == pytest.approx(expected, rel=0,
+                                  abs=eigensolver_floor(omega, 10))

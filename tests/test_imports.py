@@ -11,6 +11,8 @@ workload or a script; a name only tests reach belongs in ``tests/``.
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,3 +95,23 @@ def test_caller_checker_ignores_definitions_and_substrings():
                "class C:\n    pass\n\ny = C()\n", "z = h + 1\n"]
     assert exported_names(init) == ["f", "h", "C", "k"]
     assert names_without_caller(exported_names(init), sources) == ["f", "k"]
+
+
+# scipy modules only fockspace and the calibration root finds need
+LAZY_SCIPY = ("scipy.optimize", "scipy.sparse")
+
+
+def test_import_and_modes_command_leave_lazy_scipy_unloaded():
+    code = (
+        "import sys\n"
+        "import ionmodes, ionmodes.cli\n"
+        f"lazy = {LAZY_SCIPY!r}\n"
+        "loaded = [m for m in lazy if m in sys.modules]\n"
+        "ionmodes.cli.main(['modes', '--config', sys.argv[1]])\n"
+        "loaded += [m for m in lazy if m in sys.modules]\n"
+        "print(loaded, file=sys.stderr)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "configs/modes_bmmb.json")],
+        capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"
