@@ -17,11 +17,11 @@ theory; its integer coefficients (12, 36, 6, 72, ...) presuppose exactly the
 factorial normalization above.
 
 The shift is exactly linear in every occupation, Delta f_Z = base_Z + sum_a
-chi_Za n_a, and the per-quantum cross-coupling chi_Za is the coefficient of
-n_a in that closed form; frequency_shift and chi_matrix read one kernel.
-The kernel reads the quartic only on its pair diagonal G4_aaZZ (a = Z
-included), so chi_from_configuration contracts that diagonal straight from
-the statics blocks and never forms A4 or G4.
+chi_Za n_a.  A ChiMatrix carries that whole model, ``base`` and chi; one
+guarded builder makes it for chi_matrix and chi_from_configuration, and
+frequency_shift reads it.  The kernel reads the quartic only on its pair
+diagonal G4_aaZZ (a = Z included), so chi_from_configuration contracts that
+diagonal straight from the statics blocks and never forms A4 or G4.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import HBAR, PLANCK
-from .modes import ModeSpectrum, _at_equilibrium, mode_spectrum
+from .modes import ModeSpectrum, _at_equilibrium, _index, mode_spectrum
 from .statics import ChainConfiguration, _Energy, _warn_caller
 
 RESONANCE_HARD = 1e-3  # |denominator| below this (x max omega^2): error
@@ -61,12 +61,13 @@ class ModeTensors:
 
 @dataclass(frozen=True, eq=False)
 class ChiMatrix:
-    """Per-quantum frequency-shift matrix chi_Za in Hz."""
+    """Transition model Delta f_Z = base_Z + sum_a chi_Za n_a, in Hz."""
 
     chi: np.ndarray
     mode_frequencies: np.ndarray  # Hz, descending
     provenance: dict
     near_resonances: tuple = ()
+    base: np.ndarray | None = None  # Hz per mode; None when read from a file
 
     @property
     def n_modes(self) -> int:
@@ -128,12 +129,6 @@ def _chi_tensors(cfg: ChainConfiguration, spectrum: ModeSpectrum):
     t3, = _at_equilibrium(cfg, 3)
     q = _Energy(cfg.species, cfg.potential).quartic_diagonal(cfg.positions, u)
     return _to_modes(t3 / 6.0, u), q / 24.0
-
-
-def _quartic_pairs(g4: np.ndarray) -> np.ndarray:
-    """Q[Z, a] = G4_aaZZ of a full quartic mode tensor."""
-    i = np.arange(len(g4))
-    return g4[i[None, :], i[None, :], i[:, None], i[:, None]]
 
 
 def detect_resonances(spectrum: ModeSpectrum, rel_tol: float = RESONANCE_HARD):
@@ -228,42 +223,45 @@ def _shift_coefficients(g3: np.ndarray, q: np.ndarray, spectrum: ModeSpectrum):
     return base / PLANCK, chi / PLANCK
 
 
+def _chi(g3: np.ndarray, q: np.ndarray, spectrum: ModeSpectrum, near: tuple,
+         provenance: dict) -> ChiMatrix:
+    """ChiMatrix from G3 and q = G4_aaZZ once the guard passed (``near``)."""
+    base, chi = _shift_coefficients(g3, q, spectrum)
+    return ChiMatrix(chi=chi, mode_frequencies=spectrum.frequencies.copy(),
+                     provenance=provenance, near_resonances=near, base=base)
+
+
 def frequency_shift(tensors: ModeTensors, spectrum: ModeSpectrum,
                     occupations, z: int) -> float:
     """Anharmonic shift of the n_Z <-> n_Z + 1 transition frequency (Hz).
 
     First-order quartic plus second-order cubic perturbation theory,
-    evaluated for the given spectator occupations.  The shift is exactly
-    linear in every occupation number: base_Z + sum_a chi_Za n_a.
+    evaluated for the given spectator occupations: base_Z + sum_a chi_Za n_a
+    read off chi_matrix, which reruns the guard and the kernel per call.
     """
-    d = spectrum.n_modes
-    if not 0 <= z < d:
-        raise IndexError(f"mode index {z} out of range")
-    n = occupation_vector(occupations, d)
-    _resonance_guard(spectrum)
-    base, chi = _shift_coefficients(tensors.G3, _quartic_pairs(tensors.G4),
-                                    spectrum)
-    return float(base[z] + chi[z] @ n)
+    z = _index(z, spectrum.n_modes, "z")
+    n = occupation_vector(occupations, spectrum.n_modes)
+    model = chi_matrix(tensors, spectrum)
+    return float(model.base[z] + model.chi[z] @ n)
 
 
 def chi_matrix(tensors: ModeTensors, spectrum: ModeSpectrum) -> ChiMatrix:
-    """Per-quantum cross-coupling matrix chi_Za (Hz).
+    """Transition model of synthetic or dense mode tensors (Hz).
 
     chi_Za is the coefficient of n_a in the closed-form shift of mode Z's
     transition frequency, so frequency_shift = base + chi @ n; the diagonal
     is the coefficient of n_Z itself.
     """
     near = _resonance_guard(spectrum)
-    _, chi = _shift_coefficients(tensors.G3, _quartic_pairs(tensors.G4),
-                                 spectrum)
-    return ChiMatrix(chi=chi, mode_frequencies=spectrum.frequencies.copy(),
-                     provenance={}, near_resonances=near)
+    i = np.arange(len(tensors.G4))
+    q = tensors.G4[i[None, :], i[None, :], i[:, None], i[:, None]]  # G4_aaZZ
+    return _chi(tensors.G3, q, spectrum, near, {})
 
 
 def chi_from_configuration(cfg: ChainConfiguration,
                            spectrum: ModeSpectrum | None = None) -> ChiMatrix:
     """Full pipeline: resonance guard -> G3 and the quartic pair diagonal
-    contracted from the chain's derivative blocks -> chi matrix.
+    contracted from the chain's derivative blocks -> transition model.
 
     Equal to chi_matrix(mode_tensors(derivative_tensors(cfg), spectrum),
     spectrum) to rounding, in O(D^3) memory: no rank-4 tensor is built.
@@ -272,9 +270,7 @@ def chi_from_configuration(cfg: ChainConfiguration,
         spectrum = mode_spectrum(cfg)
     near = _resonance_guard(spectrum)
     g3, q = _chi_tensors(cfg, spectrum)
-    _, chi = _shift_coefficients(g3, q, spectrum)
     pot = cfg.potential
-    prov = {"coulomb": cfg.n_ions > 1, "trap_cubic": pot.has_order(3),
-            "trap_quartic": pot.has_order(4)}
-    return ChiMatrix(chi=chi, mode_frequencies=spectrum.frequencies.copy(),
-                     provenance=prov, near_resonances=near)
+    return _chi(g3, q, spectrum, near,
+                {"coulomb": cfg.n_ions > 1, "trap_cubic": pot.has_order(3),
+                 "trap_quartic": pot.has_order(4)})

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modes import ModeSpectrum, mode_spectrum
+from .modes import ModeSpectrum, _index, mode_spectrum
 from .potentials import AxialPotential
 from .species import IonSpecies
 from .statics import solve_equilibrium
@@ -194,10 +194,7 @@ def _mode_pick(spectrum: ModeSpectrum, mode) -> int:
     """Resolve 'com' (lowest, all-in-phase) or a descending index."""
     if mode == "com":
         return spectrum.n_modes - 1  # lowest frequency
-    k = int(mode)
-    if not 0 <= k < spectrum.n_modes:
-        raise IndexError(f"mode index {k} out of range")
-    return k
+    return _index(mode, spectrum.n_modes, "mode")
 
 
 def field_sensitivity(pot: AxialPotential, species, field: float,

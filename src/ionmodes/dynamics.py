@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .anharmonic import ChiMatrix
 from .constants import BOLTZMANN, PLANCK
+from .modes import _index, _is_integer
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,11 @@ class FockSuperposition:
     n_upper: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.mode, Integral) or isinstance(self.mode, bool):
+        if not _is_integer(self.mode):
             raise ValueError(f"mode must be an integer, got {self.mode!r}")
         if self.mode < 0:
             raise ValueError("mode must be >= 0")
-        if not isinstance(self.n_upper, Integral):
+        if not _is_integer(self.n_upper):
             raise ValueError(f"n_upper must be an integer, got {self.n_upper!r}")
         if self.n_upper < 1:
             raise ValueError("n_upper must be >= 1")
@@ -85,10 +85,8 @@ def fock_coherence(chi: ChiMatrix, sup: FockSuperposition,
     C(t) = prod_{a != Z} (1 - e^(-x_a)) / |1 - e^(-x_a - i 2 pi chi_Za n_Z t)|
     with x_a = h f_a / k_B T; t may be an array.
     """
-    z = sup.mode
     d = chi.n_modes
-    if not 0 <= z < d:
-        raise IndexError(f"mode index {z} out of range")
+    z = _index(sup.mode, d, "mode")
     t = np.asarray(t, dtype=float)
     nbar = env.occupations(chi.mode_frequencies)
     spectator = np.arange(d) != z
@@ -116,8 +114,7 @@ def thermal_gate_infidelity(chi: ChiMatrix, z: int, delta: float,
         raise ValueError("detuning must be nonzero")
     if not math.isfinite(delta):
         raise ValueError("detuning must be finite")
-    if not 0 <= z < chi.n_modes:
-        raise IndexError(f"mode index {z} out of range")
+    z = _index(z, chi.n_modes, "z")
     nbar = env.occupations(chi.mode_frequencies)
     row = chi.chi[z, :]
     lin = float(row @ nbar)

@@ -25,13 +25,13 @@ fails, the transition is computed by dense diagonalization of the same H.
 from __future__ import annotations
 
 import itertools
-from numbers import Integral
 
 import numpy as np
 from scipy.linalg import eigh
 
 from .anharmonic import occupation_vector
 from .constants import HBAR, PLANCK
+from .modes import _index, _is_integer
 
 MAX_MODES = 3
 MAX_CUTOFF = 16
@@ -47,10 +47,6 @@ class CutoffError(RuntimeError):
 
 class StateMatchError(RuntimeError):
     """No eigenstate has a dominant overlap with the requested label."""
-
-
-def _is_integer(v) -> bool:
-    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 def _x_bands(cutoff: int):
@@ -189,10 +185,7 @@ def exact_transition_frequency(omega, g3, g4, occupations, z: int,
     omega = np.asarray(omega, dtype=float)
     nm = len(omega)
     occ = occupation_vector(occupations, nm)
-    if not _is_integer(z):
-        raise ValueError(f"z must be an integer, got {z!r}")
-    if not 0 <= z < nm:
-        raise IndexError("probed mode index out of range")
+    z = _index(z, nm, "z")
     if max(occ) + 2 >= cutoff:
         raise CutoffError("cutoff too small for the requested occupations")
     dims = (cutoff,) * nm

@@ -10,10 +10,10 @@ of the lowest-index coordinate is made non-negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.special import eval_laguerre
 
 from .constants import HBAR
 from .statics import ChainConfiguration, _Energy
@@ -23,6 +23,19 @@ EQUILIBRIUM_SLACK = 1e3  # tolerated residual, in units of the solver residual
 
 class NotAtEquilibriumError(ValueError):
     pass
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _index(k, d: int, name: str) -> int:
+    """k as an index into d modes or coordinates: a non-bool integer in [0, d)."""
+    if not _is_integer(k):
+        raise ValueError(f"{name} must be an integer, got {k!r}")
+    if not 0 <= k < d:
+        raise IndexError(f"{name} = {k} out of range [0, {d})")
+    return int(k)
 
 
 def _at_equilibrium(cfg: ChainConfiguration, *orders) -> list:
@@ -97,23 +110,22 @@ def mode_spectrum(cfg: ChainConfiguration) -> ModeSpectrum:
 def ground_state_size(spectrum: ModeSpectrum, ion: int, mode: int) -> float:
     """Signed ground-state rms extent of one coordinate in one mode (m)."""
     d = spectrum.n_modes
-    if not (0 <= ion < d and 0 <= mode < d):
-        raise IndexError(f"ion/mode index out of range for {d} coordinates")
-    return float(spectrum.sigma_ion[ion, mode])
+    return float(spectrum.sigma_ion[_index(ion, d, "ion"),
+                                    _index(mode, d, "mode")])
 
 
 def lamb_dicke(spectrum: ModeSpectrum, delta_k: float, ion: int, mode: int) -> float:
     """Lamb-Dicke parameter eta = delta_k * |sigma_i| for an ion-mode pair."""
-    if not delta_k > 0:
-        raise ValueError("delta_k must be positive")
+    if not 0 < delta_k < np.inf:
+        raise ValueError("delta_k must be positive and finite")
     return delta_k * abs(ground_state_size(spectrum, ion, mode))
 
 
 def amplitude_ratio(spectrum: ModeSpectrum, mode: int, ion_a: int, ion_b: int) -> float:
     """|e'_{a,mode} / e'_{b,mode}| of mass-weighted eigenvector components."""
     d = spectrum.n_modes
-    if not (0 <= mode < d and 0 <= ion_a < d and 0 <= ion_b < d):
-        raise IndexError("index out of range")
+    mode, ion_a, ion_b = (_index(mode, d, "mode"), _index(ion_a, d, "ion_a"),
+                          _index(ion_b, d, "ion_b"))
     denom = spectrum.eigenvectors[ion_b, mode]
     if abs(denom) < 1e-9:
         raise ZeroDivisionError(
@@ -127,8 +139,10 @@ def carrier_matrix_element(eta: float, n: int) -> float:
     Equals exp(-eta^2/2) L_n(eta^2); the flopping rate of a carrier
     transition on an ion in Fock state n is reduced by this factor.
     """
-    if not eta >= 0:
-        raise ValueError("eta must be non-negative")
+    from scipy.special import eval_laguerre
+
+    if not 0 <= eta < np.inf:
+        raise ValueError("eta must be non-negative and finite")
     if n < 0 or int(n) != n:
         raise ValueError("n must be a non-negative integer")
     x = eta * eta

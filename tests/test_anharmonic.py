@@ -347,13 +347,15 @@ class TestFrequencyShift:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             warnings.filterwarnings("ignore", ".*near-resonant", RuntimeWarning)
-            chi = chi_matrix(g, spec).chi
+            model = chi_matrix(g, spec)
             base = np.array([frequency_shift(g, spec, np.zeros(d, int), z)
                              for z in range(d)])
         want_base, want_chi = oracle_chi(g, spec)
         assert np.max(np.abs(want_chi)) > 0
-        assert np.max(np.abs(chi - want_chi)) <= 1e-12 * np.max(np.abs(want_chi))
-        assert np.all(np.abs(base - want_base) <= 1e-12 * np.abs(want_base))
+        assert np.max(np.abs(model.chi - want_chi)) <= \
+            1e-12 * np.max(np.abs(want_chi))
+        assert np.all(np.abs(model.base - want_base) <= 1e-12 * np.abs(want_base))
+        assert np.array_equal(model.base, base)
 
 
 class TestDetectResonances:
@@ -558,6 +560,8 @@ class TestContractedChi:
         scale = np.max(np.abs(want.chi))
         assert scale > 0
         assert np.max(np.abs(got.chi - want.chi)) <= 1e-12 * scale
+        assert np.max(np.abs(got.base - want.base)) <= \
+            1e-12 * np.max(np.abs(want.base))
         assert got.near_resonances == want.near_resonances
         assert np.array_equal(got.mode_frequencies, want.mode_frequencies)
 

@@ -16,6 +16,10 @@ from ionmodes.cli import main
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
 DATA = REPO / "data"
+# CLI output of every shipped config at 12 digits: stdout per command, and
+# chi's --out text with its .json mirror.  A change meant to alter these
+# bytes regenerates the files and says so.
+GOLDEN = REPO / "tests" / "data" / "cli"
 COMMAND_CONFIGS = {
     "chi": "chi_two_mgh_coulomb.json",
     "coherence": "coherence_single_ion.json",
@@ -48,6 +52,7 @@ class TestChiFile:
         back = read_chi(io.StringIO(text))
         assert np.array_equal(back.chi, chi.chi)
         assert np.array_equal(back.mode_frequencies, chi.mode_frequencies)
+        assert back.base is None  # a chi file carries no zero-occupation shift
 
     def test_default_precision_round_trip(self):
         chi = self._chi()
@@ -140,6 +145,22 @@ class TestCommandLine:
         out1, out2 = run_cli(*args), run_cli(*args)
         assert out1.returncode == 0
         assert out1.stdout and out1.stdout == out2.stdout
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
+    @pytest.mark.filterwarnings("ignore:.*near-resonant:RuntimeWarning")
+    def test_output_matches_golden_bytes(self, command, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.delenv("IONMODES_PRECISION", raising=False)
+        config = str(CONFIGS / COMMAND_CONFIGS[command])
+        assert main([command, "--config", config]) == 0
+        assert capsys.readouterr().out.encode() == \
+            (GOLDEN / f"{command}.txt").read_bytes()
+        if command == "chi":
+            out = tmp_path / "chi_out.txt"
+            assert main([command, "--config", config, "--out", str(out)]) == 0
+            for name in ("chi_out.txt", "chi_out.json"):
+                assert (tmp_path / name).read_bytes() == \
+                    (GOLDEN / name).read_bytes()
 
     def test_chi_matches_reference_dominant_entries(self, tmp_path):
         out = tmp_path / "chi.txt"

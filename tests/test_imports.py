@@ -97,8 +97,9 @@ def test_caller_checker_ignores_definitions_and_substrings():
     assert names_without_caller(exported_names(init), sources) == ["f", "k"]
 
 
-# scipy modules only fockspace and the calibration root finds need
-LAZY_SCIPY = ("scipy.optimize", "scipy.sparse")
+# scipy modules only fockspace, the calibration root finds and
+# carrier_matrix_element need
+LAZY_SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.special")
 
 
 def test_import_and_modes_command_leave_lazy_scipy_unloaded():

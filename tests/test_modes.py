@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from ionmodes import ChainConfiguration, NotAtEquilibriumError, \
-    amplitude_ratio, axial_from_lambdas, carrier_matrix_element, \
-    characteristic_length, ground_state_size, hessian, lamb_dicke, \
-    mode_spectrum, solve_equilibrium
+from ionmodes import ChainConfiguration, ChiMatrix, NotAtEquilibriumError, \
+    ThermalEnvironment, amplitude_ratio, axial_from_lambdas, \
+    carrier_matrix_element, characteristic_length, field_sensitivity, \
+    frequency_shift, ground_state_size, hessian, lamb_dicke, mode_spectrum, \
+    solve_equilibrium, thermal_gate_infidelity
+from ionmodes.anharmonic import ModeTensors
 from ionmodes.constants import EPSILON_0, HBAR
 
 from conftest import KAPPA2
@@ -273,3 +276,40 @@ class TestCarrierMatrixElement:
             carrier_matrix_element(-0.1, 0)
         with pytest.raises(ValueError):
             carrier_matrix_element(0.1, -1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: carrier_matrix_element(math.inf, 1),
+    lambda spec: lamb_dicke(spec, math.inf, 0, 0)], ids=["eta", "delta_k"])
+def test_infinite_lamb_dicke_input_rejected(call, be, pot_harmonic):
+    spec = mode_spectrum(solve_equilibrium([be], pot_harmonic))
+    with pytest.raises(ValueError, match="finite"):
+        call(spec)
+
+
+# a mode or ion index that is not a plain integer, the argument its error
+# names, and the call on a two-ion Be+ chain
+@pytest.mark.parametrize("name,call", [
+    ("mode", lambda c: field_sensitivity(c.pot, c.pair, 10.0, mode=1.5)),
+    ("mode", lambda c: field_sensitivity(c.pot, c.pair, 10.0, mode=0.9)),
+    ("mode", lambda c: field_sensitivity(c.pot, c.pair, 10.0, mode=True)),
+    ("z", lambda c: thermal_gate_infidelity(c.chi, 1.5, 1e5, c.env)),
+    ("z", lambda c: frequency_shift(c.g, c.spec, [0, 0], 1.5)),
+    ("z", lambda c: frequency_shift(c.g, c.spec, [0, 0], True)),
+    ("ion", lambda c: ground_state_size(c.spec, 1.5, 0)),
+    ("mode", lambda c: lamb_dicke(c.spec, DELTA_K, 0, True)),
+    ("mode", lambda c: amplitude_ratio(c.spec, 1.5, 0, 1)),
+], ids=["field_sensitivity-1.5", "field_sensitivity-0.9",
+        "field_sensitivity-True", "thermal_gate_infidelity-1.5",
+        "frequency_shift-1.5", "frequency_shift-True", "ground_state_size-1.5",
+        "lamb_dicke-True", "amplitude_ratio-1.5"])
+def test_non_integer_index_rejected(name, call, be, pot_cubic):
+    spec = mode_spectrum(solve_equilibrium([be, be], pot_cubic))
+    c = SimpleNamespace(
+        pot=pot_cubic, pair=[be, be], spec=spec,
+        chi=ChiMatrix(chi=np.zeros((2, 2)), mode_frequencies=spec.frequencies,
+                      provenance={}),
+        env=ThermalEnvironment(temperature=1e-3),
+        g=ModeTensors(G3=np.zeros((2,) * 3), G4=np.zeros((2,) * 4)))
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+        call(c)
