@@ -32,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import HBAR, PLANCK
-from .modes import ModeSpectrum, _at_equilibrium, _index, mode_spectrum
+from .modes import ModeSpectrum, _at_equilibrium, _index, _is_integer, \
+    mode_spectrum
 from .statics import ChainConfiguration, _Energy, _warn_caller
 
 RESONANCE_HARD = 1e-3  # |denominator| below this (x max omega^2): error
@@ -81,14 +82,22 @@ class ResonanceFlag(NamedTuple):
     normalized: float  # |value| / max(omega)^2
 
 
+def _is_whole(v) -> bool:
+    """A non-bool integer, or a float equal to one that fits in int64."""
+    if isinstance(v, (float, np.floating)):
+        return float(v).is_integer() and abs(v) < 2.0**63
+    return _is_integer(v)
+
+
 def occupation_vector(n, n_modes: int) -> np.ndarray:
     """Validate an occupation-number list (one non-negative integer per mode)."""
     raw = np.asarray(n)
     if raw.shape != (n_modes,):
         raise ValueError(f"need {n_modes} occupations, got shape {raw.shape}")
+    # element by element, before any cast: asarray turns [True, 0] into ints
+    if not all(_is_whole(v) for v in n):
+        raise ValueError(f"occupations must be integers, got {n!r}")
     occ = raw.astype(int)
-    if np.any(occ != raw):
-        raise ValueError(f"occupations must be integers, got {raw.tolist()}")
     if np.any(occ < 0):
         raise ValueError("occupations must be non-negative")
     return occ

@@ -11,15 +11,25 @@ diagonal, and each anharmonic term is the outer product, over modes, of the
 nonzero band entries of that mode's x^p, placed at the flat basis index
 sum_m n_m cutoff^(nm-1-m).  Operators on different modes commute, so G3 and
 G4 enter once per sorted index multiset with their permutation-summed
-coefficient.  All terms are concatenated and converted to CSC once.  Each
-target level is found by shift-invert Lanczos (a few eigenpairs near the
-unperturbed level): H - sigma I is factorized once by SuperLU with the
-MMD_AT_PLUS_A ordering in symmetric mode, and ARPACK applies that
-factorization as its OPinv.  An eigenvector whose squared overlap with the
-label exceeds 1/2 is certified: the eigenvectors are orthonormal, so no
-other eigenstate can overlap the label more, and it is the state a full
-diagonalization would match.  When a level is not certified, or Lanczos
-fails, the transition is computed by dense diagonalization of the same H.
+coefficient.  All terms are concatenated and converted to CSC once.
+
+Each target level is found by Davidson iteration from its label.  The
+subspace starts at the label's unit vector; each step takes the Ritz pair
+whose vector overlaps the label most and stops when its residual
+|Hx - rho x| is at most RESIDUAL_EPS machine epsilons times max|diag H|.
+Otherwise the diagonal-preconditioned residual r / (rho - diag H), its
+denominator clamped away from zero and the label entry of r set to zero
+(r is orthogonal to the subspace, so that entry is rounding, which the
+small rho - H_nn would amplify), is orthogonalized twice against the
+subspace and added to it.  The unperturbed label is nearly the
+eigenvector, so a few matrix-vector products suffice, and H is never
+factorized.  A converged vector whose squared overlap with the label
+exceeds 1/2 is certified: eigenvectors are orthonormal, so no other
+eigenstate can overlap the label more, and it is the state a full
+diagonalization would match.  A level that is not certified (the step cap
+is reached, the correction vanishes, or the overlap is at most 1/2) is
+never returned; the transition is then computed by dense diagonalization of
+the same H.
 """
 
 from __future__ import annotations
@@ -37,8 +47,9 @@ MAX_MODES = 3
 MAX_CUTOFF = 16
 BOUNDARY_POPULATION_LIMIT = 1e-6
 MIN_OVERLAP = 0.5
-NEAR_LEVELS = 6       # eigenpairs per shift-invert solve
-SHIFT_FRACTION = 0.1  # shift below the unperturbed level, x hbar min(omega)
+MAX_STEPS = 40          # Davidson expansions per level
+RESIDUAL_EPS = 10       # stop at |Hx - rho x| <= this x eps x max|diag H|
+CORRECTION_FLOOR = 1e-8  # orthogonalized correction norm that counts as none
 
 
 class CutoffError(RuntimeError):
@@ -126,38 +137,37 @@ def _match(evecs: np.ndarray, dims, label) -> int:
     return k
 
 
-def _certified_level(h, omega: np.ndarray, dims, label):
+def _certified_level(h, dims, label):
     """(energy, eigenvector) of the state ``_match`` picks for ``label``,
-    from a few shift-invert eigenpairs, or None if none is certified."""
-    from scipy.sparse import identity
-    from scipy.sparse.linalg import LinearOperator, eigsh, splu
-
+    found by Davidson iteration, or None if none is certified."""
     flat = np.ravel_multi_index(tuple(label), dims)
-    hw = HBAR * float(np.min(omega))
-    sigma = HBAR * float(omega @ (label + 0.5)) - SHIFT_FRACTION * hw
-    # a fixed start vector (ARPACK's default is random): half the label's
-    # state, half uniform, so no Krylov space is invariant when H is diagonal
-    v0 = np.ones(h.shape[0])
-    v0[flat] += np.sqrt(h.shape[0])
-    try:
-        # H - sigma I is symmetric: a fill-reducing ordering of A^T + A and
-        # preference for diagonal pivots, factorized once per level
-        lu = splu(h - sigma * identity(h.shape[0], format="csc"),
-                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                  options=dict(SymmetricMode=True))
-        evals, evecs = eigsh(h, k=min(NEAR_LEVELS, h.shape[0] - 1),
-                             sigma=sigma, v0=v0,
-                             OPinv=LinearOperator(h.shape, lu.solve,
-                                                  dtype=h.dtype))
-    except RuntimeError:
-        # ARPACK non-convergence and an exactly singular factorization;
-        # the dense path answers these
-        return None
-    weights = evecs[flat, :] ** 2
-    k = int(np.argmax(weights))
-    if weights[k] <= 0.5:
-        return None
-    return evals[k], evecs[:, k]
+    diag = h.diagonal()
+    tol = RESIDUAL_EPS * np.finfo(float).eps * np.max(np.abs(diag))
+    basis = np.zeros((MAX_STEPS + 1, h.shape[0]))  # orthonormal rows
+    images = np.zeros_like(basis)                  # H times each row
+    basis[0, flat] = 1.0
+    for k in range(1, MAX_STEPS + 1):
+        images[k - 1] = h @ basis[k - 1]
+        v, hv = basis[:k], images[:k]
+        theta, s = np.linalg.eigh(v @ hv.T)
+        # the Ritz pair that overlaps the label most
+        j = int(np.argmax(np.abs(v[:, flat] @ s)))
+        x, rho = s[:, j] @ v, theta[j]
+        r = s[:, j] @ hv - rho * x
+        if np.linalg.norm(r) <= tol:
+            return (rho, x) if x[flat] ** 2 > 0.5 else None
+        # diagonal-preconditioned residual, orthogonalized twice
+        r[flat] = 0.0  # rounding only: r is orthogonal to the first row
+        denom = rho - diag
+        t = r / np.copysign(np.maximum(np.abs(denom), tol), denom)
+        t /= np.linalg.norm(t)
+        for _ in range(2):
+            t -= (v @ t) @ v
+        norm = np.linalg.norm(t)
+        if not norm > CORRECTION_FLOOR:
+            return None
+        basis[k] = t / norm
+    return None
 
 
 def _check_boundary(vec: np.ndarray, dims):
@@ -192,7 +202,7 @@ def exact_transition_frequency(omega, g3, g4, occupations, z: int,
     upper = occ.copy()
     upper[z] += 1
     labels = (occ, upper)
-    levels = [_certified_level(h, omega, dims, label) for label in labels]
+    levels = [_certified_level(h, dims, label) for label in labels]
     if None in levels:
         evals, evecs = eigh(h.toarray())
         matched = [_match(evecs, dims, label) for label in labels]

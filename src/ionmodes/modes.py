@@ -143,8 +143,8 @@ def carrier_matrix_element(eta: float, n: int) -> float:
 
     if not 0 <= eta < np.inf:
         raise ValueError("eta must be non-negative and finite")
-    if n < 0 or int(n) != n:
-        raise ValueError("n must be a non-negative integer")
+    if not _is_integer(n) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
     x = eta * eta
     return float(np.exp(-x / 2) * eval_laguerre(int(n), x))
 

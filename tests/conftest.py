@@ -11,8 +11,8 @@ from scipy.linalg import eigh
 from scipy.optimize import brentq, root
 
 from ionmodes import BE9, MG24, MGH25, BracketError, ChainConfiguration, \
-    OrderShiftReport, axial_from_lambdas, energy_gradient, harmonic_axial, \
-    mode_spectrum, solve_equilibrium
+    CutoffError, OrderShiftReport, StateMatchError, axial_from_lambdas, \
+    energy_gradient, harmonic_axial, mode_spectrum, solve_equilibrium
 from ionmodes.calibration import IN_PHASE, MAX_ROOT_ITER, NULL_TOLERANCE_HZ, \
     OUT_OF_PHASE
 from ionmodes.constants import EPSILON_0, HBAR, PLANCK
@@ -299,20 +299,33 @@ def dense_hamiltonian(omega, g3=None, g4=None, cutoff: int = 10) -> np.ndarray:
     return h
 
 
-def dense_transition_frequency(omega, g3, g4, occupations, z, cutoff):
+def dense_transition_frequency(omega, g3, g4, occupations, z, cutoff,
+                               refuse=False):
     """n_Z -> n_Z + 1 transition frequency (Hz) from a full dense eigh of
     :func:`dense_hamiltonian`, each level the eigenstate of largest overlap
-    with its label.  Also returns each level's squared overlap."""
+    with its label.  Also returns each level's squared overlap.
+
+    With ``refuse``, raises where the library must: StateMatchError when a
+    label's largest squared overlap is below 1/4, then CutoffError when a
+    matched eigenvector puts more than 1e-6 on the last level of any mode.
+    """
     h = dense_hamiltonian(omega, g3, g4, cutoff)
     evals, evecs = eigh(h)
     dims = (cutoff,) * len(omega)
     upper = list(occupations)
     upper[z] += 1
-    energies, weights = [], []
+    energies, weights, vectors = [], [], []
     for label in (occupations, upper):
         row = evecs[np.ravel_multi_index(tuple(label), dims)] ** 2
         energies.append(evals[np.argmax(row)])
         weights.append(row.max())
+        vectors.append(evecs[:, np.argmax(row)])
+    if refuse:
+        if min(weights) < 0.25:
+            raise StateMatchError(f"largest squared overlap {min(weights)}")
+        edge = np.any(np.indices(dims) == cutoff - 1, axis=0).ravel()
+        if max(np.sum(v[edge] ** 2) for v in vectors) > 1e-6:
+            raise CutoffError("population on the last Fock level")
     return (energies[1] - energies[0]) / PLANCK, weights
 
 

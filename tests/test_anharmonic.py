@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -633,3 +634,15 @@ class TestOccupationVector:
         assert occupation_vector([0.0, 2.0], 2).tolist() == [0, 2]
         with pytest.raises(ValueError, match="integers"):
             occupation_vector([0.7, 1.9], 2)
+
+    @pytest.mark.parametrize("bad", [
+        [math.inf, 0], [math.nan, 0], [1e30, 0], [True, 0],
+        np.array([True, False])],
+        ids=["inf", "nan", "1e30", "bool", "bool_array"])
+    def test_refused_before_any_cast(self, bad):
+        """A non-finite, out-of-range or bool occupation raises its
+        ValueError without a numpy cast warning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="integers"):
+                occupation_vector(bad, 2)

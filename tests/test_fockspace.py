@@ -139,6 +139,39 @@ def eigensolver_floor(omega, cutoff):
     return 100 * np.finfo(float).eps * cutoff * np.sum(omega) / (2 * np.pi)
 
 
+def stress_cases(count, seed):
+    """(case, modes, cutoff, cubic, quartic, occupations, z): 1-3 modes,
+    cutoffs 6-14 (6-7 for three modes, where the dense build is slow)."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n_modes = 1 + case % 3
+        cutoff = int(rng.integers(6, 15 if n_modes < 3 else 8))
+        yield pytest.param(
+            case, n_modes, cutoff, float(rng.choice([2e-3, 1e-2])),
+            float(rng.choice([2e-4, 1e-3])),
+            [int(n) for n in rng.integers(0, 3, n_modes)],
+            int(rng.integers(n_modes)), id=f"case{case}")
+
+
+@pytest.mark.parametrize("case,n_modes,cutoff,cubic,quartic,occupations,z",
+                         stress_cases(12, seed=14))
+def test_random_cases_match_dense_oracle(case, n_modes, cutoff, cubic, quartic,
+                                         occupations, z):
+    """The library refuses where the dense oracle does and otherwise agrees
+    with it within the eigensolver floor."""
+    omega, g3, g4 = random_couplings(100 + case, n_modes, cubic, quartic)
+    try:
+        expected, _ = dense_transition_frequency(omega, g3, g4, occupations,
+                                                 z, cutoff, refuse=True)
+    except (CutoffError, StateMatchError) as exc:
+        with pytest.raises(type(exc)):
+            exact_transition_frequency(omega, g3, g4, occupations, z, cutoff)
+        return
+    f = exact_transition_frequency(omega, g3, g4, occupations, z, cutoff)
+    assert f == pytest.approx(expected, rel=0,
+                              abs=eigensolver_floor(omega, cutoff))
+
+
 class TestSparseSolver:
     @pytest.mark.parametrize("n_modes,cutoff,terms", [
         *(pytest.param(n, c, "g3 g4", id=f"{n}-{c}") for n, c in
@@ -198,45 +231,36 @@ class TestSparseSolver:
         assert f == pytest.approx(expected, rel=0,
                                   abs=eigensolver_floor(omega, 6))
 
-    def test_each_level_factorized_once_and_passed_as_opinv(self, monkeypatch):
+    def test_levels_need_no_factorization_arpack_or_dense_eigh(
+            self, monkeypatch):
+        """Both levels are certified by Davidson iteration alone."""
         omega, g3, g4 = random_couplings(16, 2, 2e-3, 2e-4)
-        factorized, opinv = [], []
-        splu, eigsh = sparse_linalg.splu, sparse_linalg.eigsh
 
-        def counted_splu(*args, **kwargs):
-            factorized.append(kwargs.get("permc_spec"))
-            return splu(*args, **kwargs)
+        def forbidden(name):
+            def spy(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return spy
 
-        def recorded_eigsh(*args, **kwargs):
-            opinv.append(kwargs.get("OPinv"))
-            return eigsh(*args, **kwargs)
-
-        def no_dense(*args, **kwargs):
-            raise AssertionError("dense fallback taken")
-
-        monkeypatch.setattr(sparse_linalg, "splu", counted_splu)
-        monkeypatch.setattr(sparse_linalg, "eigsh", recorded_eigsh)
-        monkeypatch.setattr(fockspace, "eigh", no_dense)
+        monkeypatch.setattr(sparse_linalg, "splu", forbidden("splu"))
+        monkeypatch.setattr(sparse_linalg, "eigsh", forbidden("eigsh"))
+        monkeypatch.setattr(fockspace, "eigh", forbidden("dense eigh"))
         f = exact_transition_frequency(omega, g3, g4, [1, 0], 1, 10)
-        assert factorized == ["MMD_AT_PLUS_A"] * 2
-        assert len(opinv) == 2 and all(op is not None for op in opinv)
         expected, _ = dense_transition_frequency(omega, g3, g4, [1, 0], 1, 10)
         assert f == pytest.approx(expected, rel=0,
                                   abs=eigensolver_floor(omega, 10))
 
-    def test_singular_shift_takes_dense_fallback(self, monkeypatch):
+    def test_uncertified_level_takes_dense_fallback(self, monkeypatch):
+        """A level still unconverged at the step cap is never returned: one
+        dense diagonalization answers both levels."""
         omega, g3, g4 = random_couplings(16, 2, 2e-3, 2e-4)
         calls = []
         dense_eigh = fockspace.eigh
-
-        def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
 
         def counted_eigh(*args, **kwargs):
             calls.append(args[0].shape)
             return dense_eigh(*args, **kwargs)
 
-        monkeypatch.setattr(sparse_linalg, "splu", singular)
+        monkeypatch.setattr(fockspace, "MAX_STEPS", 1)
         monkeypatch.setattr(fockspace, "eigh", counted_eigh)
         f = exact_transition_frequency(omega, g3, g4, [1, 0], 1, 10)
         expected, _ = dense_transition_frequency(omega, g3, g4, [1, 0], 1, 10)

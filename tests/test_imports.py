@@ -116,3 +116,24 @@ def test_import_and_modes_command_leave_lazy_scipy_unloaded():
         capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == "[]"
+
+
+def test_certified_fock_level_leaves_sparse_linalg_unloaded():
+    """Davidson iteration needs only the sparse matrix product: no SuperLU,
+    no ARPACK, and so no ``scipy.sparse.linalg``."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ionmodes import fockspace\n"
+        "from ionmodes.constants import HBAR\n"
+        "def no_dense(*args):\n"
+        "    raise AssertionError('dense fallback taken')\n"
+        "fockspace.eigh = no_dense\n"
+        "omega = 2 * np.pi * np.array([4.9e6, 1.7e6])\n"
+        "g4 = np.full((2, 2, 2, 2), 1e-4 * HBAR * omega.min())\n"
+        "fockspace.exact_transition_frequency(omega, None, g4, [1, 0], 1, 10)\n"
+        "print('scipy.sparse.linalg' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"

@@ -277,6 +277,13 @@ class TestCarrierMatrixElement:
         with pytest.raises(ValueError):
             carrier_matrix_element(0.1, -1)
 
+    @pytest.mark.parametrize("n", [math.inf, math.nan, True, 1.5, 2.0],
+                             ids=["inf", "nan", "bool", "fraction", "float"])
+    def test_non_integer_fock_state_named(self, n):
+        with pytest.raises(ValueError, match=r"^n must be a non-negative "
+                                             r"integer, got "):
+            carrier_matrix_element(0.1, n)
+
 
 @pytest.mark.parametrize("call", [
     lambda spec: carrier_matrix_element(math.inf, 1),
