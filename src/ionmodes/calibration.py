@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modes import ModeSpectrum, _index, mode_spectrum
+from .modes import ModeSpectrum, _index, _is_integer, mode_spectrum
 from .potentials import AxialPotential
 from .species import IonSpecies
 from .statics import solve_equilibrium
@@ -171,6 +171,8 @@ def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
 
     if family.base.pseudo_reference is None:
         raise ValueError("family base must carry a pseudo_reference species")
+    if not np.isfinite(measured_out_shift):
+        raise ValueError("measured_out_shift must be finite")
 
     @functools.cache
     def residual(g):
@@ -182,7 +184,7 @@ def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
 
     g_lo, g_hi = gradient_bracket
     r_lo, r_hi = residual(g_lo), residual(g_hi)
-    if r_lo * r_hi > 0:
+    if not (np.isfinite(r_lo) and np.isfinite(r_hi)) or r_lo * r_hi > 0:
         raise BracketError(
             f"no gradient root in bracket: residual({g_lo}) = {r_lo:.3g} Hz, "
             f"residual({g_hi}) = {r_hi:.3g} Hz")
@@ -234,7 +236,9 @@ class ComScanResult:
 def com_frequency_scan(pot: AxialPotential, species: IonSpecies,
                        counts) -> ComScanResult:
     """Lowest (in-phase) axial mode frequency for chains of N equal ions."""
-    counts = [int(n) for n in counts]
+    counts = list(counts)
+    if not all(map(_is_integer, counts)):
+        raise ValueError(f"ion counts must be integers, got {counts!r}")
     if not counts:
         raise ValueError("ion counts must be non-empty")
     if any(n < 1 for n in counts):
@@ -251,6 +255,7 @@ def com_frequency_scan(pot: AxialPotential, species: IonSpecies,
         r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     else:
         slope, intercept, r2 = 0.0, float(f_arr[0]), 1.0
-    return ComScanResult(counts=tuple(counts), frequencies=tuple(freqs),
+    return ComScanResult(counts=tuple(map(int, counts)),
+                         frequencies=tuple(freqs),
                          slope=float(slope), intercept=float(intercept),
                          r_squared=float(r2))

@@ -4,7 +4,9 @@ Independent oracle for the perturbation-theory frequency shifts: builds
 H = sum hbar w_a (n_a + 1/2) + U3 + U4 for up to three modes in a product
 Fock basis, with U3 = sum G3_abc x_a x_b x_c (x = a + a^dag) and the quartic
 analog, then reads transition frequencies off eigenvalue differences between
-eigenstates matched to unperturbed labels by maximal overlap.
+eigenstates matched to unperturbed labels by maximal overlap.  A level whose
+population on the boundary (the states with any mode on its last level, each
+counted once) exceeds BOUNDARY_POPULATION_LIMIT raises CutoffError.
 
 H is a sparse matrix assembled by index arithmetic: the harmonic part is one
 diagonal, and each anharmonic term is the outer product, over modes, of the
@@ -126,8 +128,7 @@ def build_hamiltonian(omega, g3=None, g4=None, cutoff: int = 10):
         shape=(dim, dim))
 
 
-def _match(evecs: np.ndarray, dims, label) -> int:
-    flat = np.ravel_multi_index(tuple(label), dims)
+def _match(evecs: np.ndarray, flat: int, label) -> int:
     overlaps = np.abs(evecs[flat, :])
     k = int(np.argmax(overlaps))
     if overlaps[k] < MIN_OVERLAP:
@@ -137,10 +138,9 @@ def _match(evecs: np.ndarray, dims, label) -> int:
     return k
 
 
-def _certified_level(h, dims, label):
-    """(energy, eigenvector) of the state ``_match`` picks for ``label``,
-    found by Davidson iteration, or None if none is certified."""
-    flat = np.ravel_multi_index(tuple(label), dims)
+def _certified_level(h, flat: int):
+    """(energy, eigenvector) of the state ``_match`` picks at basis index
+    ``flat``, found by Davidson iteration, or None if none is certified."""
     diag = h.diagonal()
     tol = RESIDUAL_EPS * np.finfo(float).eps * np.max(np.abs(diag))
     basis = np.zeros((MAX_STEPS + 1, h.shape[0]))  # orthonormal rows
@@ -170,25 +170,12 @@ def _certified_level(h, dims, label):
     return None
 
 
-def _check_boundary(vec: np.ndarray, dims):
-    grid = vec.reshape(dims)
-    pop = 0.0
-    for axis in range(grid.ndim):
-        sl = [slice(None)] * grid.ndim
-        sl[axis] = -1
-        pop += float(np.sum(np.abs(grid[tuple(sl)]) ** 2))
-    if pop > BOUNDARY_POPULATION_LIMIT:
-        raise CutoffError(
-            f"boundary-state population {pop:.2e} exceeds "
-            f"{BOUNDARY_POPULATION_LIMIT:g}; increase the cutoff")
-
-
 def exact_transition_frequency(omega, g3, g4, occupations, z: int,
                                cutoff: int = 10) -> float:
     """Exact n_Z -> n_Z + 1 transition frequency (Hz) for <=3 coupled modes.
 
-    Raises CutoffError when the matched eigenvectors leak into the last Fock
-    level, StateMatchError when overlap matching is ambiguous, and ValueError
+    Raises CutoffError when a matched eigenvector leaks onto the boundary,
+    StateMatchError when overlap matching is ambiguous, and ValueError
     naming omega, g3, g4, cutoff or z when that argument is malformed.
     """
     h = build_hamiltonian(omega, g3, g4, cutoff)
@@ -202,12 +189,17 @@ def exact_transition_frequency(omega, g3, g4, occupations, z: int,
     upper = occ.copy()
     upper[z] += 1
     labels = (occ, upper)
-    levels = [_certified_level(h, dims, label) for label in labels]
+    flats = [np.ravel_multi_index(tuple(label), dims) for label in labels]
+    levels = [_certified_level(h, flat) for flat in flats]
     if None in levels:
         evals, evecs = eigh(h.toarray())
-        matched = [_match(evecs, dims, label) for label in labels]
+        matched = [_match(evecs, f, label) for f, label in zip(flats, labels)]
         levels = [(evals[k], evecs[:, k]) for k in matched]
-    (e_lo, v_lo), (e_hi, v_hi) = levels
-    _check_boundary(v_lo, dims)
-    _check_boundary(v_hi, dims)
-    return float((e_hi - e_lo) / PLANCK)
+    edge = np.any(np.indices(dims) == cutoff - 1, axis=0).ravel()
+    for _, vec in levels:
+        pop = float(np.sum(vec[edge] ** 2))
+        if pop > BOUNDARY_POPULATION_LIMIT:
+            raise CutoffError(
+                f"boundary-state population {pop:.2e} exceeds "
+                f"{BOUNDARY_POPULATION_LIMIT:g}; increase the cutoff")
+    return float((levels[1][0] - levels[0][0]) / PLANCK)

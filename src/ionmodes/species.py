@@ -20,7 +20,7 @@ class IonSpecies:
             raise ValueError(f"ion mass must be positive, got {self.mass}")
         if not math.isfinite(self.mass):
             raise ValueError(f"ion mass must be finite, got {self.mass}")
-        if not isinstance(self.charge, Integral):
+        if isinstance(self.charge, bool) or not isinstance(self.charge, Integral):
             raise ValueError(f"ion charge must be an integer, got {self.charge!r}")
         if self.charge == 0:
             raise ValueError("ion charge must be nonzero")

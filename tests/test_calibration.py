@@ -130,6 +130,32 @@ class TestInferPseudoGradient:
         with pytest.raises(BracketError):
             infer_pseudo_gradient(fam, be, mg, 5e4, (-0.05, 0.05), (0.0, 2.0))
 
+    @pytest.mark.parametrize("measured", [np.nan, np.inf, -np.inf])
+    def test_non_finite_measurement_rejected(self, monkeypatch, be, mg,
+                                             measured):
+        """Refused by name before any solve, not inside the root finder."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a chain")
+
+        monkeypatch.setattr(ionmodes.calibration, "solve_equilibrium",
+                            no_solve)
+        fam = _cubic_family(_gradient_pot(be, 0.0))
+        with pytest.raises(ValueError,
+                           match="^measured_out_shift must be finite$"):
+            infer_pseudo_gradient(fam, be, mg, measured, (-1.0, 1.0),
+                                  (0.0, 2.0))
+
+    def test_non_finite_bracket_residual_rejected(self, monkeypatch, be, mg):
+        """A non-finite residual at a bracket end is no sign change."""
+        def fake_null(fam, *args):
+            f = np.nan if fam.base.pseudo_gradient > 0 else 1.0
+            return 0.0, {"out_of_phase": (f, 0.0)}
+
+        monkeypatch.setattr(ionmodes.calibration, "_null", fake_null)
+        fam = _cubic_family(_gradient_pot(be, 0.0))
+        with pytest.raises(BracketError, match=r"residual\(1\.0\) = nan Hz"):
+            infer_pseudo_gradient(fam, be, mg, 0.0, (-1.0, 1.0), (0.0, 2.0))
+
 
 class TestFieldSensitivity:
     def test_single_ion_cubic(self, be, pot_cubic):
@@ -174,6 +200,21 @@ class TestComFrequencyScan:
     def test_empty_counts(self, be, pot_harmonic):
         with pytest.raises(ValueError, match="non-empty"):
             com_frequency_scan(pot_harmonic, be, [])
+
+    @pytest.mark.parametrize("counts", [[1, 2.7, True], [1, 2.0], [True, 2],
+                                        ["1", 2]],
+                             ids=["float_and_bool", "integral_float", "bool",
+                                  "string"])
+    def test_non_integer_counts_rejected(self, be, pot_harmonic, counts):
+        """Counts are never truncated: [1, 2.7, True] is not (1, 2, 1)."""
+        with pytest.raises(ValueError,
+                           match=r"^ion counts must be integers, got \["):
+            com_frequency_scan(pot_harmonic, be, counts)
+
+    def test_numpy_integer_counts_accepted(self, be, pot_harmonic):
+        result = com_frequency_scan(pot_harmonic, be, np.arange(1, 3))
+        assert result.counts == (1, 2)
+        assert all(type(n) is int for n in result.counts)
 
 
 def _cubic_family(pot):

@@ -82,6 +82,28 @@ class TestExactTransitionFrequency:
         with pytest.raises((CutoffError, StateMatchError)):
             exact_transition_frequency(omega, g3, None, [0], 0, cutoff=6)
 
+    @pytest.mark.parametrize("state,weight,refused", [
+        ((7, 7), 0.6e-6, False), ((7, 0), 1.2e-6, True)],
+        ids=["corner_counted_once", "edge_over_limit"])
+    def test_boundary_counts_each_state_once(self, monkeypatch, state, weight,
+                                             refused):
+        """The boundary population is the weight on the states with any mode
+        on its last level, each counted once, as in the dense oracle: a
+        corner state on the last level of both modes is not counted twice."""
+        lower, upper = np.zeros(64), np.zeros(64)
+        lower[0] = np.sqrt(1 - weight)
+        lower[np.ravel_multi_index(state, (8, 8))] = np.sqrt(weight)
+        upper[1] = 1.0
+        levels = iter([(0.0, lower), (PLANCK * 1.7e6, upper)])
+        monkeypatch.setattr(fockspace, "_certified_level",
+                            lambda *args: next(levels))
+        if refused:
+            with pytest.raises(CutoffError, match="population 1.20e-06"):
+                exact_transition_frequency(OMEGA2, None, None, [0, 0], 1, 8)
+        else:
+            f = exact_transition_frequency(OMEGA2, None, None, [0, 0], 1, 8)
+            assert f == pytest.approx(1.7e6, rel=1e-12)
+
     def test_resonant_mixing_is_ambiguous(self):
         omega = 2 * np.pi * np.array([3.8e6, 1.9e6])  # exact 2:1 resonance
         g3 = np.zeros((2, 2, 2))

@@ -50,8 +50,10 @@ class TestMakeSpecies:
 
 class TestIonSpecies:
     @pytest.mark.parametrize("mass,charge", [
-        (math.nan, 1), (math.inf, 1), (1.5e-26, 1.5), (1.5e-26, math.nan)],
-        ids=["nan_mass", "inf_mass", "fractional_charge", "nan_charge"])
+        (math.nan, 1), (math.inf, 1), (1.5e-26, 1.5), (1.5e-26, math.nan),
+        (1.5e-26, True)],
+        ids=["nan_mass", "inf_mass", "fractional_charge", "nan_charge",
+             "bool_charge"])
     def test_non_finite_mass_or_non_integer_charge_rejected(self, mass,
                                                             charge):
         with pytest.raises(ValueError):
