@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,7 +117,13 @@ def null_parameter(family: PotentialFamily, species_a: IonSpecies,
     Bracketed root finding (Brent); requires a sign change over the bracket
     and verifies |delta(p*)| < NULL_TOLERANCE_HZ.
     """
+    _check_bracket(bracket, "bracket")
     return _null(family, species_a, species_b, mode_label, bracket)[0]
+
+
+def _check_bracket(bracket, name: str):
+    if not all(map(math.isfinite, bracket)):
+        raise ValueError(f"{name} ends must be finite, got {tuple(bracket)!r}")
 
 
 def _null(family, species_a, species_b, mode_label, bracket):
@@ -173,6 +180,8 @@ def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
         raise ValueError("family base must carry a pseudo_reference species")
     if not np.isfinite(measured_out_shift):
         raise ValueError("measured_out_shift must be finite")
+    _check_bracket(gradient_bracket, "gradient_bracket")
+    _check_bracket(param_bracket, "param_bracket")
 
     @functools.cache
     def residual(g):

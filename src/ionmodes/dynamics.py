@@ -125,57 +125,93 @@ def thermal_gate_infidelity(chi: ChiMatrix, z: int, delta: float,
 
 
 def _flop_populations(eta1, eta2, initial, omega0, t):
-    """Exact joint populations of the two-spin/shared-mode blue sideband.
+    """Spin populations of the two-spin/shared-mode blue sideband.
 
-    Returns (pops, a_oper, a_steady): ``pops[k, b]`` is the population of
-    basis state b = (s1, s2, n), stored at (2 s1 + s2) * nmax + n, at time
-    t[k]; ``a_oper`` maps populations to the fluorescence observable;
-    ``a_steady`` is its diagonal-ensemble (infinite-time average) value.
+    Returns (pops, steady): ``pops[k]`` holds the populations of |down,down>,
+    of the two one-up states together and of |up,up> at time t[k], each
+    summed over the motional state; ``steady`` holds their diagonal-ensemble
+    (infinite-time average) values.
 
     The sideband conserves n - s1 - s2, so each thermal component |00, n0>
     evolves only inside the block {|00,n0>, |10,n0+1>, |01,n0+1>, |11,n0+2>}.
-    All blocks are diagonalized in one batched 4x4 eigh.  ``a_steady``
-    projects onto each distinct eigenvalue of a block, so a degenerate pair
-    (the double zero at eta1 = eta2) keeps its time-independent coherence.
+    Its coupling graph is bipartite, {|00>, |11>} against {|10>, |01>}; with
+    B the 2x2 coupling between the halves, the block's eigenvalues are
+    +-s1, +-s2, the singular values of B.  From |00, n0>, with
+    Ci = cos(si t) and (c, s) = (cos th, sin th) the top eigenvector of B B^T
+    over {|00>, |11>}:
+
+        P(down,down) = (c^2 C1 + s^2 C2)^2
+        P(one up)    = c^2 (1 - C1^2) + s^2 (1 - C2^2)
+        P(up,up)     = c^2 s^2 (C1 - C2)^2
+
+    Each is a combination of C1^2, C2^2 and C1 C2, that is of cosines at the
+    block's four eigenvalue gaps 2 s1, 2 s2, s1 + s2 and s1 - s2.  The steady
+    state averages each cosine to zero unless its gap is within 16 ulps of
+    s1, the block norm, so a degenerate pair (the double zero eigenvalue at
+    eta1 = eta2) keeps its time-independent coherence.  A thermal start
+    keeps about 28 (nbar + 1/2) blocks, so time and memory grow linearly in
+    nbar and in len(t).
     """
-    if not (eta1 >= 0 and eta2 >= 0):
-        raise ValueError("Lamb-Dicke parameters must be non-negative")
-    if isinstance(initial, (int, np.integer)):
+    for name, eta in (("eta1", eta1), ("eta2", eta2)):
+        if not (math.isfinite(eta) and eta >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, "
+                             f"got {eta!r}")
+    if not math.isfinite(omega0):
+        raise ValueError(f"omega0 must be finite, got {omega0!r}")
+    if t.ndim != 1 or not np.all(np.isfinite(t)):
+        raise ValueError("t_grid must be a 1D array of finite times")
+    if isinstance(initial, bool):
+        raise ValueError(f"initial must be a Fock state (int) or a thermal "
+                         f"nbar (float), got {initial!r}")
+    if _is_integer(initial):
+        if initial < 0:
+            raise ValueError(f"initial Fock state must be >= 0, got {initial}")
         n0, w = np.array([int(initial)]), np.ones(1)
     else:
         nb = float(initial)
-        if not nb >= 0:
-            raise ValueError("thermal nbar must be non-negative")
+        if not (math.isfinite(nb) and nb >= 0):
+            raise ValueError("initial thermal nbar must be finite and "
+                             f"non-negative, got {initial!r}")
+        q = nb / (1 + nb)
+        if q == 1.0:
+            raise ValueError(f"initial thermal nbar {nb!r} is too large: "
+                             "nbar / (1 + nbar) rounds to 1")
         # keep every n below the point where the thermal tail mass
         # sum_{n >= N} w_n = q^N falls under 1e-12
-        q = nb / (1 + nb)
         n0 = np.arange(math.ceil(math.log(1e-12) / math.log(q)) if q else 1)
         w = q ** n0 / (1 + nb)
 
-    # block states |00,n0>, |10,n0+1>, |01,n0+1>, |11,n0+2>
-    g_lo = omega0 * np.sqrt(n0 + 1) / 2.0
-    g_hi = omega0 * np.sqrt(n0 + 2) / 2.0
-    h = np.zeros((len(n0), 4, 4))
-    for (i, j), g in (((0, 1), eta1 * g_lo), ((0, 2), eta2 * g_lo),
-                      ((2, 3), eta1 * g_hi), ((1, 3), eta2 * g_hi)):
-        h[:, i, j] = h[:, j, i] = g
-    evals, evecs = np.linalg.eigh(h)
-    m = evecs * evecs[:, :1, :]      # m[k, b, j] = <b|j><j|psi0>, real basis
-    amps = np.einsum("tkj,kbj->tkb", np.exp(-1j * t[:, None, None] * evals), m)
+    # B = (omega0 / 2) [[eta1 r0, eta2 r0], [eta2 r1, eta1 r1]] with
+    # r0, r1 = sqrt(n0 + 1), sqrt(n0 + 2); B B^T / (omega0 / 2)^2 is
+    # [[e (n0 + 1), f], [f, e (n0 + 2)]]
+    e = eta1**2 + eta2**2
+    r = np.sqrt((n0 + 1.0) * (n0 + 2.0))
+    f = 2 * eta1 * eta2 * r
+    disc = np.hypot(e, 2 * f)
+    # singular values of B in units of |omega0| / 2
+    s1 = np.sqrt((e * (2 * n0 + 3) + disc) / 2)
+    # s2 = |det B| / s1, exactly 0 at eta1 = eta2
+    s2 = np.divide(abs(eta1**2 - eta2**2) * r, s1, out=np.zeros_like(s1),
+                   where=s1 > 0)
+    cos2th = np.divide(-e, disc, out=np.ones_like(disc), where=disc > 0)
+    u = np.stack([1 + cos2th, 1 - cos2th], axis=1) / 2     # c^2, s^2
+    p = u[:, 0] * u[:, 1]
+    # weighted coefficients of Ci^2 (block, i, population) and of C1 C2
+    square = w[:, None, None] * np.stack(
+        [u**2, -u, np.stack([p, p], axis=1)], axis=2)
+    cross = w[:, None] * np.stack([2 * p, 0 * p, -2 * p], axis=1)
+    const = np.array([0.0, w.sum(), 0.0])
 
-    nmax = int(n0.max()) + 3
-    spins = np.array([0, 2, 1, 3])   # 2 s1 + s2 of each block state
-    flat = spins * nmax + n0[:, None] + np.array([0, 1, 1, 2])
-    pops = np.zeros((len(t), 4 * nmax))
-    pops[:, flat] = w[:, None] * np.abs(amps) ** 2
-    a_oper = np.repeat([0.0, 0.5, 0.5, 1.0], nmax)
+    s1, s2 = abs(omega0) / 2 * s1, abs(omega0) / 2 * s2
+    c = np.cos(np.multiply.outer(t, np.stack([s1, s2], axis=1)))
+    pops = const + (c**2).reshape(len(t), -1) @ square.reshape(-1, 3) \
+        + (c[:, :, 0] * c[:, :, 1]) @ cross
 
-    # eigenvalues within a few ulps of the block norm are one eigenvalue
-    tol = 16 * np.finfo(float).eps * np.abs(evals).max(axis=1)
-    same = np.abs(evals[:, :, None] - evals[:, None, :]) <= tol[:, None, None]
-    a_steady = float(np.einsum("k,b,kij,kbi,kbj->", w, a_oper[flat[0]], same,
-                               m, m))
-    return pops, a_oper, a_steady
+    gaps = np.stack([2 * s1, 2 * s2, s1 - s2, s1 + s2], axis=1)
+    zero = np.abs(gaps) <= 16 * np.finfo(float).eps * s1[:, None]
+    steady = const + np.einsum("ki,kip->p", (1 + zero[:, :2]) / 2, square) \
+        + (zero[:, 2] * 0.5 + zero[:, 3] * 0.5) @ cross
+    return pops, steady
 
 
 def sideband_flop(eta1: float, eta2: float, initial, omega0: float,
@@ -187,13 +223,20 @@ def sideband_flop(eta1: float, eta2: float, initial, omega0: float,
     thermal mean occupation (float).  Returns the fluorescence observable
     A(t) = P(up,up) + [P(up,down) + P(down,up)]/2 on the time grid, with the
     oscillatory part damped toward the steady (diagonal-ensemble) mixture on
-    the phenomenological timescale ``decay_time``.
+    the phenomenological timescale ``decay_time`` (None or inf: undamped).
+    A is a sum of cosines at four frequencies per block of conserved
+    n - s1 - s2; a thermal start keeps about 28 (nbar + 1/2) blocks, so the
+    cost grows linearly in nbar and in len(t_grid).  Raises ValueError
+    naming eta1, eta2, initial, omega0, decay_time or t_grid when that
+    argument is malformed.
     """
+    if decay_time is not None and decay_time != math.inf \
+            and not decay_time > 0:
+        raise ValueError(f"decay_time must be positive, got {decay_time!r}")
     t = np.asarray(t_grid, dtype=float)
-    pops, a_oper, a_steady = _flop_populations(eta1, eta2, initial, omega0, t)
-    a_t = pops @ a_oper
-    if decay_time is not None and math.isfinite(decay_time):
-        if decay_time <= 0:
-            raise ValueError("decay_time must be positive")
+    pops, steady = _flop_populations(eta1, eta2, initial, omega0, t)
+    fluorescence = np.array([0.0, 0.5, 1.0])
+    a_t, a_steady = pops @ fluorescence, steady @ fluorescence
+    if decay_time is not None and decay_time != math.inf:
         a_t = a_steady + (a_t - a_steady) * np.exp(-t / decay_time)
     return a_t

@@ -8,12 +8,20 @@ eigenstates matched to unperturbed labels by maximal overlap.  A level whose
 population on the boundary (the states with any mode on its last level, each
 counted once) exceeds BOUNDARY_POPULATION_LIMIT raises CutoffError.
 
-H is a sparse matrix assembled by index arithmetic: the harmonic part is one
-diagonal, and each anharmonic term is the outer product, over modes, of the
-nonzero band entries of that mode's x^p, placed at the flat basis index
+H is a sparse matrix assembled by index arithmetic in the flat basis index
 sum_m n_m cutoff^(nm-1-m).  Operators on different modes commute, so G3 and
 G4 enter once per sorted index multiset with their permutation-summed
-coefficient.  All terms are concatenated and converted to CSC once.
+coefficient, and each term (a multiset, or one mode's n + 1/2) is a product
+over modes of one-mode operators.  Such a product is a sum of pairs, one per
+choice of a diagonal of each one-mode operator; a pair's entries are the
+outer product of those diagonals and lie on one diagonal of H, at offset
+sum_m d_m cutoff^(nm-1-m).  The pairs of each (modes, cutoff) shape are
+tabulated once, sorted by offset (a private cache of at most
+MAX_MODES x MAX_CUTOFF small tables).  Per call, the pairs of terms with a
+nonzero coefficient are evaluated and summed per offset by one matrix
+product into a dense (basis state x offset) array, whose nonzero entries
+are already in CSC order: there is no sparse duplicate summing and no sort,
+and H stores exactly its nonzero entries.
 
 Each target level is found by Davidson iteration from its label.  The
 subspace starts at the label's unit vector; each step takes the Ritz pair
@@ -36,6 +44,7 @@ the same H.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -62,17 +71,54 @@ class StateMatchError(RuntimeError):
     """No eigenstate has a dominant overlap with the requested label."""
 
 
-def _x_bands(cutoff: int):
-    """(row, col, value) of the nonzero entries of x^p, p = 0..4, on one
-    truncated mode."""
+@functools.lru_cache(maxsize=MAX_MODES * MAX_CUTOFF)
+def _terms(n_modes: int, cutoff: int):
+    """What every H of one shape shares, as read-only (diagonals, rows,
+    term, offset, perms).
+
+    ``diagonals[9 op + d + 4, n] = <n - d| op |n>`` on one truncated mode,
+    for op = x^0 .. x^4 and then n + 1/2.  The terms of H are each mode's
+    n + 1/2, then the rank-3 and the rank-4 sorted index multisets.  A term
+    is a sum of pieces, one per choice of a diagonal d of its operator on
+    every mode: piece j is the outer product over modes m of
+    ``diagonals[rows[j, m]]``, scaled by the coefficient of term
+    ``term[j]``, and sits ``offset[j] = sum_m d_m cutoff^(n_modes-1-m)``
+    above the diagonal of H.  Pieces are sorted by decreasing offset.
+    ``perms[rank]`` is (flat, starts): the flat G index of every distinct
+    permutation of each multiset, grouped by multiset.
+    """
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
-    x = a + a.T
-    bands = []
-    for p in range(5):
-        xp = np.linalg.matrix_power(x, p)
-        rows, cols = np.nonzero(xp)
-        bands.append((rows, cols, xp[rows, cols]))
-    return bands
+    ops = [np.linalg.matrix_power(a + a.T, p) for p in range(5)]
+    ops.append(np.diag(np.arange(cutoff) + 0.5))
+    n = np.arange(cutoff)
+    row = n - np.arange(-4, 5)[:, None]
+    inside = (row >= 0) & (row < cutoff)
+    diagonals = np.where(inside, np.stack(ops)[:, row.clip(0, cutoff - 1), n],
+                         0.0).reshape(-1, cutoff)
+    # each term's operator per mode: x^power, or 5 for n + 1/2
+    powers = [[5 * (m == k) for m in range(n_modes)] for k in range(n_modes)]
+    perms = {}
+    for rank in (3, 4):
+        flat, starts = [], []
+        for idx in itertools.combinations_with_replacement(range(n_modes),
+                                                           rank):
+            starts.append(len(flat))
+            flat += sorted(np.ravel_multi_index(p, (n_modes,) * rank)
+                           for p in set(itertools.permutations(idx)))
+            powers.append(np.bincount(idx, minlength=n_modes).tolist())
+        perms[rank] = (np.array(flat), np.array(starts))
+    stride = cutoff ** np.arange(n_modes - 1, -1, -1)
+    pieces = sorted(
+        ((int(stride @ ds), k, [9 * p + d + 4 for p, d in zip(power, ds)])
+         for k, power in enumerate(powers)
+         for ds in itertools.product(*(range(-p, p + 1, 2) if p < 5 else (0,)
+                                       for p in power))),
+        key=lambda piece: -piece[0])
+    offset, term, rows = (np.array(col) for col in zip(*pieces))
+    shared = (diagonals, rows, term, offset, *perms[3], *perms[4])
+    for array in shared:
+        array.flags.writeable = False
+    return diagonals, rows, term, offset, perms
 
 
 def build_hamiltonian(omega, g3=None, g4=None, cutoff: int = 10):
@@ -93,13 +139,12 @@ def build_hamiltonian(omega, g3=None, g4=None, cutoff: int = 10):
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
     if cutoff > MAX_CUTOFF:
         raise ValueError(f"cutoff must be <= {MAX_CUTOFF}")
-    dim = cutoff**nm
-    diag = np.arange(dim)
-    n = np.indices((cutoff,) * nm).reshape(nm, -1)
-    rows, cols, vals = [diag], [diag], [HBAR * (omega @ (n + 0.5))]
-    bands = _x_bands(cutoff)
+    diagonals, rows, term, offset, perms = _terms(nm, int(cutoff))
+    coeff = [HBAR * omega]
     for name, rank, g in (("g3", 3, g3), ("g4", 4, g4)):
+        flat, starts = perms[rank]
         if g is None:
+            coeff.append(np.zeros(len(starts)))
             continue
         g = np.asarray(g, dtype=float)
         if g.shape != (nm,) * rank:
@@ -107,25 +152,29 @@ def build_hamiltonian(omega, g3=None, g4=None, cutoff: int = 10):
                 f"{name} must have shape {(nm,) * rank}, got {g.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"{name} must be finite")
-        for idx in itertools.combinations_with_replacement(range(nm), rank):
-            coeff = sum(g[p] for p in set(itertools.permutations(idx)))
-            if not coeff:
-                continue
-            # Horner over modes: flat index = sum_m n_m cutoff^(nm-1-m)
-            r = c = np.zeros(1, dtype=np.intp)
-            v = np.ones(1)
-            for count in np.bincount(idx, minlength=nm):
-                br, bc, bv = bands[count]
-                r = np.add.outer(r * cutoff, br).ravel()
-                c = np.add.outer(c * cutoff, bc).ravel()
-                v = np.multiply.outer(v, bv).ravel()
-            rows.append(r)
-            cols.append(c)
-            vals.append(coeff * v)
-    # duplicate (row, col) entries are summed by the conversion
-    return sparse.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim))
+        # operators on different modes commute: a multiset's coefficient is
+        # the sum of G over its distinct permutations
+        coeff.append(np.add.reduceat(g.ravel()[flat], starts))
+    coeff = np.concatenate(coeff)[term]
+    keep = coeff != 0
+    rows, offset, coeff = rows[keep], offset[keep], coeff[keep]
+    # v[j, n]: kept piece j in column n of H (Horner over modes)
+    v = coeff[:, None] * diagonals[rows[:, 0]]
+    for m in range(1, nm):
+        v = (v[:, :, None] * diagonals[rows[:, m]][:, None, :]).reshape(
+            len(v), -1)
+    # sum the pieces at each offset: h_by_offset[n, k] = H[n - offset_k, n]
+    new = np.diff(offset, prepend=offset[0] + 1) != 0
+    group = np.cumsum(new) - 1
+    h_by_offset = v.T @ (group[:, None] == np.arange(group[-1] + 1))
+    nonzero = h_by_offset != 0
+    dim = cutoff**nm
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
+    indices = (np.arange(dim, dtype=np.int32)[:, None]
+               - offset[new].astype(np.int32))[nonzero]
+    return sparse.csc_matrix((h_by_offset[nonzero], indices, indptr),
+                             shape=(dim, dim))
 
 
 def _match(evecs: np.ndarray, flat: int, label) -> int:

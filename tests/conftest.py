@@ -275,8 +275,11 @@ def mode_operators(n_modes: int, cutoff: int):
 
 
 def dense_hamiltonian(omega, g3=None, g4=None, cutoff: int = 10) -> np.ndarray:
-    """Dense Hamiltonian (J) in the truncated product Fock basis: one matrix
-    product chain per nonzero tensor entry (the library builds it sparse)."""
+    """Dense Hamiltonian (J) in the truncated product Fock basis: one product
+    of full-space x operators per nonzero tensor entry, multiplied as sparse
+    matrices (the library works per mode and per diagonal instead)."""
+    from scipy import sparse
+
     omega = np.asarray(omega, dtype=float)
     nm = len(omega)
     a_ops = mode_operators(nm, cutoff)
@@ -285,17 +288,16 @@ def dense_hamiltonian(omega, g3=None, g4=None, cutoff: int = 10) -> np.ndarray:
     for k in range(nm):
         nk = a_ops[k].T @ a_ops[k]
         h += HBAR * omega[k] * (nk + 0.5 * np.eye(dim))
-    xs = [op + op.T for op in a_ops]
-    if g3 is not None:
-        g3 = np.asarray(g3, dtype=float)
-        for idx in np.ndindex(*g3.shape):
-            if g3[idx]:
-                h += g3[idx] * (xs[idx[0]] @ xs[idx[1]] @ xs[idx[2]])
-    if g4 is not None:
-        g4 = np.asarray(g4, dtype=float)
-        for idx in np.ndindex(*g4.shape):
-            if g4[idx]:
-                h += g4[idx] * (xs[idx[0]] @ xs[idx[1]] @ xs[idx[2]] @ xs[idx[3]])
+    xs = [sparse.csr_matrix(op + op.T) for op in a_ops]
+    for g in (g3, g4):
+        if g is not None:
+            g = np.asarray(g, dtype=float)
+            for idx in np.ndindex(*g.shape):
+                if g[idx]:
+                    product = xs[idx[0]]
+                    for i in idx[1:]:
+                        product = product @ xs[i]
+                    h += g[idx] * product.toarray()
     return h
 
 
@@ -382,11 +384,17 @@ def dense_flop_populations(eta1, eta2, initial, omega0, t):
     a_steady = 0.0
     # |sum_k e^{-i E_k t} m[b, k]|^2 with real m, as two real products
     cos_et, sin_et = np.cos(np.outer(t, evals)), np.sin(np.outer(t, evals))
+    # the infinite-time average keeps the coherence inside each degenerate
+    # eigenspace (every block has a double zero at eta1 = eta2), so sum m
+    # over each run of equal ascending eigenvalues before squaring
+    same = np.diff(evals) <= 1e-9 * np.max(np.abs(evals))
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
     for n0, wgt in weights.items():
         c0 = evecs[idx(0, 0, n0), :]     # <k|psi0> for the real eigenbasis
         m = evecs * c0[None, :]          # m[b, k] = <b|k><k|psi0>
         pops += wgt * ((cos_et @ m.T) ** 2 + (sin_et @ m.T) ** 2)
-        a_steady += wgt * float((np.abs(m) ** 2).sum(axis=1) @ a_oper)
+        projected = np.add.reduceat(m, starts, axis=1)
+        a_steady += wgt * float((projected ** 2).sum(axis=1) @ a_oper)
     return pops, a_oper, a_steady
 
 

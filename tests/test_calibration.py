@@ -89,6 +89,21 @@ class TestNullParameter:
         with pytest.raises(BracketError, match="sign change"):
             null_parameter(family, be, mg, "in_phase", (-100.0, 100.0))
 
+    @pytest.mark.parametrize("bracket", [(np.nan, 2.0), (0.0, np.inf),
+                                         (-np.inf, 2.0)])
+    def test_non_finite_bracket_rejected(self, monkeypatch, be, mg, pot_cubic,
+                                         bracket):
+        """Refused by name before any solve, not as a malformed potential."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a chain")
+
+        monkeypatch.setattr(ionmodes.calibration, "solve_equilibrium",
+                            no_solve)
+        family = PotentialFamily(base=pot_cubic,
+                                 kappa_actions={3: -pot_cubic.kappa[3]})
+        with pytest.raises(ValueError, match=r"^bracket ends must be finite"):
+            null_parameter(family, be, mg, "in_phase", bracket)
+
 
 class TestInferPseudoGradient:
     def _family(self, pot):
@@ -144,6 +159,23 @@ class TestInferPseudoGradient:
                            match="^measured_out_shift must be finite$"):
             infer_pseudo_gradient(fam, be, mg, measured, (-1.0, 1.0),
                                   (0.0, 2.0))
+
+    @pytest.mark.parametrize("name,brackets", [
+        ("gradient_bracket", ((-1.0, np.inf), (0.0, 2.0))),
+        ("gradient_bracket", ((np.nan, 1.0), (0.0, 2.0))),
+        ("param_bracket", ((-1.0, 1.0), (0.0, np.nan))),
+        ("param_bracket", ((-1.0, 1.0), (-np.inf, 2.0)))])
+    def test_non_finite_bracket_end_rejected(self, monkeypatch, be, mg, name,
+                                             brackets):
+        """Refused by name before any solve, not as a malformed potential."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a chain")
+
+        monkeypatch.setattr(ionmodes.calibration, "solve_equilibrium",
+                            no_solve)
+        fam = _cubic_family(_gradient_pot(be, 0.0))
+        with pytest.raises(ValueError, match=rf"^{name} ends must be finite"):
+            infer_pseudo_gradient(fam, be, mg, 0.0, *brackets)
 
     def test_non_finite_bracket_residual_rejected(self, monkeypatch, be, mg):
         """A non-finite residual at a bracket end is no sign change."""

@@ -322,30 +322,75 @@ class TestSidebandFlop:
     # its weight, so populations still sum to one
     @pytest.mark.parametrize("initial", [0, 1.5, 4.7, 100.0])
     def test_unitarity_is_preserved(self, initial):
-        from ionmodes.dynamics import _flop_populations
-
-        pops, _, _ = _flop_populations(0.22, 0.11, initial, self.OMEGA0, self.T)
+        pops, steady = _flop_populations(0.22, 0.11, initial, self.OMEGA0,
+                                         self.T)
         assert pops.sum(axis=1) == pytest.approx(np.ones(len(self.T)),
                                                  abs=1e-10)
+        assert steady.sum() == pytest.approx(1.0, abs=1e-10)
+        assert np.all(pops >= -1e-12)
         a = sideband_flop(0.22, 0.11, initial, self.OMEGA0, None, self.T)
         assert np.all(a <= 1.0 + 1e-10) and np.all(a >= -1e-10)
 
     @pytest.mark.parametrize("eta1,eta2,initial", [
         (0.22, 0.11, 0), (0.18, 0.1125, 3), (0.2, 0.05, 1.5), (0.05, 0.25, 4.7)])
     def test_block_populations_match_dense_oracle(self, eta1, eta2, initial):
-        pops, a_oper, a_steady = _flop_populations(eta1, eta2, initial,
-                                                   self.OMEGA0, self.T)
+        """The spin populations, each summed over the motional state."""
+        pops, steady = _flop_populations(eta1, eta2, initial, self.OMEGA0,
+                                         self.T)
         ref, ref_oper, ref_steady = dense_flop_populations(
             eta1, eta2, initial, self.OMEGA0, self.T)
-        # both lay out basis state (s1, s2, n) at (2 s1 + s2) * nmax + n; the
-        # oracle pads n further to make its truncation harmless
-        nmax = pops.shape[1] // 4
-        ref = ref.reshape(len(self.T), 4, -1)
-        assert np.max(np.abs(pops.reshape(len(self.T), 4, nmax)
-                             - ref[:, :, :nmax])) <= 1e-12
-        assert np.max(np.abs(ref[:, :, nmax:])) <= 1e-12
-        assert np.array_equal(a_oper, ref_oper.reshape(4, -1)[:, :nmax].ravel())
-        assert a_steady == pytest.approx(ref_steady, abs=1e-12)
+        # the oracle lays out basis state (s1, s2, n) at (2 s1 + s2) * nmax + n
+        spins = ref.reshape(len(self.T), 4, -1).sum(axis=2)
+        expected = np.stack([spins[:, 0], spins[:, 1] + spins[:, 2],
+                             spins[:, 3]], axis=1)
+        assert np.max(np.abs(pops - expected)) <= 1e-12
+        assert np.array_equal(ref_oper.reshape(4, -1)[:, 0], [0, 0.5, 0.5, 1])
+        assert steady @ [0, 0.5, 1] == pytest.approx(ref_steady, abs=1e-12)
+
+    # the benchmark's range: eta 0.05-0.25, nbar 1-5, omega0 up to
+    # 2 pi x 50 kHz over 400 us, equal and unequal couplings, with and
+    # without decay
+    @pytest.mark.parametrize("eta1,eta2,initial,decay_time", [
+        (0.05, 0.25, 1.0, None), (0.25, 0.05, 5.0, 120e-6),
+        (0.13, 0.13, 3.0, None), (0.2, 0.2, 2.2, 60e-6),
+        (0.11, 0.19, 4.0, 500e-6), (0.25, 0.25, 1.0, 50e-6)])
+    def test_signal_matches_dense_oracle(self, eta1, eta2, initial,
+                                         decay_time):
+        omega0, t = 2 * math.pi * 50e3, np.linspace(0.0, 400e-6, 21)
+        pops, a_oper, a_steady = dense_flop_populations(eta1, eta2, initial,
+                                                        omega0, t)
+        expected = pops @ a_oper
+        if decay_time is not None:
+            expected = a_steady + (expected - a_steady) * np.exp(-t / decay_time)
+        a = sideband_flop(eta1, eta2, initial, omega0, decay_time, t)
+        assert np.max(np.abs(a - expected)) <= 1e-12
+
+    def test_infinite_decay_time_is_undamped(self):
+        a = sideband_flop(0.22, 0.11, 1.5, self.OMEGA0, math.inf, self.T)
+        assert np.array_equal(
+            a, sideband_flop(0.22, 0.11, 1.5, self.OMEGA0, None, self.T))
+
+    # every case is refused before any block is built
+    @pytest.mark.parametrize("name,bad", [
+        ("initial", {"initial": True}), ("initial", {"initial": -1}),
+        ("initial", {"initial": -0.5}), ("initial", {"initial": math.inf}),
+        ("initial", {"initial": math.nan}), ("initial", {"initial": 1e17}),
+        ("omega0", {"omega0": math.nan}), ("omega0", {"omega0": -math.inf}),
+        ("eta1", {"eta1": math.inf}), ("eta1", {"eta1": -0.1}),
+        ("eta2", {"eta2": math.nan}),
+        ("decay_time", {"decay_time": math.nan}),
+        ("decay_time", {"decay_time": -math.inf}),
+        ("decay_time", {"decay_time": 0.0}),
+        ("t_grid", {"t_grid": [0.0, math.nan]}),
+        ("t_grid", {"t_grid": [0.0, math.inf]}),
+        ("t_grid", {"t_grid": [[0.0, 1e-6]]})],
+        ids=lambda v: v if isinstance(v, str) else repr(next(iter(v.values()))))
+    def test_bad_inputs_rejected(self, name, bad):
+        args = {"eta1": 0.2, "eta2": 0.1, "initial": 1.5,
+                "omega0": self.OMEGA0, "decay_time": None, "t_grid": self.T,
+                **bad}
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            sideband_flop(**args)
 
     def test_equal_couplings_steady_state(self):
         """At eta1 = eta2 zero is a double eigenvalue of every block; from
@@ -357,6 +402,5 @@ class TestSidebandFlop:
     def test_steady_state_is_the_long_time_average(self, initial):
         t = np.linspace(0.0, 0.2, 80001)
         undamped = sideband_flop(0.22, 0.11, initial, self.OMEGA0, None, t)
-        _, _, a_steady = _flop_populations(0.22, 0.11, initial, self.OMEGA0,
-                                           t[:1])
-        assert a_steady == pytest.approx(undamped.mean(), abs=1e-3)
+        _, steady = _flop_populations(0.22, 0.11, initial, self.OMEGA0, t[:1])
+        assert steady @ [0, 0.5, 1] == pytest.approx(undamped.mean(), abs=1e-3)

@@ -209,9 +209,38 @@ class TestSparseSolver:
         assert h.format == "csc"
         assert np.max(np.abs(h.toarray() - dense)) <= 1e-14 * np.max(np.abs(dense))
 
+    @pytest.mark.parametrize("cutoff", [8, 10])
+    @pytest.mark.parametrize("quartic", [False, True])
+    def test_sparse_coupling_stores_only_nonzero_entries(self, cutoff,
+                                                         quartic):
+        """The oracle benchmark's radial-axial coupling of one ion in 3D:
+        G3 only at the permutations of (x, x, z), (y, y, z) and at
+        (z, z, z), G4 at most at (z, z, z, z).  Index multisets with a zero
+        coefficient add nothing, so H stores exactly the nonzero entries of
+        the dense matrix."""
+        omega = 2 * np.pi * np.array([9.3e6, 6.1e6, 0.6e6])
+        hw = HBAR * omega.min()
+        g3 = np.zeros((3, 3, 3))
+        # generic ratios: an entry whose terms cancel exactly would hold
+        # round-off in one build and 0 in the other
+        for idx, c in (((0, 0, 2), 2.71e-3), ((1, 1, 2), -1.93e-3),
+                       ((2, 2, 2), 1.37e-3)):
+            for p in set(itertools.permutations(idx)):
+                g3[p] = c * hw
+        g4 = None
+        if quartic:
+            g4 = np.zeros((3,) * 4)
+            g4[2, 2, 2, 2] = 2.3e-4 * hw
+        h = fockspace.build_hamiltonian(omega, g3, g4, cutoff)
+        dense = dense_hamiltonian(omega, g3, g4, cutoff)
+        assert h.nnz == np.count_nonzero(dense)
+        assert np.max(np.abs(h.toarray() - dense)) <= 1e-14 * np.max(np.abs(dense))
+
     @pytest.mark.parametrize("n_modes,occupations,z,cutoff", [
         (1, [2], 0, 12), (2, [1, 0], 1, 10), (2, [0, 2], 0, 12),
-        (3, [0, 1, 0], 0, 7), (3, [1, 0, 1], 2, 8)])
+        (3, [0, 1, 0], 0, 7), (3, [1, 0, 1], 2, 8),
+        # the oracle benchmark's shapes
+        (2, [1, 1], 0, 14), (3, [0, 1, 1], 1, 8), (3, [1, 1, 0], 2, 10)])
     def test_certified_levels_match_dense_eigh(self, monkeypatch, n_modes,
                                                occupations, z, cutoff):
         omega, g3, g4 = random_couplings(7 * n_modes + z, n_modes, 2e-3, 2e-4)
