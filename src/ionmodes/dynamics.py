@@ -185,14 +185,14 @@ def _flop_populations(eta1, eta2, initial, omega0, t):
     # r0, r1 = sqrt(n0 + 1), sqrt(n0 + 2); B B^T / (omega0 / 2)^2 is
     # [[e (n0 + 1), f], [f, e (n0 + 2)]]
     e = eta1**2 + eta2**2
-    r = np.sqrt((n0 + 1.0) * (n0 + 2.0))
+    r = np.sqrt((n0 + 1.0) * (n0 + 2.0))    # r0 r1
     f = 2 * eta1 * eta2 * r
     disc = np.hypot(e, 2 * f)
-    # singular values of B in units of |omega0| / 2
-    s1 = np.sqrt((e * (2 * n0 + 3) + disc) / 2)
-    # s2 = |det B| / s1, exactly 0 at eta1 = eta2
-    s2 = np.divide(abs(eta1**2 - eta2**2) * r, s1, out=np.zeros_like(s1),
-                   where=s1 > 0)
+    # singular values of B in units of |omega0| / 2; the second is
+    # |det B| / the first, exactly 0 at eta1 = eta2
+    sigma1 = np.sqrt((e * (2 * n0 + 3) + disc) / 2)
+    sigma2 = np.divide(abs(eta1**2 - eta2**2) * r, sigma1,
+                       out=np.zeros_like(sigma1), where=sigma1 > 0)
     cos2th = np.divide(-e, disc, out=np.ones_like(disc), where=disc > 0)
     u = np.stack([1 + cos2th, 1 - cos2th], axis=1) / 2     # c^2, s^2
     p = u[:, 0] * u[:, 1]
@@ -202,15 +202,19 @@ def _flop_populations(eta1, eta2, initial, omega0, t):
     cross = w[:, None] * np.stack([2 * p, 0 * p, -2 * p], axis=1)
     const = np.array([0.0, w.sum(), 0.0])
 
-    s1, s2 = abs(omega0) / 2 * s1, abs(omega0) / 2 * s2
-    c = np.cos(np.multiply.outer(t, np.stack([s1, s2], axis=1)))
+    s = abs(omega0) / 2 * np.stack([sigma1, sigma2], axis=1)
+    c = np.cos(np.multiply.outer(t, s))
     pops = const + (c**2).reshape(len(t), -1) @ square.reshape(-1, 3) \
         + (c[:, :, 0] * c[:, :, 1]) @ cross
 
+    s1, s2 = s.T
     gaps = np.stack([2 * s1, 2 * s2, s1 - s2, s1 + s2], axis=1)
     zero = np.abs(gaps) <= 16 * np.finfo(float).eps * s1[:, None]
-    steady = const + np.einsum("ki,kip->p", (1 + zero[:, :2]) / 2, square) \
-        + (zero[:, 2] * 0.5 + zero[:, 3] * 0.5) @ cross
+    # time averages: Ci^2 -> (1 + [2 si = 0]) / 2,
+    # C1 C2 -> ([s1 - s2 = 0] + [s1 + s2 = 0]) / 2
+    steady = const \
+        + np.einsum("ki,kip->p", (1 + zero[:, :2]) / 2, square) \
+        + zero[:, 2:].sum(axis=1) / 2 @ cross
     return pops, steady
 
 
@@ -230,13 +234,13 @@ def sideband_flop(eta1: float, eta2: float, initial, omega0: float,
     naming eta1, eta2, initial, omega0, decay_time or t_grid when that
     argument is malformed.
     """
-    if decay_time is not None and decay_time != math.inf \
-            and not decay_time > 0:
+    damped = decay_time is not None and decay_time != math.inf
+    if damped and not decay_time > 0:
         raise ValueError(f"decay_time must be positive, got {decay_time!r}")
     t = np.asarray(t_grid, dtype=float)
     pops, steady = _flop_populations(eta1, eta2, initial, omega0, t)
     fluorescence = np.array([0.0, 0.5, 1.0])
     a_t, a_steady = pops @ fluorescence, steady @ fluorescence
-    if decay_time is not None and decay_time != math.inf:
+    if damped:
         a_t = a_steady + (a_t - a_steady) * np.exp(-t / decay_time)
     return a_t

@@ -12,12 +12,12 @@ H is a sparse matrix assembled by index arithmetic in the flat basis index
 sum_m n_m cutoff^(nm-1-m).  Operators on different modes commute, so G3 and
 G4 enter once per sorted index multiset with their permutation-summed
 coefficient, and each term (a multiset, or one mode's n + 1/2) is a product
-over modes of one-mode operators.  Such a product is a sum of pairs, one per
-choice of a diagonal of each one-mode operator; a pair's entries are the
-outer product of those diagonals and lie on one diagonal of H, at offset
-sum_m d_m cutoff^(nm-1-m).  The pairs of each (modes, cutoff) shape are
-tabulated once, sorted by offset (a private cache of at most
-MAX_MODES x MAX_CUTOFF small tables).  Per call, the pairs of terms with a
+over modes of one-mode operators.  Such a product is a sum of pieces, one
+per choice of a diagonal of each one-mode operator; a piece's entries are
+the outer product of those diagonals and lie on one diagonal of H, at
+offset sum_m d_m cutoff^(nm-1-m).  The pieces of each (modes, cutoff) shape
+are tabulated once, sorted by offset (a private cache of at most
+MAX_MODES x MAX_CUTOFF small tables).  Per call, the pieces of terms with a
 nonzero coefficient are evaluated and summed per offset by one matrix
 product into a dense (basis state x offset) array, whose nonzero entries
 are already in CSC order: there is no sparse duplicate summing and no sort,

@@ -207,6 +207,7 @@ class TestSparseSolver:
         h = fockspace.build_hamiltonian(omega, g3, g4, cutoff)
         dense = dense_hamiltonian(omega, g3, g4, cutoff)
         assert h.format == "csc"
+        assert h.nnz == np.count_nonzero(dense)
         assert np.max(np.abs(h.toarray() - dense)) <= 1e-14 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("cutoff", [8, 10])
