@@ -34,7 +34,7 @@ import numpy as np
 from .constants import HBAR, PLANCK
 from .modes import ModeSpectrum, _at_equilibrium, _index, _is_integer, \
     mode_spectrum
-from .statics import ChainConfiguration, _Energy, _warn_caller
+from .statics import ChainConfiguration, _warn_caller
 
 RESONANCE_HARD = 1e-3  # |denominator| below this (x max omega^2): error
 RESONANCE_SOFT = 1e-2  # warning band
@@ -108,7 +108,7 @@ def derivative_tensors(cfg: ChainConfiguration) -> DerivativeTensors:
 
     Both the Coulomb interaction and the anharmonic trap terms contribute.
     """
-    t3, t4 = _at_equilibrium(cfg, 3, 4)
+    _, (t3, t4) = _at_equilibrium(cfg, 3, 4)
     return DerivativeTensors(A3=t3 / 6.0, A4=t4 / 24.0)
 
 
@@ -135,8 +135,8 @@ def _chi_tensors(cfg: ChainConfiguration, spectrum: ModeSpectrum):
     u = spectrum.sigma_ion
     if u.shape[0] != len(cfg.coordinate_masses):
         raise ValueError("tensor and spectrum dimensions do not match")
-    t3, = _at_equilibrium(cfg, 3)
-    q = _Energy(cfg.species, cfg.potential).quartic_diagonal(cfg.positions, u)
+    energy, (t3,) = _at_equilibrium(cfg, 3)
+    q = energy.quartic_diagonal(cfg.positions, u)
     return _to_modes(t3 / 6.0, u), q / 24.0
 
 

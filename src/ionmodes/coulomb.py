@@ -12,14 +12,15 @@ import numpy as np
 _EYE = {k: np.eye(k) for k in (1, 3)}  # the component counts a pair can have
 
 
-def inv_r_derivatives(r, orders) -> list:
+def inv_r_derivatives(r, r2, orders) -> list:
     """d^m(1/|r|)/dr_a1 ... dr_am for each m in ``orders`` (0 to 4).
 
-    ``r`` has shape (..., k) with k = 1 or 3; the leading axes (a pair axis,
-    say) broadcast, and the m-th result has shape (...,) + (k,) * m.
+    ``r`` has shape (..., k) with k = 1 or 3 and ``r2`` is its squared norm,
+    shape (...); the leading axes (a pair axis, say) broadcast, and the m-th
+    result has shape (...,) + (k,) * m.
     """
     r = np.asarray(r, dtype=float)
-    rn = np.sqrt(np.add.reduce(r * r, axis=-1))
+    rn = np.sqrt(r2)
     return [_derivative(r, rn[(...,) + (None,) * m], m) for m in orders]
 
 

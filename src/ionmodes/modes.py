@@ -38,20 +38,36 @@ def _index(k, d: int, name: str) -> int:
     return int(k)
 
 
-def _at_equilibrium(cfg: ChainConfiguration, *orders) -> list:
-    """Energy derivatives of the given orders at a checked equilibrium."""
-    g, *out = _Energy(cfg.species, cfg.potential)(cfg.positions, 1, *orders)
-    bound = max(cfg.residual_gradient * EQUILIBRIUM_SLACK, 1e-30)
-    if np.max(np.abs(g)) > bound:
-        raise NotAtEquilibriumError(
-            "configuration is not at equilibrium "
-            f"(max |grad| = {np.max(np.abs(g)):.3e} J/m)")
-    return out
+def _at_equilibrium(cfg: ChainConfiguration, *orders) -> tuple:
+    """(energy, [d^m U for m in orders]): the chain's ``_Energy`` and its
+    derivatives of the given orders at a checked equilibrium.
+
+    A configuration from ``solve_equilibrium`` carries the solver's
+    ``_Energy`` and the gradient and Hessian at its positions: orders 1 and 2
+    are read off it, any other order is evaluated by that ``_Energy``, and
+    the equilibrium the solver reached is not checked again.  Any other
+    configuration gets a new ``_Energy``, and its gradient must lie within
+    EQUILIBRIUM_SLACK of its ``residual_gradient``.
+    """
+    energy = cfg._energy
+    if energy is None:
+        energy = _Energy(cfg.species, cfg.potential)
+        g, *out = energy(cfg.positions, 1, *orders)
+        bound = max(cfg.residual_gradient * EQUILIBRIUM_SLACK, 1e-30)
+        if np.max(np.abs(g)) > bound:
+            raise NotAtEquilibriumError(
+                "configuration is not at equilibrium "
+                f"(max |grad| = {np.max(np.abs(g)):.3e} J/m)")
+        return energy, out
+    carried = {1: cfg._gradient, 2: cfg._hessian}
+    rest = [m for m in orders if m not in carried]
+    new = iter(energy(cfg.positions, *rest) if rest else ())
+    return energy, [carried[m] if m in carried else next(new) for m in orders]
 
 
 def hessian(cfg: ChainConfiguration) -> np.ndarray:
     """Mass-weighted Hessian (s^-2) at the solved equilibrium."""
-    h, = _at_equilibrium(cfg, 2)
+    _, (h,) = _at_equilibrium(cfg, 2)
     m = cfg.coordinate_masses
     return h / np.sqrt(np.outer(m, m))
 

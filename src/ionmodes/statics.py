@@ -8,7 +8,10 @@ pairwise Coulomb repulsion,
 Equilibria are found by Newton's method with the analytic gradient and
 Hessian and a backtracking line search; ion order (increasing axial
 coordinate) is preserved during iteration and a crossing step is an error,
-since ion order is physically meaningful for mixed-species chains.
+since ion order is physically meaningful for mixed-species chains.  A solved
+configuration carries the solver's energy object and the gradient and Hessian
+it evaluated at the returned positions, so the spectrum and tensor stages
+evaluate neither again.
 """
 
 from __future__ import annotations
@@ -111,7 +114,8 @@ class _Energy:
         self.slope = np.array([self.axial.gradient_slope(sp) for sp in species])
         self.coupling = COULOMB * self.charge[:, None] * self.charge[None, :]
         np.fill_diagonal(self.coupling, 0.0)
-        self.pairs = np.nonzero(~np.eye(len(species), dtype=bool))  # i != j
+        ions = np.arange(len(species))
+        self.ion_pairs = (ions[:, None], ions[None, :])  # every (i, j)
         self.diag = np.diag_indices(len(species))
         if self.trap is not None:
             # on-site Taylor tensors, leading axis over ions: the radial
@@ -153,13 +157,14 @@ class _Energy:
         n = len(pos)
         sep = pos[:, None, :] - pos[None, :, :]
         sep[self.diag] = 1.0  # self-pairs carry no coupling
-        close = np.add.reduce(sep * sep, axis=-1) < COINCIDENCE_LIMIT**2
+        r2 = np.add.reduce(sep * sep, axis=-1)
+        close = r2 < COINCIDENCE_LIMIT**2
         if close.any():
             raise ValueError("ions {} and {} are coincident".format(
                 *np.argwhere(close)[0]))
         axial = self.axial.derivatives(pos[:, -1], orders, self.charge,
                                        self.slope)
-        coul = coulomb.inv_r_derivatives(sep, orders)
+        coul = coulomb.inv_r_derivatives(sep, r2, orders)
         return (self._onsite(pos, orders, axial),
                 [self.coupling.reshape((n, n) + (1,) * m) * c
                  for m, c in zip(orders, coul)])
@@ -197,7 +202,9 @@ class _Energy:
         Ion i's diagonal block sums its pair blocks over all partners j.  An
         index on ion j of an ordered pair (i, j) flips the sign once; every
         off-diagonal entry has its first index on some ion i, so it is set
-        exactly once.
+        exactly once.  Each sign pattern writes all (i, j) at once, the
+        self-pairs i = j included; the diagonal, written last, overwrites
+        those.
         """
         m = onsite.ndim - 1
         if m == 0:
@@ -207,14 +214,13 @@ class _Energy:
             return diagonal.reshape(-1)
         n, k = onsite.shape[:2]
         t = np.zeros((n, k) * m)
-        t[(self.diag[0], slice(None)) * m] = diagonal
-        owners, every = self.pairs, slice(None)
-        blocks = pair[owners]
+        ions, every = self.ion_pairs, slice(None)
         for rest in product((0, 1), repeat=m - 1):
             if any(rest):
-                idx = (owners[0], every) + sum(((owners[o], every)
-                                                for o in rest), ())
-                t[idx] = (-1.0) ** sum(rest) * blocks
+                idx = (ions[0], every) + sum(((ions[o], every)
+                                              for o in rest), ())
+                t[idx] = (-1.0) ** sum(rest) * pair
+        t[(self.diag[0], every) * m] = diagonal
         return t.reshape((n * k,) * m)
 
 
@@ -239,12 +245,24 @@ def energy_hessian(positions, species, potential) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChainConfiguration:
-    """An ordered chain with solved equilibrium positions."""
+    """An ordered chain with solved equilibrium positions.
+
+    A configuration returned by ``solve_equilibrium`` also carries, privately,
+    the solver's ``_Energy`` and the gradient and Hessian it evaluated at
+    ``positions``; those arrays and ``positions`` are read-only, so no edit
+    can leave a stale Hessian behind.  A configuration built by hand carries
+    none of them, and ``modes`` evaluates and checks its derivatives anew.
+    """
 
     species: tuple[IonSpecies, ...]
     positions: np.ndarray            # (N,) axial or (N, 3)
     potential: AxialPotential | TrapModel3D
     residual_gradient: float         # J/m, max component at the solution
+
+    # set by solve_equilibrium; not fields, so not in __init__ or repr
+    _energy = None
+    _gradient = None
+    _hessian = None
 
     @property
     def n_ions(self) -> int:
@@ -328,11 +346,22 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
 
     Newton iteration with analytic Hessian and a backtracking (Armijo) line
     search, started from the equal-mass harmonic chain at the characteristic
-    length scale.  Raises ConvergenceError (also when MAX_NEWTON_ITER steps
-    do not converge), IonCrossingError, UnconfinedPotentialError, or its
-    subclass LinearChainInstabilityError when a radial mode is soft.
+    length scale (or from ``initial_guess``: one finite position per ion,
+    shape (N,) axial or (N, 3) in 3D, in increasing axial order).  The
+    Hessian at the solution must admit a Cholesky factorisation (be positive
+    definite).  Raises ValueError for malformed inputs, before any energy
+    evaluation; ConvergenceError (also when MAX_NEWTON_ITER steps do not
+    converge), IonCrossingError, UnconfinedPotentialError, or its subclass
+    LinearChainInstabilityError when a radial mode is soft.
+
+    The returned configuration carries this solve's ``_Energy`` and its last
+    gradient and Hessian, all evaluated at the returned positions, for
+    ``modes`` and ``anharmonic`` to reuse; its arrays are read-only.
     """
     species = tuple(species)
+    n = len(species)
+    if not n:
+        raise ValueError("species must hold at least one ion")
     axial = potential.axial
     energy = _Energy(species, potential)
     want3d = energy.trap is not None
@@ -340,8 +369,13 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
         guess = _initial_guess(species, axial)
     else:
         guess = np.array(initial_guess, dtype=float)
-        if _as_positions(guess).shape[1] == 3 and not want3d:
+        if guess.shape not in ((n,), (n, 3)):
+            raise ValueError(f"initial_guess must have shape ({n},) or "
+                             f"({n}, 3) for {n} ions, got {guess.shape}")
+        if guess.ndim == 2 and not want3d:
             raise ValueError("3D guess supplied for a 1D axial potential")
+        if not np.isfinite(guess).all():
+            raise ValueError("initial_guess must be finite")
     if want3d and guess.ndim == 1:
         guess = np.column_stack([np.zeros(len(guess)), np.zeros(len(guess)), guess])
 
@@ -406,11 +440,19 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
         if np.abs(g_t).max() >= np.abs(g).max():
             break
         x, g, h = trial, g_t, h_t
-    if np.linalg.eigvalsh(h)[0] <= 0:
-        raise _instability(h, want3d)
-    return ChainConfiguration(species=species, positions=x.reshape(shape),
-                              potential=potential,
-                              residual_gradient=float(np.abs(g).max()))
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        raise _instability(h, want3d) from None
+    positions = x.reshape(shape)
+    for a in (positions, g, h):
+        a.flags.writeable = False
+    cfg = ChainConfiguration(species=species, positions=positions,
+                             potential=potential,
+                             residual_gradient=float(np.abs(g).max()))
+    for name, value in (("_energy", energy), ("_gradient", g), ("_hessian", h)):
+        object.__setattr__(cfg, name, value)
+    return cfg
 
 
 def chain_length(cfg: ChainConfiguration) -> float:

@@ -2,15 +2,16 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from ionmodes import BE9, MG24, MGH25, ResonanceError, axial_for_frequency, \
     axial_from_lambdas, chi_from_configuration, chi_matrix, \
-    derivative_tensors, detect_resonances, frequency_shift, mode_spectrum, \
-    mode_tensors, solve_equilibrium, trap3d_from_frequencies
-from ionmodes import anharmonic
+    derivative_tensors, detect_resonances, frequency_shift, hessian, \
+    mode_spectrum, mode_tensors, solve_equilibrium, trap3d_from_frequencies
+from ionmodes import anharmonic, modes, statics
 from ionmodes.anharmonic import ModeTensors, _chi_tensors, occupation_vector
 from ionmodes.constants import COULOMB, HBAR, PLANCK
 from ionmodes.modes import ModeSpectrum
@@ -621,6 +622,72 @@ class TestContractedChi:
         assert g3.shape == (90,) * 3 and q.shape == (90, 90)
         assert peak < 100e6
         assert np.allclose(q, q.T, rtol=0, atol=1e-12 * np.max(np.abs(q)))
+
+
+CARRIED_CASES = {
+    "be_mg_1d": lambda: solve_equilibrium(
+        [BE9, MG24, BE9, MG24, BE9],
+        axial_from_lambdas(KAPPA2, {3: LAMBDA3, 4: LAMBDA4})),
+    "mgh_3d": lambda: _trap_chain([MGH25] * 3, 7),
+    "single_ion": lambda: _trap_chain([MGH25], 8),
+}
+
+
+class TestCarriedDerivatives:
+    """A solved configuration carries its solve's energy, gradient and
+    Hessian.  What the spectrum and tensor stages read from them equals, bit
+    for bit, what they evaluate anew for a hand-built configuration at the
+    same positions."""
+
+    @pytest.fixture
+    def energy_calls(self, monkeypatch):
+        counts = Counter()
+
+        class Recorder(statics._Energy):
+            def __init__(self, *args):
+                counts["build"] += 1
+                super().__init__(*args)
+
+            def __call__(self, *args):
+                counts["evaluate"] += 1
+                return super().__call__(*args)
+
+            def quartic_diagonal(self, *args):
+                counts["evaluate"] += 1
+                return super().quartic_diagonal(*args)
+
+        for module in (statics, modes, anharmonic):
+            if hasattr(module, "_Energy"):
+                monkeypatch.setattr(module, "_Energy", Recorder)
+        return counts
+
+    @pytest.mark.filterwarnings("ignore:.*near-resonant:RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(CARRIED_CASES))
+    def test_equal_to_recomputed(self, case):
+        cfg = CARRIED_CASES[case]()
+        copy = make_cfg(cfg.species, cfg.potential, cfg.positions)
+        assert cfg._hessian is not None and copy._hessian is None
+        assert np.array_equal(hessian(cfg), hessian(copy))
+        spec, spec_copy = mode_spectrum(cfg), mode_spectrum(copy)
+        for name in ("frequencies", "eigenvectors", "sigma_ion"):
+            assert np.array_equal(getattr(spec, name), getattr(spec_copy, name))
+        t, t_copy = derivative_tensors(cfg), derivative_tensors(copy)
+        assert np.array_equal(t.A3, t_copy.A3)
+        assert np.array_equal(t.A4, t_copy.A4)
+        chi = chi_from_configuration(cfg, spec)
+        chi_copy = chi_from_configuration(copy, spec_copy)
+        assert np.array_equal(chi.chi, chi_copy.chi)
+        assert np.array_equal(chi.base, chi_copy.base)
+
+    @pytest.mark.filterwarnings("ignore:.*near-resonant:RuntimeWarning")
+    def test_stages_reuse_the_solve(self, energy_calls):
+        cfg = CARRIED_CASES["mgh_3d"]()
+        energy_calls.clear()
+        spec = mode_spectrum(cfg)
+        assert not energy_calls
+        chi_from_configuration(cfg, spec)
+        # order 3, then the quartic pair diagonal, on the solve's _Energy
+        assert energy_calls == {"evaluate": 2}
 
 
 class TestOccupationVector:

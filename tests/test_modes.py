@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -68,6 +69,13 @@ class TestHessian:
                                  positions=cfg.positions * 1.05,
                                  potential=cfg.potential,
                                  residual_gradient=cfg.residual_gradient)
+        with pytest.raises(NotAtEquilibriumError):
+            hessian(off)
+
+    def test_replaced_positions_are_checked_anew(self, be, pot_harmonic):
+        # a copy with new positions carries no Hessian of the old ones
+        cfg = solve_equilibrium([be, be], pot_harmonic)
+        off = dataclasses.replace(cfg, positions=cfg.positions * 1.05)
         with pytest.raises(NotAtEquilibriumError):
             hessian(off)
 

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -179,6 +182,46 @@ class TestSolveEquilibrium:
     def test_unordered_guess_rejected(self, be, pot_harmonic):
         with pytest.raises(ValueError, match="increasing"):
             solve_equilibrium([be, be], pot_harmonic, initial_guess=[1e-6, -1e-6])
+
+    @pytest.mark.parametrize("n_ions, guess, match", [
+        (0, None, "species must hold at least one ion"),
+        (2, [-3e-6, 0.0, 3e-6], r"initial_guess must have shape \(2,\)"),
+        (2, [1e-6], r"initial_guess must have shape \(2,\)"),
+        (2, [-np.inf, 3e-6], "initial_guess must be finite"),
+        (2, [np.nan, 3e-6], "initial_guess must be finite"),
+    ], ids=["no_species", "long_guess", "short_guess", "infinite_guess",
+            "nan_guess"])
+    def test_malformed_input_named_before_evaluation(self, be, pot_harmonic,
+                                                     monkeypatch, n_ions,
+                                                     guess, match):
+        from ionmodes import statics
+
+        def evaluate(*args):
+            raise AssertionError("energy evaluated before the inputs were "
+                                 "checked")
+
+        monkeypatch.setattr(statics._Energy, "__call__", evaluate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                solve_equilibrium([be] * n_ions, pot_harmonic,
+                                  initial_guess=guess)
+
+    def test_solved_configuration_is_read_only(self, be, mg, pot_cubic):
+        cfg = solve_equilibrium([be, mg], pot_cubic)
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.positions[0] = 0.0
+        assert not cfg._gradient.flags.writeable
+        assert not cfg._hessian.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg._hessian = None
+
+    def test_carried_derivatives_stay_private(self, be, mg, pot_cubic):
+        cfg = solve_equilibrium([be, mg], pot_cubic)
+        assert cfg._energy is not None
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "species", "positions", "potential", "residual_gradient"]
+        assert "_energy" not in repr(cfg) and "_hessian" not in repr(cfg)
 
     def test_3d_guess_for_axial_potential_rejected(self, be, pot_harmonic):
         guess = [[0.0, 0.0, -2.4e-6], [0.0, 0.0, 2.4e-6]]
