@@ -14,13 +14,14 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from .modes import ModeSpectrum, _index, _is_integer, mode_spectrum
 from .potentials import AxialPotential
 from .species import IonSpecies
-from .statics import solve_equilibrium
+from .statics import _reordered, solve_equilibrium
 
 IN_PHASE = "in_phase"
 OUT_OF_PHASE = "out_of_phase"
@@ -77,10 +78,21 @@ def _labelled_frequencies(spectrum: ModeSpectrum) -> dict[str, float]:
 
 def _order_frequencies(pot: AxialPotential, species_a: IonSpecies,
                        species_b: IonSpecies) -> dict[str, tuple[float, float]]:
-    """(f_ab, f_ba) for each mode label: one solve per ion order."""
-    ab, ba = (_labelled_frequencies(mode_spectrum(solve_equilibrium(order, pot)))
-              for order in ((species_a, species_b), (species_b, species_a)))
+    """(f_ab, f_ba) for each mode label: one solve per ion order, or one for
+    both when the statics cannot tell the orders apart."""
+    cfg_ab = solve_equilibrium((species_a, species_b), pot)
+    cfg_ba = _reordered(cfg_ab, (species_b, species_a))
+    if cfg_ba is None:
+        cfg_ba = solve_equilibrium((species_b, species_a), pot)
+    ab, ba = (_labelled_frequencies(mode_spectrum(cfg))
+              for cfg in (cfg_ab, cfg_ba))
     return {label: (ab[label], ba[label]) for label in ab.keys() & ba.keys()}
+
+
+def _check_axial(pot, name: str):
+    if not isinstance(pot, AxialPotential):
+        raise ValueError(f"{name} must be an AxialPotential, "
+                         f"got {type(pot).__name__}")
 
 
 def _check_label(mode_label: str):
@@ -103,6 +115,7 @@ def order_shift(pot: AxialPotential, species_a: IonSpecies,
     The label is resolved by the eigenvector sign product, not by frequency
     order, so it survives mass-ratio changes.
     """
+    _check_axial(pot, "pot")
     _check_label(mode_label)
     freqs = _order_frequencies(pot, species_a, species_b)
     delta = _delta(freqs, mode_label)
@@ -117,6 +130,7 @@ def null_parameter(family: PotentialFamily, species_a: IonSpecies,
     Bracketed root finding (Brent); requires a sign change over the bracket
     and verifies |delta(p*)| < NULL_TOLERANCE_HZ.
     """
+    _check_axial(family.base, "family.base")
     _check_bracket(bracket, "bracket")
     return _null(family, species_a, species_b, mode_label, bracket)[0]
 
@@ -176,6 +190,7 @@ def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
     """
     from scipy.optimize import brentq
 
+    _check_axial(family.base, "family.base")
     if family.base.pseudo_reference is None:
         raise ValueError("family base must carry a pseudo_reference species")
     if not np.isfinite(measured_out_shift):
@@ -218,6 +233,10 @@ def field_sensitivity(pot: AxialPotential, species, field: float,
     this equals 3 E / (2 kappa2 lambda3) for a single ion in a cubic trap,
     and it vanishes for a purely harmonic potential.
     """
+    _check_axial(pot, "pot")
+    if isinstance(field, bool) or not isinstance(field, Real) \
+            or not math.isfinite(field):
+        raise ValueError(f"field must be a finite number in V/m, got {field!r}")
     species = tuple(species)
     f0 = _solved_frequency(pot, species, mode)
     shifted = dataclasses.replace(pot, uniform_field=pot.uniform_field + field)

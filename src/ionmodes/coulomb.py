@@ -21,12 +21,20 @@ def inv_r_derivatives(r, r2, orders) -> list:
     """
     r = np.asarray(r, dtype=float)
     rn = np.sqrt(r2)
-    return [_derivative(r, rn[(...,) + (None,) * m], m) for m in orders]
+    return [_derivative(r, rn, m) for m in orders]
 
 
 def _derivative(r, rn, order):
-    """One order of d^m(1/|r|), given |r| broadcast to the result's rank."""
+    """One order of d^m(1/|r|), given |r| of shape r.shape[:-1]."""
     k = r.shape[-1]
+    if order == 0:
+        return 1.0 / rn
+    rn = rn[(...,) + (None,) * order]  # broadcast to the result's rank
+    if order == 1:
+        return -r / rn**3
+    if order == 2:
+        return (3.0 * (r[..., :, None] * r[..., None, :])
+                - rn**2 * _EYE[k]) / rn**5
     # r with its component axis on each derivative axis in turn
     ra = [r[(...,) + (None,) * a + (slice(None),) + (None,) * (order - 1 - a)]
           for a in range(order)]
@@ -42,12 +50,6 @@ def _derivative(r, rn, order):
         shape[a] = shape[b] = k
         return _EYE[k].reshape(shape)
 
-    if order == 0:
-        return 1.0 / rn
-    if order == 1:
-        return -v(0) / rn**3
-    if order == 2:
-        return (3.0 * v(0, 1) - rn**2 * d(0, 1)) / rn**5
     if order == 3:
         deltas = d(0, 1) * v(2) + d(0, 2) * v(1) + d(1, 2) * v(0)
         return -3.0 * (5.0 * v(0, 1, 2) - rn**2 * deltas) / rn**7

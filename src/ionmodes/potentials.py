@@ -58,6 +58,7 @@ class AxialPotential:
             for m in range(n + 1):
                 taylor[n - m, m] = kn * math.perm(n, m)
         object.__setattr__(self, "_taylor", taylor)
+        object.__setattr__(self, "_powers", np.arange(len(taylor)))
 
     @property
     def kappa2(self) -> float:
@@ -99,8 +100,7 @@ class AxialPotential:
         """
         z = np.asarray(z, dtype=float)
         taylor = self._taylor
-        poly = (z - self.expansion_origin)[..., None] \
-            ** np.arange(len(taylor)) @ taylor
+        poly = (z - self.expansion_origin)[..., None] ** self._powers @ taylor
         out = []
         for k in orders:
             acc = poly[..., k] if k < len(taylor) else 0.0 * z

@@ -11,7 +11,9 @@ coordinate) is preserved during iteration and a crossing step is an error,
 since ion order is physically meaningful for mixed-species chains.  A solved
 configuration carries the solver's energy object and the gradient and Hessian
 it evaluated at the returned positions, so the spectrum and tensor stages
-evaluate neither again.
+evaluate neither again.  Masses enter no equilibrium, so a reordering of the
+ions that keeps every ion's charge, pseudopotential slope and radial
+curvatures in place shares the solve (``_reordered``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 
@@ -32,6 +34,7 @@ from .species import IonSpecies
 
 COINCIDENCE_LIMIT = 1e-12  # m
 MAX_NEWTON_ITER = 200
+MAX_ORDER = 4              # highest derivative order of the energy
 GRAD_TOL_FACTOR = 1e-10    # of the characteristic force scale 2 q kappa2 l
 
 
@@ -98,32 +101,58 @@ def _diagonal_contraction(blocks, w) -> np.ndarray:
     return np.tensordot(bw, ww, axes=(axes, axes))
 
 
+@lru_cache(maxsize=64)
+def _assembly_indices(n: int, m: int) -> tuple:
+    """``_assemble``'s indices for rank m and N ions, the same for every chain
+    of N ions: the (index, sign) write of the pair blocks for each sign
+    pattern, and the index of the diagonal blocks."""
+    ions = np.arange(n)
+    ions.flags.writeable = False
+    pair, every = (ions[:, None], ions[None, :]), slice(None)  # every (i, j)
+    writes = tuple(((pair[0], every) + sum(((pair[o], every) for o in rest), ()),
+                    (-1.0) ** sum(rest))
+                   for rest in product((0, 1), repeat=m - 1) if any(rest))
+    return writes, (ions, every) * m
+
+
 class _Energy:
     """The chain energy U and its derivatives for fixed species and potential.
 
-    Per-chain constants (charges, pseudopotential slopes, pair couplings,
-    on-site trap tensors) are set up once; each call evaluates the on-site trap
-    terms and the Coulomb pair terms of every requested order at once, with
-    a linear chain as the one-component case of the pair kernel.
+    Per-chain constants (charges, pseudopotential slopes, pair couplings
+    shaped for each derivative order, on-site trap tensors and their factors)
+    are set up once, so each call evaluates, with no further set-up, the
+    on-site trap terms and the Coulomb pair terms of every requested order at
+    once, with a linear chain as the one-component case of the pair kernel.
     """
 
     def __init__(self, species, potential):
+        n = len(species)
         self.axial = potential.axial
         self.trap = potential if isinstance(potential, TrapModel3D) else None
         self.charge = np.array([sp.charge_si for sp in species])
         self.slope = np.array([self.axial.gradient_slope(sp) for sp in species])
         self.coupling = COULOMB * self.charge[:, None] * self.charge[None, :]
         np.fill_diagonal(self.coupling, 0.0)
-        ions = np.arange(len(species))
-        self.ion_pairs = (ions[:, None], ions[None, :])  # every (i, j)
-        self.diag = np.diag_indices(len(species))
+        # the couplings shaped to scale the pair blocks of each order m
+        self.couplings = [self.coupling.reshape((n, n) + (1,) * m)
+                          for m in range(MAX_ORDER + 1)]
+        self.diag = np.diag_indices(n)
+        self.per_ion = (self.charge, self.slope)  # all the energy reads of an ion
         if self.trap is not None:
             # on-site Taylor tensors, leading axis over ions: the radial
             # curvatures diag(kx, ky, 0), then the nonzero trap tensors
-            radial = np.zeros((len(species), 3, 3))
+            radial = np.zeros((n, 3, 3))
             radial[:, (0, 1), (0, 1)] = [self.trap.radial_for(sp) for sp in species]
             self.tensors = [radial] + [t[None] for t in (
                 self.trap.trap_cubic, self.trap.trap_quartic) if t.any()]
+            # perm(rank, m) * charge of each order m and tensor of rank
+            # >= m, else None
+            self.factors = [
+                [math.perm(t.ndim - 1, m) * self.charge.reshape((n,) + (1,) * m)
+                 if m < t.ndim else None for t in self.tensors]
+                for m in range(MAX_ORDER + 1)]
+            self.origin = np.array([0.0, 0.0, self.axial.expansion_origin])
+            self.per_ion += (radial,)
 
     def __call__(self, positions, *orders):
         """[d^m U for m in orders]: U as a float, then arrays over the
@@ -137,37 +166,48 @@ class _Energy:
         coordinates.
 
         The Coulomb part sums each unordered ion pair's block against
-        delta = u_i - u_j (the sign flips cancel at even order); the on-site
-        part sums each ion's block against u_i.
+        delta = u_i - u_j (the sign flips cancel at even order), evaluating
+        only the pairs i < j; the on-site part sums each ion's block against
+        u_i.
         """
-        (onsite,), (pair,) = self._blocks(positions, (4,))
+        i, j = np.triu_indices(len(self.charge), 1)
+        (onsite,), (pair,) = self._blocks(positions, (4,), (i, j))
         n, k = onsite.shape[:2]
         u = u.reshape(n, k, -1)
-        i, j = np.triu_indices(n, 1)
-        return (_diagonal_contraction(pair[i, j], u[i] - u[j])
+        return (_diagonal_contraction(pair, u[i] - u[j])
                 + _diagonal_contraction(onsite, u))
 
-    def _blocks(self, positions, orders):
+    def _blocks(self, positions, orders, pairs=None):
         """On-site blocks d^m(q V_t), shape (N,) + (k,) * m, and pair blocks
-        C_ij d^m(1/|r|)(r_i - r_j), shape (N, N) + (k,) * m, of each order."""
+        C_ij d^m(1/|r|)(r_i - r_j) of each order: of every (i, j), shape
+        (N, N) + (k,) * m, or of the index arrays ``pairs`` = (i, j) only,
+        shape (P,) + (k,) * m."""
         pos = _as_positions(positions)
         if pos.shape[1] != (1 if self.trap is None else 3):
             raise ValueError("positions must be (N,) for an AxialPotential "
                              "and (N, 3) for a TrapModel3D")
-        n = len(pos)
-        sep = pos[:, None, :] - pos[None, :, :]
-        sep[self.diag] = 1.0  # self-pairs carry no coupling
+        if pairs is None:
+            sep = pos[:, None, :] - pos[None, :, :]
+            sep[self.diag] = 1.0  # self-pairs carry no coupling
+        else:
+            sep = pos[pairs[0]] - pos[pairs[1]]
         r2 = np.add.reduce(sep * sep, axis=-1)
         close = r2 < COINCIDENCE_LIMIT**2
         if close.any():
-            raise ValueError("ions {} and {} are coincident".format(
-                *np.argwhere(close)[0]))
+            first = np.argwhere(close)[0]
+            if pairs is not None:
+                first = [p[first[0]] for p in pairs]
+            raise ValueError("ions {} and {} are coincident".format(*first))
         axial = self.axial.derivatives(pos[:, -1], orders, self.charge,
                                        self.slope)
         coul = coulomb.inv_r_derivatives(sep, r2, orders)
+        if pairs is None:
+            coupling = [self.couplings[m] for m in orders]
+        else:
+            coupling = [self.coupling[pairs].reshape((-1,) + (1,) * m)
+                        for m in orders]
         return (self._onsite(pos, orders, axial),
-                [self.coupling.reshape((n, n) + (1,) * m) * c
-                 for m, c in zip(orders, coul)])
+                [cm * c for cm, c in zip(coupling, coul)])
 
     def _onsite(self, pos, orders, axial):
         """Trap terms d^m(q V_t)/dr^m of each ion, shape (N,) + (k,) * m, for
@@ -180,19 +220,18 @@ class _Energy:
             blk = np.zeros((n,) + (3,) * m)
             blk[(slice(None),) + (2,) * m] = a
             blocks.append(blk)
-        v = (pos - np.array([0.0, 0.0, self.axial.expansion_origin]))[:, :, None]
-        for coeffs in self.tensors:
+        v = (pos - self.origin)[:, :, None]
+        factors = zip(*(self.factors[m] for m in orders))
+        for coeffs, per_order in zip(self.tensors, factors):
             rank = coeffs.ndim - 1
             # T v^j for j = 0, 1, ...: one chain serves every order, each
             # step contracting the last axis of every ion's tensor with v
             chain = [coeffs]
             for _ in range(rank - min(orders)):
                 chain.append(np.matmul(chain[-1].reshape(len(chain[-1]), -1, 3), v))
-            for m, blk in zip(orders, blocks):
-                if m <= rank:
-                    q = self.charge.reshape((n,) + (1,) * m)
-                    blk += math.perm(rank, m) * q * chain[rank - m].reshape(
-                        (-1,) + (3,) * m)
+            for m, blk, factor in zip(orders, blocks, per_order):
+                if factor is not None:
+                    blk += factor * chain[rank - m].reshape((-1,) + (3,) * m)
         return blocks
 
     def _assemble(self, onsite, pair):
@@ -213,14 +252,11 @@ class _Energy:
         if m == 1:
             return diagonal.reshape(-1)
         n, k = onsite.shape[:2]
+        writes, diag = _assembly_indices(n, m)
         t = np.zeros((n, k) * m)
-        ions, every = self.ion_pairs, slice(None)
-        for rest in product((0, 1), repeat=m - 1):
-            if any(rest):
-                idx = (ions[0], every) + sum(((ions[o], every)
-                                              for o in rest), ())
-                t[idx] = (-1.0) ** sum(rest) * pair
-        t[(self.diag[0], every) * m] = diagonal
+        for idx, sign in writes:
+            t[idx] = sign * pair
+        t[diag] = diagonal
         return t.reshape((n * k,) * m)
 
 
@@ -393,13 +429,14 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
         raise ValueError("initial guess must have strictly increasing axial order")
 
     u, g, h = energy(x.reshape(shape), 0, 1, 2)
+    g_max = np.abs(g).max()  # of the current iterate
     for it in range(MAX_NEWTON_ITER + 1):
-        if np.abs(g).max() < tol:
+        if g_max < tol:
             break
         if it == MAX_NEWTON_ITER:
             raise ConvergenceError(
                 f"no convergence in {MAX_NEWTON_ITER} Newton steps "
-                f"(max |grad| = {np.abs(g).max():.3e} J/m)")
+                f"(max |grad| = {g_max:.3e} J/m)")
         step = _descent_step(g, h)
         t = 1.0
         crossing_only = True
@@ -412,12 +449,13 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
             if ordered(trial):
                 crossing_only = False
                 u_t, g_t, h_t = energy(trial.reshape(shape), 0, 1, 2)
+                g_t_max = np.abs(g_t).max()
                 if grad_test:
-                    ok = np.abs(g_t).max() < np.abs(g).max()
+                    ok = g_t_max < g_max
                 else:
                     ok = u_t <= u + 1e-4 * t * pred
                 if ok:
-                    x, u, g, h = trial, u_t, g_t, h_t
+                    x, u, g, h, g_max = trial, u_t, g_t, h_t, g_t_max
                     break
             t *= 0.5
         else:
@@ -428,7 +466,7 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
     # residual to the floating-point floor, making the solution
     # guess-independent far below the convergence tolerance
     for _ in range(3):
-        if not np.abs(g).max():
+        if not g_max:
             break
         try:
             trial = x + np.linalg.solve(h, -g)
@@ -437,9 +475,10 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
         if not ordered(trial):
             break
         g_t, h_t = energy(trial.reshape(shape), 1, 2)
-        if np.abs(g_t).max() >= np.abs(g).max():
+        g_t_max = np.abs(g_t).max()
+        if g_t_max >= g_max:
             break
-        x, g, h = trial, g_t, h_t
+        x, g, h, g_max = trial, g_t, h_t, g_t_max
     try:
         np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
@@ -449,10 +488,36 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
         a.flags.writeable = False
     cfg = ChainConfiguration(species=species, positions=positions,
                              potential=potential,
-                             residual_gradient=float(np.abs(g).max()))
+                             residual_gradient=float(g_max))
     for name, value in (("_energy", energy), ("_gradient", g), ("_hessian", h)):
         object.__setattr__(cfg, name, value)
     return cfg
+
+
+def _reordered(cfg: ChainConfiguration, species) -> ChainConfiguration | None:
+    """The solved ``cfg`` with its ions relabelled as ``species``, when the
+    statics cannot tell the two apart; else None.
+
+    An equilibrium depends on the species only through each ion's charge,
+    pseudopotential slope and, in 3D, radial curvatures (``_Energy.per_ion``);
+    masses enter only the mode problem.  When those agree ion by ion, as for
+    the reversed order of an equal-charge pair with no pseudopotential
+    gradient, ``solve_equilibrium(species, cfg.potential)`` from cfg's start
+    would repeat cfg's solve operation for operation.  The configuration returned holds
+    ``species`` and cfg's read-only positions, gradient, Hessian and
+    ``_Energy``.  A configuration not from ``solve_equilibrium`` gets None.
+    """
+    species = tuple(species)
+    energy = cfg._energy
+    if energy is None or len(species) != cfg.n_ions:
+        return None
+    relabelled = _Energy(species, cfg.potential)
+    if not all(map(np.array_equal, energy.per_ion, relabelled.per_ion)):
+        return None
+    out = replace(cfg, species=species)
+    for name in ("_energy", "_gradient", "_hessian"):
+        object.__setattr__(out, name, getattr(cfg, name))
+    return out
 
 
 def chain_length(cfg: ChainConfiguration) -> float:

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 import ionmodes.calibration
-from ionmodes import BracketError, PotentialFamily, axial_from_lambdas, \
-    characteristic_length, com_frequency_scan, field_sensitivity, \
-    infer_pseudo_gradient, mode_spectrum, null_parameter, order_shift, \
-    solve_equilibrium
+from ionmodes import BracketError, IonSpecies, PotentialFamily, \
+    axial_from_lambdas, characteristic_length, com_frequency_scan, \
+    field_sensitivity, infer_pseudo_gradient, mode_spectrum, null_parameter, \
+    order_shift, solve_equilibrium, trap3d_from_frequencies
 from ionmodes.config import validate_config
+from ionmodes.statics import _reordered
 
 from conftest import KAPPA2, LAMBDA3, LAMBDA4, infer_pseudo_gradient_oracle, \
-    null_parameter_oracle, order_shift_oracle
+    make_cfg, null_parameter_oracle, order_shift_oracle
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -258,6 +259,17 @@ def _gradient_pot(be, g0):
                               pseudo_reference=be)
 
 
+def _shipped_null():
+    """configs/null_kappa3.json as (family, ion pair, label, bracket)."""
+    cfg = validate_config(
+        json.loads((CONFIGS / "null_kappa3.json").read_text()), "null")
+    section = cfg.sections["null"]
+    fam = PotentialFamily(base=cfg.axial,
+                          kappa_actions=section["family"]["kappa"],
+                          field_action=section["family"]["field"])
+    return fam, tuple(cfg.chain[:2]), section["mode_label"], section["bracket"]
+
+
 class TestSharedSolvesMatchOracle:
     """Sharing solves across labels and repeat evaluations changes no bit:
     the library equals the unshared oracle in tests/conftest.py with ==."""
@@ -285,14 +297,8 @@ class TestSharedSolvesMatchOracle:
             null_parameter_oracle(fam, be, mg, "in_phase", (0.0, 4000.0))
 
     def test_null_shipped_config(self):
-        cfg = validate_config(
-            json.loads((CONFIGS / "null_kappa3.json").read_text()), "null")
-        section = cfg.sections["null"]
-        fam = PotentialFamily(base=cfg.axial,
-                              kappa_actions=section["family"]["kappa"],
-                              field_action=section["family"]["field"])
-        args = (fam, cfg.chain[0], cfg.chain[1], section["mode_label"],
-                section["bracket"])
+        fam, pair, label, bracket = _shipped_null()
+        args = (fam, *pair, label, bracket)
         assert null_parameter(*args) == null_parameter_oracle(*args)
 
     def test_null_error_message(self, be, mg, pot_harmonic):
@@ -346,16 +352,24 @@ class TestSolveCounts:
                             recorder)
         return counts
 
-    def test_order_shift_solves_each_order_once(self, solves, be, mg,
-                                                 pot_cubic):
-        order_shift(pot_cubic, be, mg, "out_of_phase")
+    def test_order_shift_solves_each_order_once(self, solves, be, mg):
+        # a pseudo-gradient scales as 1/mass, so the orders' statics differ
+        order_shift(_gradient_pot(be, 0.2), be, mg, "out_of_phase")
         assert sorted(solves.values()) == [1, 1]
         assert {key[0] for key in solves} == {("Be9", "Mg24"), ("Mg24", "Be9")}
+
+    def test_order_shift_shares_the_reversed_solve(self, solves, be, mg,
+                                                    pot_cubic):
+        # equal charges and no pseudo-gradient: one equilibrium, both orders
+        order_shift(pot_cubic, be, mg, "out_of_phase")
+        assert list(solves.values()) == [1]
+        assert {key[0] for key in solves} == {("Be9", "Mg24")}
 
     @pytest.mark.parametrize("label", ["in_phase", "out_of_phase"])
     def test_null_parameter(self, solves, be, mg, pot_cubic, label):
         null_parameter(_cubic_family(pot_cubic), be, mg, label, (0.0, 2.0))
         assert max(solves.values()) == 1
+        assert {key[0] for key in solves} == {("Be9", "Mg24")}
 
     def test_infer_pseudo_gradient(self, solves, be, mg):
         fam = _cubic_family(_gradient_pot(be, 0.0))
@@ -363,3 +377,111 @@ class TestSolveCounts:
         assert max(solves.values()) == 1
         # several trial gradients, each nulled through several parameters
         assert len({key[2] for key in solves}) > 2
+
+
+class TestReversedOrderShared:
+    """The reversed order's configuration served from the forward solve is
+    the one a cold solve of that order returns, bit for bit."""
+
+    @pytest.fixture(params=["cubic_family", "field_family", "null_kappa3"])
+    def case(self, request, be, mg):
+        """(family, ion pair, bracket) whose orders share their statics."""
+        if request.param == "cubic_family":
+            pot = request.getfixturevalue("pot_cubic")
+            return _cubic_family(pot), (be, mg), (0.0, 2.0)
+        if request.param == "field_family":
+            pot = request.getfixturevalue("pot_anharmonic")
+            return (PotentialFamily(base=pot, field_action=1.0), (be, mg),
+                    (0.0, 4000.0))
+        fam, pair, _, bracket = _shipped_null()
+        return fam, pair, tuple(bracket)
+
+    @staticmethod
+    def _assert_served_is_cold(served, cold):
+        assert served.species == cold.species
+        for name in ("positions", "_gradient", "_hessian"):
+            got = getattr(served, name)
+            assert np.array_equal(got, getattr(cold, name))
+            assert not got.flags.writeable
+        assert served.residual_gradient == cold.residual_gradient
+        spec, spec_cold = mode_spectrum(served), mode_spectrum(cold)
+        assert np.array_equal(spec.frequencies, spec_cold.frequencies)
+        assert np.array_equal(spec.eigenvectors, spec_cold.eigenvectors)
+
+    def test_equal_to_cold_solve(self, case):
+        family, (a, b), (p_lo, p_hi) = case
+        for p in (p_lo, 0.5 * (p_lo + p_hi), p_hi):
+            pot = family.at(p)
+            forward = solve_equilibrium((a, b), pot)
+            served = _reordered(forward, (b, a))
+            assert served.species == (b, a) and forward.species == (a, b)
+            assert served._energy is forward._energy
+            self._assert_served_is_cold(served, solve_equilibrium((b, a), pot))
+
+    def test_3d_without_radial_mass_scaling(self, be, mg, pot_cubic):
+        trap = trap3d_from_frequencies(be, (9e6, 6e6), pot_cubic,
+                                       radial_mass_scaling=False)
+        served = _reordered(solve_equilibrium((be, mg), trap), (mg, be))
+        self._assert_served_is_cold(served, solve_equilibrium((mg, be), trap))
+
+    def test_statics_that_differ_are_solved(self, be, mg, pot_cubic):
+        be2 = IonSpecies("Be9++", be.mass, charge=2)
+        cases = {
+            "pseudo_gradient": ((be, mg), _gradient_pot(be, 0.2)),
+            "charge": ((be, be2), pot_cubic),
+            "radial_mass_scaling": ((be, mg), trap3d_from_frequencies(
+                be, (9e6, 6e6), pot_cubic)),
+        }
+        for name, ((a, b), pot) in cases.items():
+            assert _reordered(solve_equilibrium((a, b), pot), (b, a)) is None, \
+                name
+
+    def test_hand_built_configuration_is_not_served(self, be, mg, pot_cubic):
+        cfg = solve_equilibrium((be, mg), pot_cubic)
+        copy = make_cfg(cfg.species, pot_cubic, cfg.positions)
+        assert _reordered(copy, (mg, be)) is None
+
+
+class TestInputsNamedBeforeSolving:
+    """Malformed calibration inputs raise a ValueError naming the argument
+    before any chain is solved."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a chain")
+
+        monkeypatch.setattr(ionmodes.calibration, "solve_equilibrium",
+                            no_solve)
+
+    @pytest.fixture
+    def trap(self, be, pot_cubic):
+        return trap3d_from_frequencies(be, (9e6, 6e6), pot_cubic)
+
+    def test_order_shift_3d_potential(self, be, mg, trap):
+        with pytest.raises(ValueError, match=r"^pot must be an AxialPotential, "
+                                             r"got TrapModel3D$"):
+            order_shift(trap, be, mg, "in_phase")
+
+    def test_field_sensitivity_3d_potential(self, be, trap):
+        with pytest.raises(ValueError, match=r"^pot must be an AxialPotential, "
+                                             r"got TrapModel3D$"):
+            field_sensitivity(trap, [be], 1.0)
+
+    def test_family_3d_base(self, be, mg, trap):
+        fam = PotentialFamily(base=trap, field_action=1.0)
+        with pytest.raises(ValueError, match=r"^family\.base must be an "
+                                             r"AxialPotential, got TrapModel3D$"):
+            null_parameter(fam, be, mg, "in_phase", (0.0, 2.0))
+        with pytest.raises(ValueError, match=r"^family\.base must be an "
+                                             r"AxialPotential, got TrapModel3D$"):
+            infer_pseudo_gradient(fam, be, mg, 0.0, (-1.0, 1.0), (0.0, 2.0))
+
+    @pytest.mark.parametrize("field", [np.nan, np.inf, -np.inf, True, "1.0",
+                                       None],
+                             ids=["nan", "inf", "-inf", "bool", "string",
+                                  "none"])
+    def test_field_sensitivity_bad_field(self, be, pot_cubic, field):
+        with pytest.raises(ValueError,
+                           match=r"^field must be a finite number in V/m"):
+            field_sensitivity(pot_cubic, [be], field)
