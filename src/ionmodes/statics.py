@@ -34,7 +34,7 @@ from .species import IonSpecies
 
 COINCIDENCE_LIMIT = 1e-12  # m
 MAX_NEWTON_ITER = 200
-MAX_ORDER = 4              # highest derivative order of the energy
+_MAX_ORDER = 4             # highest derivative order of the energy
 GRAD_TOL_FACTOR = 1e-10    # of the characteristic force scale 2 q kappa2 l
 
 
@@ -135,7 +135,7 @@ class _Energy:
         np.fill_diagonal(self.coupling, 0.0)
         # the couplings shaped to scale the pair blocks of each order m
         self.couplings = [self.coupling.reshape((n, n) + (1,) * m)
-                          for m in range(MAX_ORDER + 1)]
+                          for m in range(_MAX_ORDER + 1)]
         self.diag = np.diag_indices(n)
         self.per_ion = (self.charge, self.slope)  # all the energy reads of an ion
         if self.trap is not None:
@@ -150,7 +150,7 @@ class _Energy:
             self.factors = [
                 [math.perm(t.ndim - 1, m) * self.charge.reshape((n,) + (1,) * m)
                  if m < t.ndim else None for t in self.tensors]
-                for m in range(MAX_ORDER + 1)]
+                for m in range(_MAX_ORDER + 1)]
             self.origin = np.array([0.0, 0.0, self.axial.expansion_origin])
             self.per_ion += (radial,)
 
