@@ -27,6 +27,10 @@ IN_PHASE = "in_phase"
 OUT_OF_PHASE = "out_of_phase"
 NULL_TOLERANCE_HZ = 1.0
 MAX_ROOT_ITER = 60
+# infer_pseudo_gradient's difference Jacobian step, per bracket width: the
+# shifts' rounding (~1e-9 Hz) is lost in the difference, and Broyden's
+# updates absorb the curvature it misses
+JACOBIAN_STEP = 1e-3
 
 
 class BracketError(RuntimeError):
@@ -128,35 +132,21 @@ def null_parameter(family: PotentialFamily, species_a: IonSpecies,
     """Parameter value nulling the order shift of the labelled mode.
 
     Bracketed root finding (Brent); requires a sign change over the bracket
-    and verifies |delta(p*)| < NULL_TOLERANCE_HZ.
-    """
-    _check_axial(family.base, "family.base")
-    _check_bracket(bracket, "bracket")
-    return _null(family, species_a, species_b, mode_label, bracket)[0]
-
-
-def _check_bracket(bracket, name: str):
-    if not all(map(math.isfinite, bracket)):
-        raise ValueError(f"{name} ends must be finite, got {tuple(bracket)!r}")
-
-
-def _null(family, species_a, species_b, mode_label, bracket):
-    """null_parameter's root p* and the labelled frequencies solved there.
-
-    Each parameter value is solved once per call: the bracket ends, Brent's
-    iterates and the residual check at p* share one memo.
+    and verifies |delta(p*)| < NULL_TOLERANCE_HZ.  Each parameter value is
+    solved once per call: the bracket ends, Brent's iterates and the
+    residual check at p* share one memo.
     """
     from scipy.optimize import brentq
 
+    _check_axial(family.base, "family.base")
+    _check_bracket(bracket, "bracket")
     _check_label(mode_label)
     p_lo, p_hi = bracket
 
     @functools.cache
-    def solved(p):
-        return _order_frequencies(family.at(p), species_a, species_b)
-
     def delta(p):
-        return _delta(solved(p), mode_label)
+        return _delta(_order_frequencies(family.at(p), species_a, species_b),
+                      mode_label)
 
     d_lo, d_hi = delta(p_lo), delta(p_hi)
     if max(abs(d_lo), abs(d_hi)) < NULL_TOLERANCE_HZ:
@@ -172,7 +162,12 @@ def _null(family, species_a, species_b, mode_label, bracket):
     if abs(residual) >= NULL_TOLERANCE_HZ:
         raise BracketError(
             f"root residual {residual:.3g} Hz exceeds {NULL_TOLERANCE_HZ} Hz")
-    return float(p_star), solved(p_star)
+    return float(p_star)
+
+
+def _check_bracket(bracket, name: str):
+    if not all(map(math.isfinite, bracket)):
+        raise ValueError(f"{name} ends must be finite, got {tuple(bracket)!r}")
 
 
 def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
@@ -181,15 +176,17 @@ def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
                           param_bracket: tuple[float, float]) -> float:
     """Pseudopotential gradient (eV/m) explaining a residual order shift.
 
-    Forward model: with trial gradient g, the family parameter is tuned to
-    null the in-phase order shift (as in the experiment), and the remaining
-    out-of-phase shift is compared with the measurement.  Root-finds g; a
-    round trip through the forward model recovers the generating gradient.
-    The out-of-phase shift is read from the null's own solves, and each
-    trial gradient is nulled once per call.
+    Forward model: with gradient g, the family parameter p nulls the
+    in-phase order shift (as in the experiment), and the out-of-phase order
+    shift left there equals the measurement.  Both conditions are solved
+    together for (p, g) by Broyden's secant method, started at the bracket
+    midpoints with a difference Jacobian; each evaluation solves each ion
+    order once and reads both shifts from those solves.  The iteration stops
+    when the g step is within 1e-10 max(|g_lo|, |g_hi|, 1e-3) and the
+    in-phase shift is below NULL_TOLERANCE_HZ.  An iterate outside
+    param_bracket x gradient_bracket, a non-finite shift, a singular
+    Jacobian or MAX_ROOT_ITER steps without convergence raise BracketError.
     """
-    from scipy.optimize import brentq
-
     _check_axial(family.base, "family.base")
     if family.base.pseudo_reference is None:
         raise ValueError("family base must carry a pseudo_reference species")
@@ -197,23 +194,52 @@ def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
         raise ValueError("measured_out_shift must be finite")
     _check_bracket(gradient_bracket, "gradient_bracket")
     _check_bracket(param_bracket, "param_bracket")
+    brackets = {"param_bracket": tuple(param_bracket),
+                "gradient_bracket": tuple(gradient_bracket)}
+    lo, hi = np.sort(list(brackets.values()), axis=1).T
+    for name, width in zip(brackets, hi - lo):
+        if width == 0:
+            raise BracketError(f"{name} {brackets[name]!r} has zero width")
 
-    @functools.cache
-    def residual(g):
+    def residual(x):
+        p, g = map(float, x)
         fam = dataclasses.replace(family,
                                   base=dataclasses.replace(family.base,
                                                            pseudo_gradient=g))
-        _, freqs = _null(fam, species_a, species_b, IN_PHASE, param_bracket)
-        return _delta(freqs, OUT_OF_PHASE) - measured_out_shift
+        freqs = _order_frequencies(fam.at(p), species_a, species_b)
+        r = np.array([_delta(freqs, IN_PHASE),
+                      _delta(freqs, OUT_OF_PHASE) - measured_out_shift])
+        if not np.all(np.isfinite(r)):
+            raise BracketError(f"non-finite order shift residual {r} Hz at "
+                               f"(p, g) = ({p:.6g}, {g:.6g})")
+        return r
 
-    g_lo, g_hi = gradient_bracket
-    r_lo, r_hi = residual(g_lo), residual(g_hi)
-    if not (np.isfinite(r_lo) and np.isfinite(r_hi)) or r_lo * r_hi > 0:
-        raise BracketError(
-            f"no gradient root in bracket: residual({g_lo}) = {r_lo:.3g} Hz, "
-            f"residual({g_hi}) = {r_hi:.3g} Hz")
-    return float(brentq(residual, g_lo, g_hi, maxiter=MAX_ROOT_ITER,
-                        xtol=1e-10 * max(abs(g_lo), abs(g_hi), 1e-3)))
+    x = (lo + hi) / 2
+    f = residual(x)
+    steps = JACOBIAN_STEP * (hi - lo)
+    jac = np.column_stack([(residual(x + dx) - f) / h
+                           for dx, h in zip(np.diag(steps), steps)])
+    xtol = 1e-10 * max(abs(gradient_bracket[0]), abs(gradient_bracket[1]),
+                       1e-3)
+    for k in range(1, MAX_ROOT_ITER + 1):
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            raise BracketError(f"singular Jacobian at step {k}, (p, g) = "
+                               f"({x[0]:.6g}, {x[1]:.6g})") from None
+        x_new = x + step
+        for name, v, a, b in zip(brackets, x_new, lo, hi):
+            if not a <= v <= b:
+                raise BracketError(
+                    f"step {k} left {name} {brackets[name]!r}: (p, g) = "
+                    f"({x_new[0]:.6g}, {x_new[1]:.6g})")
+        if abs(step[1]) <= xtol and abs(f[0]) < NULL_TOLERANCE_HZ:
+            return float(x_new[1])
+        f_new = residual(x_new)
+        jac += np.outer(f_new - f - jac @ step, step) / (step @ step)
+        x, f = x_new, f_new
+    raise BracketError(f"no root after {MAX_ROOT_ITER} steps: stopped at "
+                       f"(p, g) = ({x[0]:.6g}, {x[1]:.6g})")
 
 
 def _mode_pick(spectrum: ModeSpectrum, mode) -> int:
@@ -263,7 +289,11 @@ class ComScanResult:
 
 def com_frequency_scan(pot: AxialPotential, species: IonSpecies,
                        counts) -> ComScanResult:
-    """Lowest (in-phase) axial mode frequency for chains of N equal ions."""
+    """Lowest (in-phase) axial mode frequency for chains of N equal ions.
+
+    The line is fitted when the counts hold at least two distinct values;
+    otherwise the slope is 0, the intercept the frequency and r^2 1.
+    """
     counts = list(counts)
     if not all(map(_is_integer, counts)):
         raise ValueError(f"ion counts must be integers, got {counts!r}")
@@ -275,7 +305,7 @@ def com_frequency_scan(pot: AxialPotential, species: IonSpecies,
              for n in counts]
     n_arr = np.array(counts, dtype=float)
     f_arr = np.array(freqs)
-    if len(counts) >= 2:
+    if len(set(counts)) >= 2:
         slope, intercept = np.polyfit(n_arr, f_arr, 1)
         pred = slope * n_arr + intercept
         ss_res = float(np.sum((f_arr - pred) ** 2))

@@ -97,7 +97,7 @@ def test_caller_checker_ignores_definitions_and_substrings():
     assert names_without_caller(exported_names(init), sources) == ["f", "k"]
 
 
-# scipy modules only fockspace, the calibration root finds and
+# scipy modules only fockspace, null_parameter's brentq and
 # carrier_matrix_element need
 LAZY_SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.special")
 
@@ -116,6 +116,22 @@ def test_import_and_modes_command_leave_lazy_scipy_unloaded():
         capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == "[]"
+
+
+def test_gradient_inference_leaves_scipy_optimize_unloaded():
+    """The joint (p, g) root find is numpy only."""
+    code = (
+        "import sys\n"
+        "from ionmodes import BE9, MG24, PotentialFamily, axial_from_lambdas, \\\n"
+        "    infer_pseudo_gradient\n"
+        "pot = axial_from_lambdas(1.3e7, {3: -230e-6}, pseudo_reference=BE9)\n"
+        "fam = PotentialFamily(base=pot, kappa_actions={3: -pot.kappa[3]})\n"
+        "infer_pseudo_gradient(fam, BE9, MG24, 150.0, (-1.0, 1.0), (0.0, 2.0))\n"
+        "print('scipy.optimize' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"
 
 
 def test_certified_fock_level_leaves_sparse_linalg_unloaded():
