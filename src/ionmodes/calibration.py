@@ -183,9 +183,10 @@ def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
     midpoints with a difference Jacobian; each evaluation solves each ion
     order once and reads both shifts from those solves.  The iteration stops
     when the g step is within 1e-10 max(|g_lo|, |g_hi|, 1e-3) and the
-    in-phase shift is below NULL_TOLERANCE_HZ.  An iterate outside
-    param_bracket x gradient_bracket, a non-finite shift, a singular
-    Jacobian or MAX_ROOT_ITER steps without convergence raise BracketError.
+    in-phase shift is below NULL_TOLERANCE_HZ.  A zero-width bracket, an
+    iterate outside param_bracket x gradient_bracket, a non-finite shift, a
+    singular Jacobian or MAX_ROOT_ITER steps without convergence raise
+    BracketError.
     """
     _check_axial(family.base, "family.base")
     if family.base.pseudo_reference is None:

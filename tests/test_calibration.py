@@ -189,8 +189,9 @@ class TestInferPseudoGradient:
         fam = _cubic_family(_gradient_pot(be, 0.0))
         # the difference Jacobian's g step is the first positive gradient
         with pytest.raises(BracketError,
-                           match=r"non-finite order shift residual \[nan nan\] "
-                                 r"Hz at \(p, g\) = \(1, 0\.002\)$"):
+                           match=r"non-finite order shift residual "
+                                 r"\[nan nan\] Hz at \(p, g\) = "
+                                 r"\(1, 0\.002\)$"):
             infer_pseudo_gradient(fam, be, mg, 0.0, (-1.0, 1.0), (0.0, 2.0))
 
     def test_zero_width_gradient_bracket(self, monkeypatch, be, mg):
@@ -201,16 +202,17 @@ class TestInferPseudoGradient:
         monkeypatch.setattr(ionmodes.calibration, "solve_equilibrium",
                             no_solve)
         fam = _cubic_family(_gradient_pot(be, 0.0))
-        with pytest.raises(BracketError, match=r"^gradient_bracket \(0\.2, 0\.2\) "
-                                               r"has zero width$"):
+        with pytest.raises(BracketError,
+                           match=r"^gradient_bracket \(0\.2, 0\.2\) "
+                                 r"has zero width$"):
             infer_pseudo_gradient(fam, be, mg, 0.0, (0.2, 0.2), (0.0, 2.0))
 
     def test_equal_species_singular_jacobian(self, be):
         # equal ions in either order have the same statics and modes, so
         # neither shift moves with p or g
         fam = _cubic_family(_gradient_pot(be, 0.0))
-        with pytest.raises(BracketError, match=r"^singular Jacobian at step 1, "
-                                               r"\(p, g\) = \(1, 0\)$"):
+        with pytest.raises(BracketError, match=r"^singular Jacobian at step "
+                                               r"1, \(p, g\) = \(1, 0\)$"):
             infer_pseudo_gradient(fam, be, be, 10.0, (-1.0, 1.0), (0.0, 2.0))
 
     def test_step_limit(self, monkeypatch, be, mg):

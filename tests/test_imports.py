@@ -122,11 +122,13 @@ def test_gradient_inference_leaves_scipy_optimize_unloaded():
     """The joint (p, g) root find is numpy only."""
     code = (
         "import sys\n"
-        "from ionmodes import BE9, MG24, PotentialFamily, axial_from_lambdas, \\\n"
-        "    infer_pseudo_gradient\n"
-        "pot = axial_from_lambdas(1.3e7, {3: -230e-6}, pseudo_reference=BE9)\n"
+        "from ionmodes import BE9, MG24, PotentialFamily, \\\n"
+        "    axial_from_lambdas, infer_pseudo_gradient\n"
+        "pot = axial_from_lambdas(1.3e7, {3: -230e-6}, "
+        "pseudo_reference=BE9)\n"
         "fam = PotentialFamily(base=pot, kappa_actions={3: -pot.kappa[3]})\n"
-        "infer_pseudo_gradient(fam, BE9, MG24, 150.0, (-1.0, 1.0), (0.0, 2.0))\n"
+        "infer_pseudo_gradient(fam, BE9, MG24, 150.0, (-1.0, 1.0), "
+        "(0.0, 2.0))\n"
         "print('scipy.optimize' in sys.modules, file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, cwd=ROOT)
