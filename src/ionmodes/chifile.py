@@ -2,8 +2,11 @@
 
 Format: ``#``-prefixed header comments carrying the units and the mode
 frequencies, then one whitespace-aligned row per mode (descending
-frequency).  Published matrices ship in this format under ``data/`` and are
-consumed as golden inputs by the coherence and gate commands.
+frequency).  An entry smaller than 10^-precision of the largest magnitude
+lies below the last printed digit of the largest entry; it is rounding noise
+of the kernel and prints as 0.  Published matrices ship in this format under
+``data/`` and are consumed as golden inputs by the coherence and gate
+commands.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ def _matrix_lines(mat, precision: int = 12) -> list[str]:
 
 
 def chi_to_text(chi: ChiMatrix, precision: int = 12) -> str:
-    """A chi matrix in the plain-text format."""
+    """A chi matrix in the plain-text format; ``chi.chi`` is not changed."""
     freqs = " ".join(format_value(f, precision) for f in chi.mode_frequencies)
     lines = ["# ionmodes chi matrix",
              "# units: Hz per quantum; mode order: descending frequency",
@@ -34,7 +37,9 @@ def chi_to_text(chi: ChiMatrix, precision: int = 12) -> str:
     if chi.provenance:
         keys = " ".join(f"{k}={chi.provenance[k]}" for k in sorted(chi.provenance))
         lines.append(f"# provenance: {keys}")
-    lines += _matrix_lines(chi.chi, precision)
+    floor = 10.0 ** -precision * np.abs(chi.chi).max(initial=0.0)
+    lines += _matrix_lines(np.where(np.abs(chi.chi) < floor, 0.0, chi.chi),
+                           precision)
     return "\n".join(lines) + "\n"
 
 

@@ -75,6 +75,20 @@ class TestChiFile:
             "  1.5 -0.25\n"
             "-0.25    12\n")
 
+    def test_entries_below_the_printed_floor_print_as_zero(self):
+        """An entry below 10^-precision of max|chi| prints as 0; the
+        matrix itself keeps its numbers."""
+        mat = np.array([[12.0, 1.1e-11, -1e-13], [2e-11, -3e-60, 0.0],
+                        [-1e-13, 0.0, -1.5]])
+        chi = ChiMatrix(chi=mat.copy(), mode_frequencies=np.array([3e6, 2e6, 1e6]),
+                        provenance={})
+        rows = chi_to_text(chi).splitlines()[3:]
+        assert [r.split() for r in rows] == [
+            ["12", "0", "0"], ["2e-11", "0", "0"], ["0", "0", "-1.5"]]
+        assert np.array_equal(chi.chi, mat)
+        assert read_chi(io.StringIO(chi_to_text(chi, precision=17))).chi[0, 2] \
+            == -1e-13
+
     def test_reads_reference_files(self):
         single = read_chi(DATA / "chi_single_ion_surface_trap.txt")
         assert single.chi.shape == (3, 3)
