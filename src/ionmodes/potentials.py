@@ -58,7 +58,6 @@ class AxialPotential:
             for m in range(n + 1):
                 taylor[n - m, m] = kn * math.perm(n, m)
         object.__setattr__(self, "_taylor", taylor)
-        object.__setattr__(self, "_powers", np.arange(len(taylor)))
 
     @property
     def kappa2(self) -> float:
@@ -100,7 +99,11 @@ class AxialPotential:
         """
         z = np.asarray(z, dtype=float)
         taylor = self._taylor
-        poly = (z - self.expansion_origin)[..., None] ** self._powers @ taylor
+        # (z - z0)^j for j = 0, 1, ... as a running product
+        powers = np.empty(z.shape + (len(taylor),))
+        powers[..., 0] = 1.0
+        powers[..., 1:] = (z - self.expansion_origin)[..., None]
+        poly = np.multiply.accumulate(powers, axis=-1) @ taylor
         out = []
         for k in orders:
             acc = poly[..., k] if k < len(taylor) else 0.0 * z

@@ -72,10 +72,13 @@ def characteristic_length(species: IonSpecies, kappa2: float) -> float:
     """Coulomb length scale l = (q / 8 pi eps0 kappa2)^(1/3).
 
     Two ions in the harmonic well sit 2^(1/3) l apart; the formula is
-    mass-independent.
+    mass-independent.  A harmonic well confines positive charges only.
     """
     if not kappa2 > 0:
         raise ValueError("kappa2 must be positive")
+    if species.charge < 0:
+        raise ValueError(f"characteristic length needs a positive charge, "
+                         f"got {species.charge} e ({species.label})")
     return (species.charge_si / (8 * math.pi * EPSILON_0 * kappa2)) ** (1.0 / 3.0)
 
 
@@ -324,22 +327,39 @@ class ChainConfiguration:
 
 
 @lru_cache(maxsize=64)
-def _harmonic_chain_scaled(n: int) -> tuple[float, ...]:
-    """Equal-mass harmonic chain equilibrium in units of l."""
+def _harmonic_chain_scaled(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-charge harmonic chain equilibrium in units of l, and the inverse
+    of its Hessian in units of q kappa2 (both read-only)."""
     if n == 1:
-        return (0.0,)
-    unit = IonSpecies("unit", 1.0)
-    pot = AxialPotential(kappa={2: unit.charge_si / (8 * math.pi * EPSILON_0)})
-    l = characteristic_length(unit, pot.kappa2)
-    guess = l * np.linspace(-0.8, 0.8, n) * n**0.56
-    cfg = solve_equilibrium((unit,) * n, pot, initial_guess=guess)
-    return tuple(cfg.positions / l)
+        xi, k = np.zeros(1), np.full((1, 1), 2.0)
+    else:
+        unit = IonSpecies("unit", 1.0)
+        pot = AxialPotential(kappa={2: unit.charge_si / (8 * math.pi * EPSILON_0)})
+        l = characteristic_length(unit, pot.kappa2)
+        guess = l * np.linspace(-0.8, 0.8, n) * n**0.56
+        cfg = solve_equilibrium((unit,) * n, pot, initial_guess=guess)
+        xi, k = cfg.positions / l, cfg._hessian / (unit.charge_si * pot.kappa2)
+    k_inv = np.linalg.inv(k)
+    k_inv.flags.writeable = False
+    return xi, k_inv
 
 
-def _initial_guess(species, axial: AxialPotential) -> np.ndarray:
-    l = characteristic_length(species[0], axial.kappa2)
-    xi = np.array(_harmonic_chain_scaled(len(species)))
-    return axial.expansion_origin + l * xi
+def _initial_guess(species, energy: _Energy) -> np.ndarray:
+    """The harmonic chain corrected to first order in the on-site forces
+    beyond the harmonic one, or the harmonic chain itself when the corrected
+    start is not finite or not ordered."""
+    axial = energy.axial
+    kappa2, origin = axial.kappa2, axial.expansion_origin
+    xi, k_inv = _harmonic_chain_scaled(len(species))
+    z = origin + characteristic_length(species[0], kappa2) * xi
+    (force,) = axial.derivatives(z, (1,), energy.charge, energy.slope)
+    # the pair forces balance the harmonic ones here for equal charges, so
+    # what is left is the field, pseudopotential and anharmonic force
+    beyond = force - 2 * kappa2 * (z - origin) * energy.charge
+    corrected = z - k_inv @ beyond / (species[0].charge_si * kappa2)
+    if np.isfinite(corrected).all() and (corrected[1:] > corrected[:-1]).all():
+        return corrected
+    return z
 
 
 def _descent_step(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -381,14 +401,17 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
     """Find the equilibrium configuration of an ordered chain.
 
     Newton iteration with analytic Hessian and a backtracking (Armijo) line
-    search, started from the equal-mass harmonic chain at the characteristic
-    length scale (or from ``initial_guess``: one finite position per ion,
-    shape (N,) axial or (N, 3) in 3D, in increasing axial order).  The
-    Hessian at the solution must admit a Cholesky factorisation (be positive
-    definite).  Raises ValueError for malformed inputs, before any energy
-    evaluation; ConvergenceError (also when MAX_NEWTON_ITER steps do not
-    converge), IonCrossingError, UnconfinedPotentialError, or its subclass
-    LinearChainInstabilityError when a radial mode is soft.
+    search, started from the equal-charge harmonic chain at the
+    characteristic length scale, moved by one harmonic-chain Newton step
+    against the field, pseudopotential and anharmonic on-site forces (or
+    from ``initial_guess``: one finite position per ion, shape (N,) axial or
+    (N, 3) in 3D, in increasing axial order).  The Hessian at the solution
+    must admit a Cholesky factorisation (be positive definite).  Raises
+    ValueError for malformed inputs and UnconfinedPotentialError for a
+    negatively charged ion, before any energy evaluation; ConvergenceError
+    (also when MAX_NEWTON_ITER steps do not converge), IonCrossingError,
+    UnconfinedPotentialError, or its subclass LinearChainInstabilityError
+    when a radial mode is soft.
 
     The returned configuration carries this solve's ``_Energy`` and its last
     gradient and Hessian, all evaluated at the returned positions, for
@@ -398,11 +421,16 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
     n = len(species)
     if not n:
         raise ValueError("species must hold at least one ion")
+    for i, sp in enumerate(species):
+        if sp.charge < 0:
+            raise UnconfinedPotentialError(
+                f"ion {i} ({sp.label}) has charge {sp.charge} e, and a trap "
+                f"with kappa2 > 0 anti-confines a negative charge")
     axial = potential.axial
     energy = _Energy(species, potential)
     want3d = energy.trap is not None
     if initial_guess is None:
-        guess = _initial_guess(species, axial)
+        guess = _initial_guess(species, energy)
     else:
         guess = np.array(initial_guess, dtype=float)
         if guess.shape not in ((n,), (n, 3)):
@@ -464,14 +492,19 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
             raise ConvergenceError("line search failed to reduce the energy")
     # polish with full Newton steps: quadratic convergence drives the
     # residual to the floating-point floor, making the solution
-    # guess-independent far below the convergence tolerance
+    # guess-independent far below the convergence tolerance.  A step within
+    # a few ulps of the positions could move them only by rounding, so it
+    # ends the polish unevaluated.
     for _ in range(3):
         if not g_max:
             break
         try:
-            trial = x + np.linalg.solve(h, -g)
+            step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
             break
+        if np.abs(step).max() <= 4 * np.finfo(float).eps * np.abs(x).max():
+            break
+        trial = x + step
         if not ordered(trial):
             break
         g_t, h_t = energy(trial.reshape(shape), 1, 2)

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.optimize import brentq, root
 from ionmodes import BE9, MG24, MGH25, BracketError, ChainConfiguration, \
     CutoffError, OrderShiftReport, StateMatchError, axial_from_lambdas, \
     energy_gradient, harmonic_axial, mode_spectrum, solve_equilibrium
+from ionmodes import anharmonic, modes, statics
 from ionmodes.calibration import IN_PHASE, MAX_ROOT_ITER, NULL_TOLERANCE_HZ, \
     OUT_OF_PHASE
 from ionmodes.constants import EPSILON_0, HBAR, PLANCK
@@ -100,6 +102,31 @@ def pot_cubic():
 @pytest.fixture
 def pot_anharmonic():
     return axial_from_lambdas(KAPPA2, {3: LAMBDA3, 4: LAMBDA4})
+
+
+@pytest.fixture
+def energy_calls(monkeypatch):
+    """Counter of ``statics._Energy`` builds ("build") and evaluations
+    ("evaluate": calls and quartic diagonals) made in the test."""
+    counts = Counter()
+
+    class Recorder(statics._Energy):
+        def __init__(self, *args):
+            counts["build"] += 1
+            super().__init__(*args)
+
+        def __call__(self, *args):
+            counts["evaluate"] += 1
+            return super().__call__(*args)
+
+        def quartic_diagonal(self, *args):
+            counts["evaluate"] += 1
+            return super().quartic_diagonal(*args)
+
+    for module in (statics, modes, anharmonic):
+        if hasattr(module, "_Energy"):
+            monkeypatch.setattr(module, "_Energy", Recorder)
+    return counts
 
 
 def make_cfg(species, potential, positions) -> ChainConfiguration:

@@ -2,7 +2,6 @@ import itertools
 import math
 import tracemalloc
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from ionmodes import BE9, MG24, MGH25, ResonanceError, axial_for_frequency, \
     axial_from_lambdas, chi_from_configuration, chi_matrix, \
     derivative_tensors, detect_resonances, frequency_shift, hessian, \
     mode_spectrum, mode_tensors, solve_equilibrium, trap3d_from_frequencies
-from ionmodes import anharmonic, modes, statics
+from ionmodes import anharmonic
 from ionmodes.anharmonic import ModeTensors, _chi_tensors, occupation_vector
 from ionmodes.constants import COULOMB, HBAR, PLANCK
 from ionmodes.modes import ModeSpectrum
@@ -638,28 +637,6 @@ class TestCarriedDerivatives:
     Hessian.  What the spectrum and tensor stages read from them equals, bit
     for bit, what they evaluate anew for a hand-built configuration at the
     same positions."""
-
-    @pytest.fixture
-    def energy_calls(self, monkeypatch):
-        counts = Counter()
-
-        class Recorder(statics._Energy):
-            def __init__(self, *args):
-                counts["build"] += 1
-                super().__init__(*args)
-
-            def __call__(self, *args):
-                counts["evaluate"] += 1
-                return super().__call__(*args)
-
-            def quartic_diagonal(self, *args):
-                counts["evaluate"] += 1
-                return super().quartic_diagonal(*args)
-
-        for module in (statics, modes, anharmonic):
-            if hasattr(module, "_Energy"):
-                monkeypatch.setattr(module, "_Energy", Recorder)
-        return counts
 
     @pytest.mark.filterwarnings("ignore:.*near-resonant:RuntimeWarning")
     @pytest.mark.parametrize("case", sorted(CARRIED_CASES))

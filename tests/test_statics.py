@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from ionmodes import MG24, MGH25, IonSpecies, axial_from_lambdas, \
+from ionmodes import BE9, MG24, MGH25, IonSpecies, axial_from_lambdas, \
     chain_length, characteristic_length, energy_gradient, energy_hessian, \
     solve_equilibrium, total_energy, trap3d_from_frequencies
 from ionmodes.constants import COULOMB
+from ionmodes import statics
 from ionmodes.statics import _Energy
 
 from conftest import KAPPA2, LAMBDA3, onsite_oracle, richardson_derivative, \
@@ -27,6 +28,13 @@ class TestCharacteristicLength:
 
     def test_mass_independent(self, be, mg):
         assert characteristic_length(mg, KAPPA2) == characteristic_length(be, KAPPA2)
+
+    def test_negative_charge_named(self, be):
+        anion = IonSpecies("anion", be.mass, -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"positive charge, got -1 e"):
+                characteristic_length(anion, KAPPA2)
 
 
 class TestTotalEnergy:
@@ -260,6 +268,106 @@ class TestSolveEquilibrium:
         pot = AxialPotential(kappa={2: KAPPA2, 4: -5e17})
         with np.errstate(over="ignore"), pytest.raises(EquilibriumError):
             solve_equilibrium([be, be], pot)
+
+
+def _chain40():
+    """A bench-like mixed chain: 40 Be+/Mg+ ions in a cubic and quartic
+    well with a uniform field, anharmonicities in units of its length."""
+    order = "MBMBBMBBBMBBBBBBBMMBBBBBBBBBBBBBBBBBBBMB"
+    species = [MG24 if c == "M" else BE9 for c in order]
+    scale = 12.425013 * characteristic_length(BE9, KAPPA2)
+    return species, axial_from_lambdas(
+        KAPPA2, {3: -6 * scale, 4: 4 * scale}, uniform_field=2.5)
+
+
+START_CASES = {
+    "pair_cubic": lambda: ([BE9, MG24], axial_from_lambdas(KAPPA2, {3: 250e-6})),
+    "chain40": _chain40,
+    "single_ion_field": lambda: ([MG24], axial_from_lambdas(
+        KAPPA2, {3: LAMBDA3}, uniform_field=40.0)),
+    "mgh_3d": lambda: ([MGH25] * 4, trap3d_from_frequencies(
+        MGH25, (9.3e6, 6.1e6), axial_from_lambdas(
+            6.3e6, {3: -400e-6, 4: 500e-6}, expansion_origin=1e-6))),
+}
+
+
+class TestSolverStart:
+    """The default start is the harmonic chain moved by one harmonic Newton
+    step against the non-harmonic on-site forces, and the polish stops at
+    a step within a few ulps of the positions."""
+
+    @staticmethod
+    def _harmonic(species, potential):
+        axial = potential.axial
+        xi, _ = statics._harmonic_chain_scaled(len(species))
+        return axial.expansion_origin \
+            + characteristic_length(species[0], axial.kappa2) * xi
+
+    @pytest.mark.parametrize("case, most", [("pair_cubic", 3), ("chain40", 4)])
+    def test_evaluations_per_solve(self, energy_calls, case, most):
+        species, pot = START_CASES[case]()
+        solve_equilibrium(species, pot)  # fills the per-size caches
+        energy_calls.clear()
+        solve_equilibrium(species, pot)
+        assert energy_calls == {"build": 1, "evaluate": energy_calls["evaluate"]}
+        assert energy_calls["evaluate"] <= most
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_harmonic_equal_ions_start_on_the_chain(self, be, n):
+        from ionmodes import AxialPotential
+
+        pot = AxialPotential(kappa={2: KAPPA2}, expansion_origin=3e-6)
+        species = [be] * n
+        start = statics._initial_guess(species, _Energy(species, pot))
+        l = characteristic_length(be, KAPPA2)
+        assert np.max(np.abs(start - self._harmonic(species, pot))) <= 1e-15 * l
+
+    def test_crossing_start_falls_back_to_the_harmonic_chain(self, be):
+        # a quartic this strong overshoots the pair's separation
+        pot = axial_from_lambdas(KAPPA2, {4: 1.5e-6})
+        species = [be, be]
+        harmonic = self._harmonic(species, pot)
+        (force,) = pot.derivatives(harmonic, (1,), be.charge_si)
+        assert np.all(force * np.sign(harmonic) > 0)  # not balanced there
+        assert np.array_equal(
+            statics._initial_guess(species, _Energy(species, pot)), harmonic)
+        cfg = solve_equilibrium(species, pot)
+        l = characteristic_length(be, KAPPA2)
+        assert cfg.residual_gradient < 1e-10 * 2 * be.charge_si * KAPPA2 * l
+        assert chain_length(cfg) < 0.9 * 2 ** (1 / 3) * l
+
+    @pytest.mark.parametrize("case", sorted(START_CASES))
+    def test_default_start_agrees_with_harmonic_start(self, case):
+        species, pot = START_CASES[case]()
+        cfg = solve_equilibrium(species, pot)
+        from_harmonic = solve_equilibrium(
+            species, pot, initial_guess=self._harmonic(species, pot))
+        z = cfg.axial_positions
+        extent = z[-1] - z[0] if len(z) > 1 \
+            else characteristic_length(species[0], pot.axial.kappa2)
+        assert np.max(np.abs(cfg.positions - from_harmonic.positions)) \
+            <= 8 * np.finfo(float).eps * extent
+        tol = 1e-10 * 2 * species[0].charge_si * pot.axial.kappa2 \
+            * characteristic_length(species[0], pot.axial.kappa2)
+        assert max(cfg.residual_gradient, from_harmonic.residual_gradient) < tol
+
+    @pytest.mark.parametrize("charges", [(-1,), (1, -1), (-1, -1), (1, 2, -3)])
+    def test_negative_charge_named_before_evaluation(self, be, monkeypatch,
+                                                     charges):
+        from ionmodes import UnconfinedPotentialError
+
+        def evaluate(*args):
+            raise AssertionError("energy evaluated for a negative charge")
+
+        monkeypatch.setattr(statics._Energy, "__call__", evaluate)
+        species = [IonSpecies(f"q{q}", be.mass, q) for q in charges]
+        first = next(i for i, q in enumerate(charges) if q < 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnconfinedPotentialError,
+                               match=rf"^ion {first} \(q{charges[first]}\) "
+                                     rf"has charge {charges[first]} e"):
+                solve_equilibrium(species, axial_from_lambdas(1.3e7, {3: 3e-4}))
 
 
 class TestHessianFiniteDifference:
