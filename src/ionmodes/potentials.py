@@ -52,11 +52,15 @@ class AxialPotential:
         if self.pseudo_gradient != 0.0 and self.pseudo_reference is None:
             raise ValueError("pseudo_gradient requires a reference species")
         object.__setattr__(self, "kappa", ks)
-        # column m: coefficients of d^m V/dz^m in powers of (z - z0)
+        # column m: coefficients of d^m V/dz^m in powers of (z - z0), with
+        # the field's -E z = -E z0 - E (z - z0)
         taylor = np.zeros((max(ks) + 1,) * 2)
         for n, kn in ks.items():
             for m in range(n + 1):
                 taylor[n - m, m] = kn * math.perm(n, m)
+        taylor[0, 0] -= self.uniform_field * self.expansion_origin
+        taylor[1, 0] -= self.uniform_field
+        taylor[0, 1] -= self.uniform_field
         object.__setattr__(self, "_taylor", taylor)
 
     @property
@@ -106,13 +110,11 @@ class AxialPotential:
         poly = np.multiply.accumulate(powers, axis=-1) @ taylor
         out = []
         for k in orders:
-            acc = poly[..., k] if k < len(taylor) else 0.0 * z
+            acc = (poly[..., k] if k < len(taylor) else 0.0 * z) * charge
             if k == 0:
-                acc = charge * (acc - self.uniform_field * z) + slope * z
-            else:
-                acc = acc * charge
-                if k == 1:
-                    acc = acc - charge * self.uniform_field + slope
+                acc = acc + slope * z
+            elif k == 1:
+                acc = acc + slope
             out.append(acc if np.ndim(acc) else float(acc))
         return out
 

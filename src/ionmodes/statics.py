@@ -502,7 +502,7 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
             break
-        if np.abs(step).max() <= 4 * np.finfo(float).eps * np.abs(x).max():
+        if np.abs(step).max() <= 4 * sys.float_info.epsilon * np.abs(x).max():
             break
         trial = x + step
         if not ordered(trial):
