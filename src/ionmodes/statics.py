@@ -340,7 +340,8 @@ def _harmonic_chain_scaled(n: int) -> tuple[np.ndarray, np.ndarray]:
         cfg = solve_equilibrium((unit,) * n, pot, initial_guess=guess)
         xi, k = cfg.positions / l, cfg._hessian / (unit.charge_si * pot.kappa2)
     k_inv = np.linalg.inv(k)
-    k_inv.flags.writeable = False
+    for a in (xi, k_inv):
+        a.flags.writeable = False
     return xi, k_inv
 
 
