@@ -8,7 +8,7 @@ potentials.
 
 from .anharmonic import ChiMatrix, DerivativeTensors, ModeTensors, \
     ResonanceError, chi_from_configuration, chi_matrix, derivative_tensors, \
-    detect_resonances, frequency_shift, mode_tensors
+    frequency_shift, mode_tensors
 from .calibration import ComScanResult, OrderShiftReport, PotentialFamily, \
     BracketError, com_frequency_scan, field_sensitivity, \
     infer_pseudo_gradient, null_parameter, order_shift
@@ -24,8 +24,7 @@ from .potentials import AxialPotential, TrapModel3D, axial_for_frequency, \
 from .species import BE9, MG24, MGH25, IonSpecies, make_species
 from .statics import ChainConfiguration, ConvergenceError, EquilibriumError, \
     IonCrossingError, LinearChainInstabilityError, UnconfinedPotentialError, \
-    chain_length, characteristic_length, energy_gradient, energy_hessian, \
-    solve_equilibrium, total_energy
+    chain_length, characteristic_length, solve_equilibrium
 from .two_ion import TwoIonAnalytics, cubic_equal, cubic_unequal, \
     quartic_equal, quartic_unequal
 

@@ -17,17 +17,17 @@ theory; its integer coefficients (12, 36, 6, 72, ...) presuppose exactly the
 factorial normalization above.
 
 The shift is exactly linear in every occupation, Delta f_Z = base_Z + sum_a
-chi_Za n_a.  A ChiMatrix carries that whole model, ``base`` and chi; one
-guarded builder makes it for chi_matrix and chi_from_configuration, and
-frequency_shift reads it.  The kernel reads the quartic only on its pair
-diagonal G4_aaZZ (a = Z included), so chi_from_configuration contracts that
-diagonal straight from the statics blocks and never forms A4 or G4.
+chi_Za n_a, and chi alone fixes base (ChiMatrix.base).  One builder makes
+chi for chi_matrix and chi_from_configuration from the denominators the
+resonance guard passed, and frequency_shift reads it.  The kernel reads the
+quartic only on its pair diagonal G4_aaZZ (a = Z included), so
+chi_from_configuration contracts that diagonal straight from the statics
+blocks and never forms A4 or G4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,19 +67,18 @@ class ChiMatrix:
     chi: np.ndarray
     mode_frequencies: np.ndarray  # Hz, descending
     provenance: dict
-    near_resonances: tuple = ()
-    base: np.ndarray | None = None  # Hz per mode; None when read from a file
 
     @property
     def n_modes(self) -> int:
         return len(self.mode_frequencies)
 
-
-class ResonanceFlag(NamedTuple):
-    kind: str          # "2:1", "sum", or "difference"
-    modes: tuple       # (Z, alpha) or (Z, alpha, beta)
-    value: float       # denominator value, rad^2/s^2
-    normalized: float  # |value| / max(omega)^2
+    @property
+    def base(self) -> np.ndarray:
+        """Zero-occupation shift of each transition (Hz).  The level energies
+        are quadratic in n + 1/2, so base_Z = chi_ZZ + (1/2) sum_{a != Z}
+        chi_Za."""
+        diag = np.diag(self.chi)
+        return diag + 0.5 * (self.chi.sum(1) - diag)
 
 
 def _is_whole(v) -> bool:
@@ -140,48 +139,49 @@ def _chi_tensors(cfg: ChainConfiguration, spectrum: ModeSpectrum):
     return _to_modes(t3 / 6.0, u), q / 24.0
 
 
-def detect_resonances(spectrum: ModeSpectrum, rel_tol: float = RESONANCE_HARD):
-    """Flag perturbation-theory denominators below rel_tol * max(omega)^2.
+def _denominators(spectrum: ModeSpectrum):
+    """The perturbation denominators (rad^2/s^2), once the resonance policy
+    passes: 2:1 ones 4 w_a^2 - w_Z^2 at [Z, a], and difference and sum ones
+    (w_b -+ w_a)^2 - w_Z^2 at [Z, a, b, 0 / 1].
 
-    Covers two-phonon conversion (omega_Z ~ 2 omega_a) and sum/difference
-    processes ((omega_b +- omega_a) ~ omega_Z).
+    A process (Z != a, or Z, a, b distinct with a < b) whose denominator is
+    below RESONANCE_HARD * max(w)^2 raises ResonanceError naming each one:
+    per mode Z its 2:1 ones, then each pair's difference and sum ones.  Below
+    RESONANCE_SOFT * max(w)^2 they are counted in a warning.
     """
     w = spectrum.angular
+    d = len(w)
     scale = float(np.max(w)) ** 2
-    i = np.arange(len(w))
+    i = np.arange(d)
     z, a, b = i[:, None, None], i[None, :, None], i[None, None, :]
     two = (4 * w[a] ** 2 - w[z] ** 2)[..., 0]
     pair = np.stack(((w[b] - w[a]) ** 2 - w[z] ** 2,
                      (w[b] + w[a]) ** 2 - w[z] ** 2), axis=-1)
-    near_two = (np.abs(two) < rel_tol * scale) & (z != a)[..., 0]
-    near_pair = ((np.abs(pair) < rel_tol * scale)
-                 & ((z != a) & (z != b) & (a < b))[..., None])
-    flags = [("2:1", (zi, ai), two[zi, ai]) for zi, ai in np.argwhere(near_two)]
-    flags += [(("difference", "sum")[k], (zi, ai, bi), pair[zi, ai, bi, k])
-              for zi, ai, bi, k in np.argwhere(near_pair)]
-    # per mode Z: its 2:1 flags, then each pair's difference and sum flags
-    flags.sort(key=lambda f: (f[1][0], f[0] != "2:1"))
-    return [ResonanceFlag(kind, tuple(map(int, modes)), float(val),
-                          abs(val) / scale)
-            for kind, modes, val in flags]
-
-
-def _resonance_guard(spectrum: ModeSpectrum):
-    soft = detect_resonances(spectrum, RESONANCE_SOFT)
-    # the hard flags are the soft flags that pass detect_resonances' own test
-    # at RESONANCE_HARD, in the same order
-    bound = RESONANCE_HARD * float(np.max(spectrum.angular)) ** 2
-    hard = [f for f in soft if abs(f.value) < bound]
-    if hard:
+    # one row per mode Z: its 2:1 denominators, then (a, b, sign) in order
+    rows = np.concatenate((two, pair.reshape(d, -1)), axis=1)
+    process = np.concatenate(((z != a)[..., 0], np.repeat(
+        ((z != a) & (z != b) & (a < b)).reshape(d, -1), 2, axis=1)), axis=1)
+    size = np.where(process, np.abs(rows), np.inf)
+    hard = np.argwhere(size < RESONANCE_HARD * scale)
+    if len(hard):
         raise ResonanceError(
-            "perturbation theory invalid near resonance(s): "
-            + "; ".join(f"{f.kind} modes {f.modes} |den|/max(w)^2={f.normalized:.2e}"
-                        for f in hard))
+            "perturbation theory invalid near resonance(s): " + "; ".join(
+                f"{_process(zi, col, d)} |den|/max(w)^2={size[zi, col] / scale:.2e}"
+                for zi, col in hard))
+    soft = np.count_nonzero(size < RESONANCE_SOFT * scale)
     if soft:
         _warn_caller(
-            f"{len(soft)} near-resonant denominator(s) in the "
+            f"{soft} near-resonant denominator(s) in the "
             f"[{RESONANCE_HARD:g}, {RESONANCE_SOFT:g}] band; shifts may be inaccurate")
-    return tuple(soft)
+    return two, pair
+
+
+def _process(z: int, col: int, d: int) -> str:
+    """The process of column ``col`` of mode z's row of denominators."""
+    if col < d:
+        return f"2:1 modes {(int(z), int(col))}"
+    a, b, sign = np.unravel_index(col - d, (d, d, 2))
+    return f"{('difference', 'sum')[sign]} modes {(int(z), int(a), int(b))}"
 
 
 def _ratio(num, den, mask):
@@ -189,9 +189,10 @@ def _ratio(num, den, mask):
     return np.divide(num, den, out=np.zeros(np.shape(mask)), where=mask)
 
 
-def _shift_coefficients(g3: np.ndarray, q: np.ndarray, spectrum: ModeSpectrum):
-    """Zero-occupation shifts ``base`` and per-quantum ``chi`` (Hz) of every
-    mode from G3 and the quartic's pair diagonal q[Z, a] = G4_aaZZ, each
+def _shift_coefficients(g3: np.ndarray, q: np.ndarray, spectrum: ModeSpectrum,
+                        two: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Per-quantum ``chi`` (Hz) of every mode from G3, the quartic's pair
+    diagonal q[Z, a] = G4_aaZZ and the ``_denominators`` two and pair, each
     term a masked broadcast over distinct (Z, a) or (Z, a, b).
     """
     w = spectrum.angular
@@ -203,41 +204,36 @@ def _shift_coefficients(g3: np.ndarray, q: np.ndarray, spectrum: ModeSpectrum):
     g_aaz, g_zza, g_azz = g3[a, a, z], g3[z, z, a], g3[a, z, z]
 
     # per-spectator two-phonon and static terms, weight 2 n_a + 1
-    t = (_ratio(2 * wa * g_aaz**2, 4 * wa**2 - wz**2, off)
-         + _ratio(2 * wz * g_zza**2, 4 * wz**2 - wa**2, off)
+    t = (_ratio(2 * wa * g_aaz**2, two, off)
+         + _ratio(2 * wz * g_zza**2, two.T, off)
          + _ratio(g_zzz[:, None] * g_aaz, wz, off)
          + _ratio(g_azz * g_zzz[None, :], wa, off))
     # self terms, weight n_Z + 1
     u = (10.0 * g_zzz**2 / w
-         - 6.0 * _ratio(g_zza**2 * wa, 4 * wz**2 - wa**2, off).sum(1)
+         - 6.0 * _ratio(g_zza**2 * wa, two.T, off).sum(1)
          + 12.0 * _ratio(g_azz**2, wa, off).sum(1))
     # sum/difference processes, weights n_a - n_b and n_a + n_b + 1
     zz, aa, bb = i[:, None, None], i[None, :, None], i[None, None, :]
     distinct = (zz != aa) & (zz != bb) & (aa != bb)
     g2 = g3[aa, bb, zz] ** 2
-    dw, sw, wz2 = w[bb] - w[aa], w[bb] + w[aa], w[zz] ** 2
-    vd = _ratio(g2 * dw, dw**2 - wz2, distinct)
-    vs = _ratio(g2 * sw, sw**2 - wz2, distinct)
+    vd = _ratio(g2 * (w[bb] - w[aa]), pair[..., 0], distinct)
+    vs = _ratio(g2 * (w[bb] + w[aa]), pair[..., 1], distinct)
     # static cubic through mode a, weight 2 n_b + 1 (b != Z)
     x = np.where(off, _ratio(g_azz, wa, off) @ np.where(off, g3[z, a, a], 0.0), 0.0)
 
-    g4_zzzz, g4_aazz = q[i, i], np.where(off, q, 0.0)
-    base = (12.0 * (g4_zzzz + g4_aazz.sum(1))
-            - 36.0 / HBAR * t.sum(1) - 6.0 / HBAR * u
-            - 72.0 / HBAR * vs.sum((1, 2)) - 36.0 / HBAR * x.sum(1))
-    chi = (24.0 * g4_aazz - 72.0 / HBAR * t
+    chi = (24.0 * np.where(off, q, 0.0) - 72.0 / HBAR * t
            - 72.0 / HBAR * ((vd + vs).sum(2) + (vs - vd).sum(1))
            - 36.0 / HBAR * 2 * x)
-    chi[i, i] = 12.0 * g4_zzzz - 6.0 / HBAR * u
-    return base / PLANCK, chi / PLANCK
+    chi[i, i] = 12.0 * q[i, i] - 6.0 / HBAR * u
+    return chi / PLANCK
 
 
-def _chi(g3: np.ndarray, q: np.ndarray, spectrum: ModeSpectrum, near: tuple,
+def _chi(g3: np.ndarray, q: np.ndarray, spectrum: ModeSpectrum, dens: tuple,
          provenance: dict) -> ChiMatrix:
-    """ChiMatrix from G3 and q = G4_aaZZ once the guard passed (``near``)."""
-    base, chi = _shift_coefficients(g3, q, spectrum)
-    return ChiMatrix(chi=chi, mode_frequencies=spectrum.frequencies.copy(),
-                     provenance=provenance, near_resonances=near, base=base)
+    """ChiMatrix from G3, q = G4_aaZZ and the guarded ``_denominators``."""
+    return ChiMatrix(chi=_shift_coefficients(g3, q, spectrum, *dens),
+                     mode_frequencies=spectrum.frequencies.copy(),
+                     provenance=provenance)
 
 
 def frequency_shift(tensors: ModeTensors, spectrum: ModeSpectrum,
@@ -261,10 +257,10 @@ def chi_matrix(tensors: ModeTensors, spectrum: ModeSpectrum) -> ChiMatrix:
     transition frequency, so frequency_shift = base + chi @ n; the diagonal
     is the coefficient of n_Z itself.
     """
-    near = _resonance_guard(spectrum)
+    dens = _denominators(spectrum)
     i = np.arange(len(tensors.G4))
     q = tensors.G4[i[None, :], i[None, :], i[:, None], i[:, None]]  # G4_aaZZ
-    return _chi(tensors.G3, q, spectrum, near, {})
+    return _chi(tensors.G3, q, spectrum, dens, {})
 
 
 def chi_from_configuration(cfg: ChainConfiguration,
@@ -277,9 +273,9 @@ def chi_from_configuration(cfg: ChainConfiguration,
     """
     if spectrum is None:
         spectrum = mode_spectrum(cfg)
-    near = _resonance_guard(spectrum)
+    dens = _denominators(spectrum)
     g3, q = _chi_tensors(cfg, spectrum)
     pot = cfg.potential
-    return _chi(g3, q, spectrum, near,
+    return _chi(g3, q, spectrum, dens,
                 {"coulomb": cfg.n_ions > 1, "trap_cubic": pot.has_order(3),
                  "trap_quartic": pot.has_order(4)})

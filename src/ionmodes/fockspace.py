@@ -48,7 +48,7 @@ import functools
 import itertools
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from .anharmonic import occupation_vector
 from .constants import HBAR, PLANCK

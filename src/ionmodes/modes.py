@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from .constants import HBAR
 from .statics import ChainConfiguration, _Energy

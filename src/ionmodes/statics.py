@@ -118,6 +118,19 @@ def _assembly_indices(n: int, m: int) -> tuple:
     return writes, (ions, every) * m
 
 
+def _per_ion(species, potential) -> tuple:
+    """All the chain energy reads of each ion: its charge, pseudopotential
+    slope and, for a TrapModel3D, radial curvatures as diag(kx, ky, 0)."""
+    axial = potential.axial
+    charge = np.array([sp.charge_si for sp in species])
+    slope = np.array([axial.gradient_slope(sp) for sp in species])
+    if not isinstance(potential, TrapModel3D):
+        return charge, slope
+    radial = np.zeros((len(species), 3, 3))
+    radial[:, (0, 1), (0, 1)] = [potential.radial_for(sp) for sp in species]
+    return charge, slope, radial
+
+
 class _Energy:
     """The chain energy U and its derivatives for fixed species and potential.
 
@@ -132,21 +145,18 @@ class _Energy:
         n = len(species)
         self.axial = potential.axial
         self.trap = potential if isinstance(potential, TrapModel3D) else None
-        self.charge = np.array([sp.charge_si for sp in species])
-        self.slope = np.array([self.axial.gradient_slope(sp) for sp in species])
+        self.per_ion = _per_ion(species, potential)
+        self.charge, self.slope = self.per_ion[:2]
         self.coupling = COULOMB * self.charge[:, None] * self.charge[None, :]
         np.fill_diagonal(self.coupling, 0.0)
         # the couplings shaped to scale the pair blocks of each order m
         self.couplings = [self.coupling.reshape((n, n) + (1,) * m)
                           for m in range(_MAX_ORDER + 1)]
         self.diag = np.diag_indices(n)
-        self.per_ion = (self.charge, self.slope)  # all the energy reads of an ion
         if self.trap is not None:
             # on-site Taylor tensors, leading axis over ions: the radial
-            # curvatures diag(kx, ky, 0), then the nonzero trap tensors
-            radial = np.zeros((n, 3, 3))
-            radial[:, (0, 1), (0, 1)] = [self.trap.radial_for(sp) for sp in species]
-            self.tensors = [radial] + [t[None] for t in (
+            # curvatures, then the nonzero trap tensors
+            self.tensors = [self.per_ion[2]] + [t[None] for t in (
                 self.trap.trap_cubic, self.trap.trap_quartic) if t.any()]
             # perm(rank, m) * charge of each order m and tensor of rank
             # >= m, else None
@@ -155,7 +165,6 @@ class _Energy:
                  if m < t.ndim else None for t in self.tensors]
                 for m in range(_MAX_ORDER + 1)]
             self.origin = np.array([0.0, 0.0, self.axial.expansion_origin])
-            self.per_ion += (radial,)
 
     def __call__(self, positions, *orders):
         """[d^m U for m in orders]: U as a float, then arrays over the
@@ -261,25 +270,6 @@ class _Energy:
             t[idx] = sign * pair
         t[diag] = diagonal
         return t.reshape((n * k,) * m)
-
-
-def total_energy(positions, species, potential) -> float:
-    """Total potential energy (J) of a candidate configuration.
-
-    Positions are (N,) axial for an AxialPotential and (N, 3) for a
-    TrapModel3D.
-    """
-    return _Energy(species, potential)(positions, 0)[0]
-
-
-def energy_gradient(positions, species, potential) -> np.ndarray:
-    """Analytic gradient dU/dz_k (J/m), flattened over coordinates."""
-    return _Energy(species, potential)(positions, 1)[0]
-
-
-def energy_hessian(positions, species, potential) -> np.ndarray:
-    """Analytic Hessian d2U/dz_k dz_l (J/m^2) over flattened coordinates."""
-    return _Energy(species, potential)(positions, 2)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,7 +523,7 @@ def _reordered(cfg: ChainConfiguration, species) -> ChainConfiguration | None:
     statics cannot tell the two apart; else None.
 
     An equilibrium depends on the species only through each ion's charge,
-    pseudopotential slope and, in 3D, radial curvatures (``_Energy.per_ion``);
+    pseudopotential slope and, in 3D, radial curvatures (``_per_ion``);
     masses enter only the mode problem.  When those agree ion by ion, as for
     the reversed order of an equal-charge pair with no pseudopotential
     gradient, ``solve_equilibrium(species, cfg.potential)`` from cfg's start
@@ -545,8 +535,8 @@ def _reordered(cfg: ChainConfiguration, species) -> ChainConfiguration | None:
     energy = cfg._energy
     if energy is None or len(species) != cfg.n_ions:
         return None
-    relabelled = _Energy(species, cfg.potential)
-    if not all(map(np.array_equal, energy.per_ion, relabelled.per_ion)):
+    if not all(map(np.array_equal, energy.per_ion,
+                   _per_ion(species, cfg.potential))):
         return None
     out = replace(cfg, species=species)
     for name in ("_energy", "_gradient", "_hessian"):

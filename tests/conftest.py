@@ -5,6 +5,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from scipy.optimize import brentq, root
 
 from ionmodes import BE9, MG24, MGH25, BracketError, ChainConfiguration, \
     CutoffError, OrderShiftReport, StateMatchError, axial_from_lambdas, \
-    energy_gradient, harmonic_axial, mode_spectrum, solve_equilibrium
+    harmonic_axial, mode_spectrum, solve_equilibrium
 from ionmodes import anharmonic, modes, statics
 from ionmodes.calibration import IN_PHASE, MAX_ROOT_ITER, NULL_TOLERANCE_HZ, \
     OUT_OF_PHASE
@@ -127,6 +128,22 @@ def energy_calls(monkeypatch):
         if hasattr(module, "_Energy"):
             monkeypatch.setattr(module, "_Energy", Recorder)
     return counts
+
+
+def total_energy(positions, species, potential) -> float:
+    """Total potential energy (J) at arbitrary positions: (N,) axial for an
+    AxialPotential, (N, 3) for a TrapModel3D."""
+    return statics._Energy(species, potential)(positions, 0)[0]
+
+
+def energy_gradient(positions, species, potential) -> np.ndarray:
+    """Analytic gradient dU/dz_k (J/m), flattened over coordinates."""
+    return statics._Energy(species, potential)(positions, 1)[0]
+
+
+def energy_hessian(positions, species, potential) -> np.ndarray:
+    """Analytic Hessian d2U/dz_k dz_l (J/m^2) over flattened coordinates."""
+    return statics._Energy(species, potential)(positions, 2)[0]
 
 
 def make_cfg(species, potential, positions) -> ChainConfiguration:
@@ -274,6 +291,41 @@ def shift_oracle(tensors, spectrum, occupations, z):
         x += g3[a, z, z] / w[a] * inner
     s -= 36.0 / HBAR * x
     return s / PLANCK
+
+
+class ResonanceFlag(NamedTuple):
+    kind: str          # "2:1", "sum", or "difference"
+    modes: tuple       # (Z, alpha) or (Z, alpha, beta)
+    value: float       # denominator value, rad^2/s^2
+    normalized: float  # |value| / max(omega)^2
+
+
+def detect_resonances(spectrum, rel_tol=anharmonic.RESONANCE_HARD):
+    """Flag perturbation-theory denominators below rel_tol * max(omega)^2:
+    two-phonon conversion (omega_Z ~ 2 omega_a, Z != a) and sum/difference
+    processes ((omega_b +- omega_a) ~ omega_Z, Z, a, b distinct, a < b).
+
+    The library's resonance guard before it read the kernel's own
+    denominators; per mode Z, its 2:1 flags, then each pair's difference
+    and sum flags.
+    """
+    w = spectrum.angular
+    scale = float(np.max(w)) ** 2
+    i = np.arange(len(w))
+    z, a, b = i[:, None, None], i[None, :, None], i[None, None, :]
+    two = (4 * w[a] ** 2 - w[z] ** 2)[..., 0]
+    pair = np.stack(((w[b] - w[a]) ** 2 - w[z] ** 2,
+                     (w[b] + w[a]) ** 2 - w[z] ** 2), axis=-1)
+    near_two = (np.abs(two) < rel_tol * scale) & (z != a)[..., 0]
+    near_pair = ((np.abs(pair) < rel_tol * scale)
+                 & ((z != a) & (z != b) & (a < b))[..., None])
+    flags = [("2:1", (zi, ai), two[zi, ai]) for zi, ai in np.argwhere(near_two)]
+    flags += [(("difference", "sum")[k], (zi, ai, bi), pair[zi, ai, bi, k])
+              for zi, ai, bi, k in np.argwhere(near_pair)]
+    flags.sort(key=lambda f: (f[1][0], f[0] != "2:1"))
+    return [ResonanceFlag(kind, tuple(map(int, modes)), float(val),
+                          abs(val) / scale)
+            for kind, modes, val in flags]
 
 
 def oracle_chi(tensors, spectrum):

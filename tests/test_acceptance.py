@@ -28,8 +28,9 @@ from ionmodes.chifile import read_chi
 from ionmodes.fockspace import exact_transition_frequency
 from ionmodes.modes import ModeSpectrum
 
-from conftest import KAPPA2, LAMBDA3, LAMBDA4, chain_oracle, make_cfg, rel_err, \
-    shift_oracle
+from conftest import KAPPA2, LAMBDA3, LAMBDA4, chain_oracle, \
+    detect_resonances, energy_gradient, energy_hessian, make_cfg, rel_err, \
+    shift_oracle, total_energy
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
@@ -262,7 +263,7 @@ def test_06_perturbation_vs_exact_oracle():
                                 sigma_prime=np.sqrt(HBAR / (4 * np.pi * freqs)),
                                 sigma_ion=np.zeros((n_modes, n_modes)),
                                 config=None)
-            if im.detect_resonances(spec, rel_tol=3e-2):
+            if detect_resonances(spec, rel_tol=3e-2):
                 continue
             eps = 10 ** rng.uniform(-5, math.log10(3e-5))
             hw = HBAR * 2 * math.pi * np.mean(freqs)
@@ -437,8 +438,8 @@ def test_12b_analytic_vs_finite_difference():
 
             return (4 * central(h / 2) - central(h)) / 3
 
-        g = im.energy_gradient(z, species, pot)
-        hess = im.energy_hessian(z, species, pot)
+        g = energy_gradient(z, species, pot)
+        hess = energy_hessian(z, species, pot)
         cfg = make_cfg(species, pot, z)
         tens = im.derivative_tensors(cfg)
         raw3 = tens.A3 * 6
@@ -447,17 +448,17 @@ def test_12b_analytic_vs_finite_difference():
             def u_at(zk, k=k):
                 zz = z.copy()
                 zz[k] = zk
-                return im.total_energy(zz, species, pot)
+                return total_energy(zz, species, pot)
 
             def g_at(zk, k=k):
                 zz = z.copy()
                 zz[k] = zk
-                return im.energy_gradient(zz, species, pot)
+                return energy_gradient(zz, species, pot)
 
             def h_at(zk, k=k):
                 zz = z.copy()
                 zz[k] = zk
-                return im.energy_hessian(zz, species, pot)
+                return energy_hessian(zz, species, pot)
 
             def t3_at(zk, k=k):
                 zz = z.copy()

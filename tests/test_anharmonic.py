@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -8,15 +10,17 @@ import pytest
 
 from ionmodes import BE9, MG24, MGH25, ResonanceError, axial_for_frequency, \
     axial_from_lambdas, chi_from_configuration, chi_matrix, \
-    derivative_tensors, detect_resonances, frequency_shift, hessian, \
-    mode_spectrum, mode_tensors, solve_equilibrium, trap3d_from_frequencies
+    derivative_tensors, frequency_shift, hessian, mode_spectrum, \
+    mode_tensors, solve_equilibrium, trap3d_from_frequencies
 from ionmodes import anharmonic
-from ionmodes.anharmonic import ModeTensors, _chi_tensors, occupation_vector
+from ionmodes.anharmonic import ChiMatrix, ModeTensors, _chi_tensors, \
+    occupation_vector
 from ionmodes.constants import COULOMB, HBAR, PLANCK
 from ionmodes.modes import ModeSpectrum
 
-from conftest import KAPPA2, LAMBDA3, LAMBDA4, make_cfg, oracle_chi, \
-    rel_err, shift_oracle, symmetric_tensor
+from conftest import KAPPA2, LAMBDA3, LAMBDA4, detect_resonances, \
+    energy_hessian, make_cfg, oracle_chi, rel_err, shift_oracle, \
+    symmetric_tensor
 
 
 def fake_spectrum(freqs_hz):
@@ -102,8 +106,6 @@ class TestDerivativeTensors:
 
     def test_axial_tensors_match_finite_differences(self, be, mg,
                                                     pot_anharmonic):
-        from ionmodes import energy_hessian
-
         species = (be, mg)
         z = np.array([-2.3e-6, 2.0e-6])
         cfg = make_cfg(species, pot_anharmonic, z)
@@ -140,8 +142,6 @@ class TestDerivativeTensors:
         trap = trap3d_from_frequencies(mgh, (7e6, 5e6),
                                        axial_for_frequency(mgh, 1.8e6),
                                        trap_cubic=cubic, trap_quartic=quartic)
-        from ionmodes import energy_hessian
-
         species = (mgh, mgh)
         pos = np.array([[0.05e-6, -0.04e-6, -2.1e-6],
                         [-0.03e-6, 0.06e-6, 2.2e-6]])
@@ -190,8 +190,6 @@ class TestDerivativeTensors:
                                   floor=1e-7 * np.max(np.abs(raw4)))) < 1e-5
 
     def test_linear_chain_is_the_on_axis_case(self, be, mg, pot_anharmonic):
-        from ionmodes import energy_hessian
-
         species = (be, mg, be)
         cfg1 = solve_equilibrium(species, pot_anharmonic)
         trap = trap3d_from_frequencies(be, (7e6, 5e6), pot_anharmonic)
@@ -359,19 +357,36 @@ class TestFrequencyShift:
         assert np.array_equal(model.base, base)
 
 
+def zero_tensors(d):
+    """Mode tensors of d modes with no anharmonicity: only the guard acts."""
+    return ModeTensors(G3=np.zeros((d,) * 3), G4=np.zeros((d,) * 4))
+
+
 class TestDetectResonances:
+    """The conftest scan flags the processes the guard names or counts."""
+
     def test_two_to_one_flagged(self):
         spec = fake_spectrum([4.0e6, 2.0e6])
         flags = detect_resonances(spec)
         assert any(f.kind == "2:1" and f.value == 0.0 for f in flags)
+        with pytest.raises(ResonanceError, match=re.escape(
+                "2:1 modes (0, 1) |den|/max(w)^2=0.00e+00")):
+            chi_matrix(zero_tensors(2), spec)
 
     def test_single_ion_surface_frequencies_clean(self):
-        assert detect_resonances(fake_spectrum([7e6, 5e6, 1.8e6])) == []
+        spec = fake_spectrum([7e6, 5e6, 1.8e6])
+        assert detect_resonances(spec, anharmonic.RESONANCE_SOFT) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chi_matrix(zero_tensors(3), spec)
 
     def test_sum_resonance_flagged(self):
         spec = fake_spectrum([5.0e6, 3.0e6, 2.0e6])
         flags = detect_resonances(spec)
         assert any(f.kind == "sum" for f in flags)
+        with pytest.raises(ResonanceError, match=re.escape(
+                "sum modes (0, 1, 2) |den|/max(w)^2=")):
+            chi_matrix(zero_tensors(3), spec)
 
     def test_guard_raises_on_hard_resonance(self):
         spec = fake_spectrum([4.0e6, 2.0e6])
@@ -383,10 +398,9 @@ class TestDetectResonances:
 
     def test_warning_band(self):
         spec = fake_spectrum([4.01e6, 2.0e6])  # |4w_a^2-w_Z^2| ~ 0.005 max^2
-        g = ModeTensors(G3=np.zeros((2, 2, 2)), G4=np.zeros((2, 2, 2, 2)))
-        with pytest.warns(RuntimeWarning, match="near-resonant"):
-            chi = chi_matrix(g, spec)
-        assert chi.near_resonances
+        assert len(detect_resonances(spec, anharmonic.RESONANCE_SOFT)) == 1
+        with pytest.warns(RuntimeWarning, match="^1 near-resonant"):
+            chi_matrix(zero_tensors(2), spec)
 
     def test_warning_names_the_caller(self, mgh, mgh_trap):
         cfg = solve_equilibrium([mgh, mgh], mgh_trap)
@@ -405,11 +419,10 @@ class TestDetectResonances:
             assert [w.filename for w in caught] == [__file__], name
 
     def test_one_scan_guard_matches_two_scans(self):
-        """The guard reads its hard flags off one soft-band scan; the error,
-        the warning and the returned flags equal those of a hard scan
-        followed by a soft scan."""
-        from ionmodes.anharmonic import RESONANCE_HARD, RESONANCE_SOFT, \
-            _resonance_guard
+        """The guard reads the kernel's own denominators; the error and the
+        warning of chi_matrix equal those of a hard scan followed by a soft
+        scan of the conftest oracle."""
+        from ionmodes.anharmonic import RESONANCE_HARD, RESONANCE_SOFT
 
         def two_scans(spec):
             hard = detect_resonances(spec, RESONANCE_HARD)
@@ -425,16 +438,19 @@ class TestDetectResonances:
                     f"{len(soft)} near-resonant denominator(s) in the "
                     f"[{RESONANCE_HARD:g}, {RESONANCE_SOFT:g}] band; "
                     "shifts may be inaccurate", RuntimeWarning)
-            return tuple(soft)
 
-        def outcome(guard, spec):
+        def guard(spec):
+            chi_matrix(zero_tensors(spec.n_modes), spec)
+
+        def outcome(check, spec):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    result = guard(spec)
+                    check(spec)
+                    error = None
                 except ResonanceError as err:
-                    result = str(err)
-            return result, [str(w.message) for w in caught]
+                    error = str(err)
+            return error, [str(w.message) for w in caught]
 
         rng = np.random.default_rng(5)
         seen = set()
@@ -447,14 +463,18 @@ class TestDetectResonances:
                 rng.integers(3)] * (1 + detuning)
             spec = fake_spectrum(f)
             expected = outcome(two_scans, spec)
-            assert outcome(_resonance_guard, spec) == expected
-            result = expected[0]
-            seen.add("hard" if isinstance(result, str)
-                     else "soft" if result else "clean")
+            assert outcome(guard, spec) == expected
+            error, caught = expected
+            seen.add("hard" if error else "soft" if caught else "clean")
         assert seen == {"hard", "soft", "clean"}
 
 
 class TestChiMatrix:
+    def test_holds_chi_alone(self):
+        """base is no field: it is read off chi by the identity."""
+        assert [f.name for f in dataclasses.fields(ChiMatrix)] == \
+            ["chi", "mode_frequencies", "provenance"]
+
     def test_single_ion_harmonic_zero(self, mgh, mgh_trap):
         cfg = solve_equilibrium([mgh], mgh_trap)
         chi = chi_from_configuration(cfg)
@@ -563,7 +583,6 @@ class TestContractedChi:
         assert np.max(np.abs(got.chi - want.chi)) <= 1e-12 * scale
         assert np.max(np.abs(got.base - want.base)) <= \
             1e-12 * np.max(np.abs(want.base))
-        assert got.near_resonances == want.near_resonances
         assert np.array_equal(got.mode_frequencies, want.mode_frequencies)
 
     @pytest.mark.parametrize("case", sorted(CONTRACTION_CASES))

@@ -11,6 +11,7 @@ from ionmodes import BracketError, IonSpecies, PotentialFamily, \
     axial_from_lambdas, characteristic_length, com_frequency_scan, \
     field_sensitivity, infer_pseudo_gradient, mode_spectrum, null_parameter, \
     order_shift, solve_equilibrium, trap3d_from_frequencies
+from ionmodes import statics
 from ionmodes.config import validate_config
 from ionmodes.statics import _reordered
 
@@ -517,7 +518,9 @@ class TestReversedOrderShared:
         served = _reordered(solve_equilibrium((be, mg), trap), (mg, be))
         self._assert_served_is_cold(served, solve_equilibrium((mg, be), trap))
 
-    def test_statics_that_differ_are_solved(self, be, mg, pot_cubic):
+    @staticmethod
+    def _differing(be, mg, pot_cubic):
+        """Forward solves whose reversed order has other statics, by name."""
         be2 = IonSpecies("Be9++", be.mass, charge=2)
         cases = {
             "pseudo_gradient": ((be, mg), _gradient_pot(be, 0.2)),
@@ -525,9 +528,33 @@ class TestReversedOrderShared:
             "radial_mass_scaling": ((be, mg), trap3d_from_frequencies(
                 be, (9e6, 6e6), pot_cubic)),
         }
-        for name, ((a, b), pot) in cases.items():
-            assert _reordered(solve_equilibrium((a, b), pot), (b, a)) is None, \
-                name
+        return {name: solve_equilibrium(pair, pot)
+                for name, (pair, pot) in cases.items()}
+
+    def test_statics_that_differ_are_solved(self, be, mg, pot_cubic):
+        for name, cfg in self._differing(be, mg, pot_cubic).items():
+            assert _reordered(cfg, cfg.species[::-1]) is None, name
+
+    def test_decided_without_building_an_energy(self, monkeypatch, case, be,
+                                                mg, pot_cubic):
+        """The per-ion constants are compared as they are: sharing a solve,
+        or declining to, builds no relabelled ``_Energy``."""
+        family, pair, (p_lo, _) = case
+        shared = [solve_equilibrium(pair, family.at(p_lo)),
+                  solve_equilibrium((be, mg), trap3d_from_frequencies(
+                      be, (9e6, 6e6), pot_cubic, radial_mass_scaling=False))]
+        differing = self._differing(be, mg, pot_cubic)
+
+        def no_build(*args):
+            raise AssertionError("_Energy built")
+
+        monkeypatch.setattr(statics, "_Energy", no_build)
+        for cfg in shared:
+            served = _reordered(cfg, cfg.species[::-1])
+            assert served.species == cfg.species[::-1]
+            assert served._energy is cfg._energy
+        for name, cfg in differing.items():
+            assert _reordered(cfg, cfg.species[::-1]) is None, name
 
     def test_hand_built_configuration_is_not_served(self, be, mg, pot_cubic):
         cfg = solve_equilibrium((be, mg), pot_cubic)

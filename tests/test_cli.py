@@ -52,12 +52,17 @@ class TestChiFile:
         back = read_chi(io.StringIO(text))
         assert np.array_equal(back.chi, chi.chi)
         assert np.array_equal(back.mode_frequencies, chi.mode_frequencies)
-        assert back.base is None  # a chi file carries no zero-occupation shift
+        # base is a property of chi, so a chi read back at 17 digits
+        # carries the written base bit for bit
+        assert back.base is not None
+        assert np.array_equal(back.base, chi.base)
 
     def test_default_precision_round_trip(self):
         chi = self._chi()
         back = read_chi(io.StringIO(chi_to_text(chi)))
         assert back.chi == pytest.approx(chi.chi, rel=1e-11)
+        assert back.base == pytest.approx(
+            chi.base, rel=0, abs=1e-11 * np.abs(chi.chi).max())
 
     @pytest.mark.parametrize("provenance,line", [
         ({"trap_cubic": False, "coulomb": True},

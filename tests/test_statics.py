@@ -6,14 +6,14 @@ import pytest
 from scipy.optimize import minimize
 
 from ionmodes import BE9, MG24, MGH25, IonSpecies, axial_from_lambdas, \
-    chain_length, characteristic_length, energy_gradient, energy_hessian, \
-    solve_equilibrium, total_energy, trap3d_from_frequencies
+    chain_length, characteristic_length, solve_equilibrium, \
+    trap3d_from_frequencies
 from ionmodes.constants import COULOMB
 from ionmodes import statics
 from ionmodes.statics import _Energy
 
-from conftest import KAPPA2, LAMBDA3, onsite_oracle, richardson_derivative, \
-    symmetric_tensor
+from conftest import KAPPA2, LAMBDA3, energy_gradient, energy_hessian, \
+    onsite_oracle, richardson_derivative, symmetric_tensor, total_energy
 
 
 class TestCharacteristicLength:
