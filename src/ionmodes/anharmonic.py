@@ -13,8 +13,14 @@ and are carried to the normal-mode basis by sigma_ion = e' sigma' / sqrt(m),
 so that the cubic/quartic Hamiltonian terms are sum G3 x_a x_b x_c and
 sum G4 x_a x_b x_c x_d with x = a + a^dag.  The per-transition frequency
 shift combines first-order quartic and second-order cubic perturbation
-theory; its integer coefficients (12, 36, 6, 72, ...) presuppose exactly the
-factorial normalization above.
+theory.  Its chi is the second derivative of the level energies in the
+standard VPT2 form (I. M. Mills, 1972; V. Barone, J. Chem. Phys. 122, 014108
+(2005)), one static and one resonant cubic sum S and R (_shift_coefficients):
+
+    h chi_Za = 24 G4_aaZZ - (72 / hbar) S_Za - (36 / hbar) R_Za,
+
+halved on the diagonal and symmetric by construction.  The integer
+coefficients presuppose exactly the factorial normalization above.
 
 The shift is exactly linear in every occupation, Delta f_Z = base_Z + sum_a
 chi_Za n_a, and chi alone fixes base (ChiMatrix.base).  One builder makes
@@ -140,9 +146,9 @@ def _chi_tensors(cfg: ChainConfiguration, spectrum: ModeSpectrum):
 
 
 def _denominators(spectrum: ModeSpectrum):
-    """The perturbation denominators (rad^2/s^2), once the resonance policy
-    passes: 2:1 ones 4 w_a^2 - w_Z^2 at [Z, a], and difference and sum ones
-    (w_b -+ w_a)^2 - w_Z^2 at [Z, a, b, 0 / 1].
+    """The pair denominators (w_b -+ w_a)^2 - w_Z^2 (rad^2/s^2) at
+    [Z, a, b, 0 / 1], once the resonance policy passes on them and on the
+    2:1 ones 4 w_a^2 - w_Z^2 at [Z, a].
 
     A process (Z != a, or Z, a, b distinct with a < b) whose denominator is
     below RESONANCE_HARD * max(w)^2 raises ResonanceError naming each one:
@@ -173,7 +179,7 @@ def _denominators(spectrum: ModeSpectrum):
         _warn_caller(
             f"{soft} near-resonant denominator(s) in the "
             f"[{RESONANCE_HARD:g}, {RESONANCE_SOFT:g}] band; shifts may be inaccurate")
-    return two, pair
+    return pair
 
 
 def _process(z: int, col: int, d: int) -> str:
@@ -184,54 +190,34 @@ def _process(z: int, col: int, d: int) -> str:
     return f"{('difference', 'sum')[sign]} modes {(int(z), int(a), int(b))}"
 
 
-def _ratio(num, den, mask):
-    """num / den where mask holds, exactly 0.0 elsewhere (never divided)."""
-    return np.divide(num, den, out=np.zeros(np.shape(mask)), where=mask)
-
-
 def _shift_coefficients(g3: np.ndarray, q: np.ndarray, spectrum: ModeSpectrum,
-                        two: np.ndarray, pair: np.ndarray) -> np.ndarray:
+                        pair: np.ndarray) -> np.ndarray:
     """Per-quantum ``chi`` (Hz) of every mode from G3, the quartic's pair
-    diagonal q[Z, a] = G4_aaZZ and the ``_denominators`` two and pair, each
-    term a masked broadcast over distinct (Z, a) or (Z, a, b).
+    diagonal q[Z, a] = G4_aaZZ and the ``_denominators`` pair.
+
+    The static sum is S[Z, a] = sum_k G3_ZZk G3_aak / w_k and the resonant
+    one R[Z, a] = sum_k G3_Zak^2 F[k, Z, a], where F[k, Z, a] = sum over the
+    four signs of 1 / (w_k +- w_a +- w_Z)
+    = 4 w_k (w_k^2 - w_a^2 - w_Z^2) / (pair[k, Z, a, 0] pair[k, Z, a, 1]).
+    Each zero of that product is a 2:1, sum or difference resonance, which
+    the guard has refused.
     """
     w = spectrum.angular
     i = np.arange(len(w))
-    z, a = i[:, None], i[None, :]
-    wz, wa = w[:, None], w[None, :]
-    off = z != a
-    g_zzz = g3[i, i, i]
-    g_aaz, g_zza, g_azz = g3[a, a, z], g3[z, z, a], g3[a, z, z]
-
-    # per-spectator two-phonon and static terms, weight 2 n_a + 1
-    t = (_ratio(2 * wa * g_aaz**2, two, off)
-         + _ratio(2 * wz * g_zza**2, two.T, off)
-         + _ratio(g_zzz[:, None] * g_aaz, wz, off)
-         + _ratio(g_azz * g_zzz[None, :], wa, off))
-    # self terms, weight n_Z + 1
-    u = (10.0 * g_zzz**2 / w
-         - 6.0 * _ratio(g_zza**2 * wa, two.T, off).sum(1)
-         + 12.0 * _ratio(g_azz**2, wa, off).sum(1))
-    # sum/difference processes, weights n_a - n_b and n_a + n_b + 1
-    zz, aa, bb = i[:, None, None], i[None, :, None], i[None, None, :]
-    distinct = (zz != aa) & (zz != bb) & (aa != bb)
-    g2 = g3[aa, bb, zz] ** 2
-    vd = _ratio(g2 * (w[bb] - w[aa]), pair[..., 0], distinct)
-    vs = _ratio(g2 * (w[bb] + w[aa]), pair[..., 1], distinct)
-    # static cubic through mode a, weight 2 n_b + 1 (b != Z)
-    x = np.where(off, _ratio(g_azz, wa, off) @ np.where(off, g3[z, a, a], 0.0), 0.0)
-
-    chi = (24.0 * np.where(off, q, 0.0) - 72.0 / HBAR * t
-           - 72.0 / HBAR * ((vd + vs).sum(2) + (vs - vd).sum(1))
-           - 36.0 / HBAR * 2 * x)
-    chi[i, i] = 12.0 * q[i, i] - 6.0 / HBAR * u
-    return chi / PLANCK
+    m = g3[i, i]                                   # m[Z, k] = G3_ZZk
+    s = (m / w) @ m.T
+    wk = w[:, None, None]
+    f = 4 * wk * (wk**2 - w[:, None]**2 - w**2) / (pair[..., 0] * pair[..., 1])
+    r = (g3**2 * f).sum(0)
+    x = 24.0 * q - 72.0 / HBAR * s - 36.0 / HBAR * r
+    x[i, i] *= 0.5
+    return (x + x.T) / (2 * PLANCK)
 
 
-def _chi(g3: np.ndarray, q: np.ndarray, spectrum: ModeSpectrum, dens: tuple,
-         provenance: dict) -> ChiMatrix:
+def _chi(g3: np.ndarray, q: np.ndarray, spectrum: ModeSpectrum,
+         pair: np.ndarray, provenance: dict) -> ChiMatrix:
     """ChiMatrix from G3, q = G4_aaZZ and the guarded ``_denominators``."""
-    return ChiMatrix(chi=_shift_coefficients(g3, q, spectrum, *dens),
+    return ChiMatrix(chi=_shift_coefficients(g3, q, spectrum, pair),
                      mode_frequencies=spectrum.frequencies.copy(),
                      provenance=provenance)
 
@@ -257,10 +243,10 @@ def chi_matrix(tensors: ModeTensors, spectrum: ModeSpectrum) -> ChiMatrix:
     transition frequency, so frequency_shift = base + chi @ n; the diagonal
     is the coefficient of n_Z itself.
     """
-    dens = _denominators(spectrum)
+    pair = _denominators(spectrum)
     i = np.arange(len(tensors.G4))
     q = tensors.G4[i[None, :], i[None, :], i[:, None], i[:, None]]  # G4_aaZZ
-    return _chi(tensors.G3, q, spectrum, dens, {})
+    return _chi(tensors.G3, q, spectrum, pair, {})
 
 
 def chi_from_configuration(cfg: ChainConfiguration,
@@ -273,9 +259,9 @@ def chi_from_configuration(cfg: ChainConfiguration,
     """
     if spectrum is None:
         spectrum = mode_spectrum(cfg)
-    dens = _denominators(spectrum)
+    pair = _denominators(spectrum)
     g3, q = _chi_tensors(cfg, spectrum)
     pot = cfg.potential
-    return _chi(g3, q, spectrum, dens,
+    return _chi(g3, q, spectrum, pair,
                 {"coulomb": cfg.n_ions > 1, "trap_cubic": pot.has_order(3),
                  "trap_quartic": pot.has_order(4)})

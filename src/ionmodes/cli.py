@@ -5,6 +5,8 @@
 Commands: modes, chi, coherence, gate, scan, null, sensitivity.  Output is
 deterministic: identical configuration gives byte-identical output.  Float
 formatting uses 12 significant digits unless IONMODES_PRECISION is set.
+With --out, chi also writes a JSON mirror of its text to the same path with
+the suffix .json, so its --out must have another suffix.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 resonance detected, 5 root-bracket failure.
@@ -179,10 +181,8 @@ COMMANDS = {
 }
 
 
-def _json_mirror(text: str, command: str) -> str | None:
-    """JSON mirror of matrix output for machine comparison."""
-    if command != "chi":
-        return None
+def _json_mirror(text: str) -> str:
+    """JSON mirror of chi text for machine comparison."""
     chi = read_chi(io.StringIO(text))
     return json.dumps({"frequencies_hz": chi.mode_frequencies.tolist(),
                        "chi_hz": chi.chi.tolist()},
@@ -201,12 +201,21 @@ def main(argv=None) -> int:
                         help="dot-path config override, value parsed as JSON")
     args = parser.parse_args(argv)
 
+    out = Path(args.out) if args.out else None
+    mirrored = out is not None and args.command == "chi"
     try:
+        if mirrored and out.suffix == ".json":
+            raise ConfigError("--out", "is where chi writes the JSON mirror "
+                              "of its text; give it another suffix")
         prec = _precision()
         raw = apply_overrides(load_config(args.config), args.param)
         cfg = validate_config(raw, args.command)
         text = COMMANDS[args.command](cfg, Path(args.config).resolve().parent,
                                       prec)
+        if out is not None:
+            out.write_text(text)
+        if mirrored:
+            out.with_suffix(".json").write_text(_json_mirror(text))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -221,12 +230,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    if args.out:
-        Path(args.out).write_text(text)
-        mirror = _json_mirror(text, args.command)
-        if mirror is not None:
-            Path(args.out).with_suffix(".json").write_text(mirror)
-    else:
+    if out is None:
         sys.stdout.write(text)
     return EXIT_OK
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -247,50 +248,66 @@ def onsite_oracle(potential, species, pos, m, axial):
     return blk
 
 
-def shift_oracle(tensors, spectrum, occupations, z):
-    """Anharmonic shift (Hz) of the n_Z <-> n_Z + 1 transition, summed term
-    by term over modes and mode pairs with no resonance guard.
+@functools.lru_cache(maxsize=None)
+def ladder_words(d, order, closed=False):
+    """Every product of ``order`` ladder operators a_k or a_k^dag on d modes,
+    so that a product of ``order`` x = a + a^dag is the sum of its words;
+    with ``closed``, only the words that restore every occupation.
 
-    The loop form of the library's closed-form kernel: the same first-order
-    quartic and second-order cubic expression, evaluated at the given
-    occupations, so chi_Za is oracle(n + e_a) - oracle(n).
+    Returns each word's mode indices and signs (+1 raise, -1 lower), one
+    column per factor from left to right, its group (the row of ``delta``
+    holding the word's change of the occupations) and ``delta``.
     """
-    g3, g4 = tensors.G3, tensors.G4
+    words = np.array(list(itertools.product(range(d), repeat=order)))
+    idx = np.repeat(words, 2**order, axis=0)
+    sgn = np.tile(np.array(list(itertools.product((1, -1), repeat=order))),
+                  (d**order, 1))
+    change = (sgn * (2 * order + 1) ** idx).sum(1)  # one integer per change
+    if closed:
+        idx, sgn, change = idx[change == 0], sgn[change == 0], change[change == 0]
+    _, first, group = np.unique(change, return_index=True, return_inverse=True)
+    delta = np.zeros((len(first), d), dtype=int)
+    np.add.at(delta, (np.arange(len(first))[:, None], idx[first]), sgn[first])
+    return idx, sgn, group, delta
+
+
+def word_amplitudes(idx, sgn, n):
+    """<n + change| word |n> of every ladder word, its rightmost factor
+    applied first: sqrt(n + 1) per raise and sqrt(n) per lower."""
+    rows = np.arange(len(idx))
+    occ = np.tile(np.asarray(n), (len(idx), 1))
+    amp = np.ones(len(idx))
+    for k, s in zip(idx.T[::-1], sgn.T[::-1]):
+        now = occ[rows, k]
+        amp *= np.sqrt(np.maximum(now + (s > 0), 0))
+        occ[rows, k] = now + s
+    return amp
+
+
+def shift_oracle(tensors, spectrum, occupations, z):
+    """Anharmonic shift (Hz) of the n_Z <-> n_Z + 1 transition by
+    Rayleigh-Schroedinger perturbation theory in the Fock basis, with no
+    resonance guard: <n|V4|n> + sum_m |<m|V3|n>|^2 / (E_n - E_m), upper
+    level minus lower, for V3 = sum G3_abc x_a x_b x_c and V4 likewise.
+
+    Each matrix element is summed over the ladder words of the tensor's
+    entries, independent of the library's closed-form kernel.  The two
+    levels are differenced per word and per final state before any sum, so
+    a term they share cancels exactly.
+    """
     w = spectrum.angular
     d = len(w)
-    n = np.asarray(occupations)
-    others = [a for a in range(d) if a != z]
-
-    s = 12.0 * ((n[z] + 1) * g4[z, z, z, z]
-                + sum(g4[a, a, z, z] * (1 + 2 * n[a]) for a in others))
-    t = 0.0
-    for a in others:
-        t += (2 * n[a] + 1) * (
-            2 * w[a] * g3[a, a, z] ** 2 / (4 * w[a] ** 2 - w[z] ** 2)
-            + 2 * w[z] * g3[z, z, a] ** 2 / (4 * w[z] ** 2 - w[a] ** 2)
-            + g3[z, z, z] * g3[a, a, z] / w[z]
-            + g3[a, z, z] * g3[a, a, a] / w[a])
-    s -= 36.0 / HBAR * t
-    u = 10.0 * g3[z, z, z] ** 2 / w[z]
-    u -= 6.0 * sum(g3[z, z, a] ** 2 * w[a] / (4 * w[z] ** 2 - w[a] ** 2)
-                   for a in others)
-    u += 12.0 * sum(g3[a, z, z] ** 2 / w[a] for a in others)
-    s -= 6.0 / HBAR * (n[z] + 1) * u
-    v = 0.0
-    for a in others:
-        for b in others:
-            if b == a:
-                continue
-            v += g3[a, b, z] ** 2 * (
-                (n[a] - n[b]) * (w[b] - w[a]) / ((w[b] - w[a]) ** 2 - w[z] ** 2)
-                + (n[a] + n[b] + 1) * (w[b] + w[a]) / ((w[b] + w[a]) ** 2 - w[z] ** 2))
-    s -= 72.0 / HBAR * v
-    x = 0.0
-    for a in others:
-        inner = sum(g3[a, b, b] * (2 * n[b] + 1) for b in others if b != a)
-        x += g3[a, z, z] / w[a] * inner
-    s -= 36.0 / HBAR * x
-    return s / PLANCK
+    lower = np.asarray(occupations)
+    levels = (lower + np.eye(d, dtype=int)[z], lower)
+    idx, sgn, group, delta = ladder_words(d, 3)
+    g3 = tensors.G3[tuple(idx.T)]
+    up, lo = (np.bincount(group, g3 * word_amplitudes(idx, sgn, n), len(delta))
+              for n in levels)
+    second = np.sum((up**2 - lo**2) / (-HBAR * (delta @ w)))
+    idx, sgn, _, _ = ladder_words(d, 4, closed=True)
+    up, lo = (word_amplitudes(idx, sgn, n) for n in levels)
+    first = np.sum(tensors.G4[tuple(idx.T)] * (up - lo))
+    return (first + second) / PLANCK
 
 
 class ResonanceFlag(NamedTuple):

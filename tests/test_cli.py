@@ -293,6 +293,29 @@ class TestCommandLine:
         proc = run_cli("modes", "--config", "/nonexistent/cfg.json")
         assert proc.returncode == 2
 
+    def test_unwritable_out_is_a_config_error(self, tmp_path):
+        out = tmp_path / "missing" / "modes.txt"
+        proc = run_cli("modes", "--config", str(CONFIGS / "modes_bmmb.json"),
+                       "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ")
+        assert "Traceback" not in proc.stderr
+        assert not out.parent.exists()
+
+    def test_chi_out_on_its_json_mirror_refused(self, tmp_path, monkeypatch,
+                                                capsys):
+        """--out x.json would be overwritten by chi's own .json mirror:
+        refused before the configuration is even read, nothing written."""
+        def unreachable(*args):
+            raise AssertionError("configuration read before the refusal")
+
+        monkeypatch.setattr("ionmodes.cli.load_config", unreachable)
+        out = tmp_path / "chi_out.json"
+        assert main(["chi", "--config", str(CONFIGS / COMMAND_CONFIGS["chi"]),
+                     "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_modes_with_3d_trap(self, tmp_path):
         cfg = json.loads((CONFIGS / "chi_two_mgh_coulomb.json").read_text())
         cfg.pop("chi")
