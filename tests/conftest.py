@@ -20,6 +20,7 @@ from ionmodes import anharmonic, modes, statics
 from ionmodes.calibration import IN_PHASE, MAX_ROOT_ITER, NULL_TOLERANCE_HZ, \
     OUT_OF_PHASE
 from ionmodes.constants import EPSILON_0, HBAR, PLANCK
+from ionmodes.fockspace import exact_transition_frequency
 
 
 def pytest_configure(config):
@@ -262,13 +263,13 @@ def ladder_words(d, order, closed=False):
     idx = np.repeat(words, 2**order, axis=0)
     sgn = np.tile(np.array(list(itertools.product((1, -1), repeat=order))),
                   (d**order, 1))
-    change = (sgn * (2 * order + 1) ** idx).sum(1)  # one integer per change
+    change = np.zeros((len(idx), d), dtype=np.int8)
+    np.add.at(change, (np.arange(len(idx))[:, None], idx), sgn)
     if closed:
-        idx, sgn, change = idx[change == 0], sgn[change == 0], change[change == 0]
-    _, first, group = np.unique(change, return_index=True, return_inverse=True)
-    delta = np.zeros((len(first), d), dtype=int)
-    np.add.at(delta, (np.arange(len(first))[:, None], idx[first]), sgn[first])
-    return idx, sgn, group, delta
+        kept = ~change.any(axis=1)
+        idx, sgn, change = idx[kept], sgn[kept], change[kept]
+    delta, group = np.unique(change, axis=0, return_inverse=True)
+    return idx, sgn, group.ravel(), delta.astype(int)
 
 
 def word_amplitudes(idx, sgn, n):
@@ -354,6 +355,58 @@ def oracle_chi(tensors, spectrum):
     chi = np.array([[shift_oracle(tensors, spectrum, np.eye(d, dtype=int)[a], z)
                      for a in range(d)] for z in range(d)]) - base[:, None]
     return base, chi
+
+
+def weak_coupling_instances(rng, count, n_modes=None):
+    """Yield ``count`` random weak-coupling instances as (spectrum, tensors,
+    eps, residual): the distance (Hz) between ``frequency_shift`` and exact
+    Fock-space diagonalisation for one random transition.  Each instance
+    draws 1 or 2 modes when ``n_modes`` is None.
+
+    Couplings follow the physical hierarchy of a single anharmonicity
+    length: cubic ~ eps, quartic ~ eps^2 in units of the mean mode quantum
+    (a quartic drawn at order eps would contribute an O(eps^2) second-order
+    energy absent from the first-order-in-quartic shift formula, swamping
+    the cubic third-order residual).  Instances keep all perturbation
+    denominators away from zero, including the inter-mode gaps that control
+    phonon-exchange mixing at higher orders: the formula presumes detuning
+    from all such resonances.
+    """
+    checked = 0
+    while checked < count:
+        d = int(rng.integers(1, 3)) if n_modes is None else n_modes
+        f = np.sort(rng.uniform(1.5e6, 8e6, size=d))[::-1]
+        if d == 2:
+            # keep every combination frequency |a w1 - b w2| reachable
+            # by three cubic vertices (|a| + |b| <= 9) at least ~7% of
+            # the top mode: ratios in [1.72, 1.78] sit between 5/3 and
+            # 9/5 and the in-band rational 7/4 needs |a| + |b| = 11
+            ratio = f[0] / f[1]
+            if not 1.72 <= ratio <= 1.78:
+                continue
+        if d == 3 and min(abs(np.dot(c, f)) for c in itertools.product(
+                range(-3, 4), repeat=3) if 0 < sum(map(abs, c)) <= 5) \
+                < 0.05 * f[0]:
+            continue  # every combination of up to five quanta >= 5% of f[0]
+        spec = modes.ModeSpectrum(frequencies=f, eigenvectors=np.eye(d),
+                                  sigma_prime=np.sqrt(HBAR / (4 * np.pi * f)),
+                                  sigma_ion=np.zeros((d, d)), config=None)
+        if detect_resonances(spec, rel_tol=3e-2):
+            continue
+        eps = 10 ** rng.uniform(-5, math.log10(3e-5))
+        hw = HBAR * 2 * math.pi * np.mean(f)
+        g3 = symmetric_tensor(rng, (d,) * 3, 1.0)
+        g3 *= eps * hw / np.max(np.abs(g3))
+        g4 = symmetric_tensor(rng, (d,) * 4, 1.0)
+        g4 *= eps**2 * hw / np.max(np.abs(g4))
+        occ = rng.integers(0, 2, size=d)
+        z = int(rng.integers(0, d))
+        tens = anharmonic.ModeTensors(G3=g3, G4=g4)
+        pt = anharmonic.frequency_shift(tens, spec, occ, z)
+        exact = exact_transition_frequency(2 * math.pi * f, g3, g4, occ, z,
+                                           cutoff=12)
+        yield spec, tens, eps, abs(pt - (exact - f[z]))
+        checked += 1
 
 
 def mode_operators(n_modes: int, cutoff: int):

@@ -29,8 +29,8 @@ from ionmodes.fockspace import exact_transition_frequency
 from ionmodes.modes import ModeSpectrum
 
 from conftest import KAPPA2, LAMBDA3, LAMBDA4, chain_oracle, \
-    detect_resonances, energy_gradient, energy_hessian, make_cfg, rel_err, \
-    shift_oracle, total_energy
+    energy_gradient, energy_hessian, make_cfg, rel_err, shift_oracle, \
+    total_energy, weak_coupling_instances
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
@@ -232,60 +232,18 @@ def test_05_coulomb_only_chi_matrix():
 # --------------------------------------------------------------- criterion 6
 
 def test_06_perturbation_vs_exact_oracle():
-    """50 random weak-coupling instances against exact diagonalization.
-
-    Couplings follow the physical hierarchy of a single anharmonicity
-    length: cubic ~ eps, quartic ~ eps^2 (a quartic drawn at order eps
-    would contribute an O(eps^2) second-order energy absent from the
-    first-order-in-quartic shift formula, swamping the cubic third-order
-    bound).  Instances keep all perturbation denominators away from zero,
-    including the inter-mode gap that controls phonon-exchange mixing at
-    higher orders: the formula presumes detuning from all such resonances.
-    """
+    """50 random weak-coupling instances of 1 or 2 modes against exact
+    diagonalization, within the third-order bound 10 eps^3 max f
+    (conftest.weak_coupling_instances draws them)."""
     with criterion("6", "frequency-shift formula vs exact diagonalization"):
         t0 = time.monotonic()
         rng = np.random.default_rng(20260810)
-        checked = 0
-        while checked < 50:
-            n_modes = int(rng.integers(1, 3))
-            f = np.sort(rng.uniform(1.5e6, 8e6, size=n_modes))[::-1]
-            if n_modes == 2:
-                # keep every combination frequency |a w1 - b w2| reachable
-                # by three cubic vertices (|a| + |b| <= 9) at least ~7% of
-                # the top mode: ratios in [1.72, 1.78] sit between 5/3 and
-                # 9/5 and the in-band rational 7/4 needs |a| + |b| = 11
-                ratio = f[0] / f[1]
-                if not 1.72 <= ratio <= 1.78:
-                    continue
-            freqs = f.copy()
-            spec = ModeSpectrum(frequencies=freqs,
-                                eigenvectors=np.eye(n_modes),
-                                sigma_prime=np.sqrt(HBAR / (4 * np.pi * freqs)),
-                                sigma_ion=np.zeros((n_modes, n_modes)),
-                                config=None)
-            if detect_resonances(spec, rel_tol=3e-2):
-                continue
-            eps = 10 ** rng.uniform(-5, math.log10(3e-5))
-            hw = HBAR * 2 * math.pi * np.mean(freqs)
-            shape3 = (n_modes,) * 3
-            shape4 = (n_modes,) * 4
-            g3 = _symmetrize(rng.standard_normal(shape3))
-            g3 *= eps * hw / np.max(np.abs(g3))
-            g4 = _symmetrize(rng.standard_normal(shape4))
-            g4 *= eps**2 * hw / np.max(np.abs(g4))
-            occ = rng.integers(0, 2, size=n_modes)
-            z = int(rng.integers(0, n_modes))
-            tens = ModeTensors(G3=g3, G4=g4)
-            pt = frequency_shift(tens, spec, occ, z)
-            omega = 2 * math.pi * freqs
-            exact = exact_transition_frequency(omega, g3, g4, occ, z,
-                                               cutoff=12)
-            resid = abs(pt - (exact - freqs[z]))
-            bound = 10 * eps**3 * np.max(omega) / (2 * math.pi)
+        for checked, (spec, _, eps, resid) in enumerate(
+                weak_coupling_instances(rng, 50)):
+            bound = 10 * eps**3 * np.max(spec.angular) / (2 * math.pi)
             assert resid <= bound, (
                 f"instance {checked}: residual {resid:.3e} Hz above "
                 f"third-order bound {bound:.3e} Hz (eps = {eps:.2e})")
-            checked += 1
         assert time.monotonic() - t0 < 60.0
 
 

@@ -21,7 +21,7 @@ from ionmodes.modes import ModeSpectrum
 
 from conftest import KAPPA2, LAMBDA3, LAMBDA4, detect_resonances, \
     energy_hessian, make_cfg, oracle_chi, rel_err, shift_oracle, \
-    symmetric_tensor
+    symmetric_tensor, weak_coupling_instances
 
 
 def fake_spectrum(freqs_hz):
@@ -343,9 +343,10 @@ class TestFrequencyShift:
     def test_closed_form_matches_loop_oracle(self, case):
         """chi and the zero-occupation shifts equal the Fock-space
         sum-over-states oracle.  The oracle shares no arithmetic with the
-        kernel, so both agree to the rounding of the largest entry: a base
-        entry far below it (structurally zero ones are ~1e-30 of it) is a
-        cancellation that two routes round differently."""
+        kernel, so each base entry agrees to 1e-12 of itself plus the
+        rounding of the largest entry: a base entry far below it
+        (structurally zero ones are ~1e-30 of it) is a cancellation that two
+        routes round differently."""
         g, spec = ORACLE_CASES[case]()
         d = spec.n_modes
         with warnings.catch_warnings():
@@ -358,8 +359,8 @@ class TestFrequencyShift:
         assert np.max(np.abs(want_chi)) > 0
         assert np.max(np.abs(model.chi - want_chi)) <= \
             1e-12 * np.max(np.abs(want_chi))
-        assert np.max(np.abs(model.base - want_base)) <= \
-            1e-12 * np.max(np.abs(want_base))
+        assert np.all(np.abs(model.base - want_base) <= 1e-12 * np.abs(
+            want_base) + 1e-15 * np.max(np.abs(want_base)))
         assert np.array_equal(model.base, base)
 
     def test_three_mode_coupling_matches_exact_levels(self):
@@ -385,34 +386,20 @@ class TestFrequencyShift:
         assert min(shifts) > 100 * bound
 
     def test_random_three_mode_shifts_match_exact_levels(self):
-        """Weak random G3 ~ eps and G4 ~ eps^2 on three modes, every
+        """test_06's weak-coupling instances on three modes, every
         combination frequency of up to five quanta at least 5% of the top
-        mode: the shift is exact Fock-space diagonalisation's to the
-        third-order residual 10 eps^3 max f."""
+        mode: the shift is exact Fock-space diagonalisation's to the next
+        perturbative order, 100 eps^3 max f with eps in units of the lowest
+        mode quantum.  Three modes have combinations of six or more quanta
+        close to zero, whose higher-order terms reached 30 eps^3 max f on
+        260 instances of 13 seeds; counting the three-distinct-mode G3
+        terms twice misses by orders of magnitude more."""
         rng = np.random.default_rng(23)
-        checked = 0
-        while checked < 20:
-            spec = fake_spectrum(np.sort(rng.uniform(1.5e6, 8e6, 3))[::-1])
-            w = spec.angular
-            if min(abs(np.dot(c, w)) for c in itertools.product(
-                    range(-3, 4), repeat=3)
-                   if 0 < sum(map(abs, c)) <= 5) < 0.05 * np.max(w):
-                continue
-            eps, hw = 3e-5, HBAR * np.mean(w)
-            g3 = symmetric_tensor(rng, (3,) * 3, 1.0)
-            g3 *= eps * hw / np.max(np.abs(g3))
-            g4 = symmetric_tensor(rng, (3,) * 4, 1.0)
-            g4 *= eps**2 * hw / np.max(np.abs(g4))
-            occ, z = rng.integers(0, 2, 3), int(rng.integers(3))
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", ".*near-resonant",
-                                        RuntimeWarning)
-                pt = frequency_shift(ModeTensors(G3=g3, G4=g4), spec, occ, z)
-            exact = exact_transition_frequency(w, g3, g4, occ, z, 10) \
-                - spec.frequencies[z]
-            eps_min = np.max(np.abs(g3)) / (HBAR * np.min(w))
-            assert abs(pt - exact) <= 10 * eps_min**3 * np.max(spec.frequencies)
-            checked += 1
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*near-resonant", RuntimeWarning)
+            for spec, g, _, resid in weak_coupling_instances(rng, 20, 3):
+                eps = np.max(np.abs(g.G3)) / (HBAR * np.min(spec.angular))
+                assert resid <= 100 * eps**3 * np.max(spec.frequencies)
 
 
 def zero_tensors(d):
