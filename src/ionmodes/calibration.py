@@ -6,13 +6,18 @@ shift is therefore a clean handle for nulling odd terms with a trap
 parameter.  A residual out-of-phase order shift at the in-phase null reveals
 an axial pseudopotential gradient, whose strength scales inversely with ion
 mass.
+
+Both root finds are Newton's method.  The family parameter and the
+pseudo-gradient act on the on-site terms of a potential affine in them, so
+a solved chain gives the exact derivative of its mode frequencies from the
+Hessian the solve carries and one third-derivative evaluation.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Real
 
@@ -27,10 +32,9 @@ IN_PHASE = "in_phase"
 OUT_OF_PHASE = "out_of_phase"
 NULL_TOLERANCE_HZ = 1.0
 MAX_ROOT_ITER = 60
-# infer_pseudo_gradient's difference Jacobian step, per bracket width: the
-# shifts' rounding (~1e-9 Hz) is lost in the difference, and Broyden's
-# updates absorb the curvature it misses
-JACOBIAN_STEP = 1e-3
+# an order shift's rounding, per unit of the larger frequency: a Newton
+# step no larger than it could cause carries no information
+_ROUNDING = 4 * sys.float_info.epsilon
 
 
 class BracketError(RuntimeError):
@@ -68,29 +72,39 @@ class OrderShiftReport:
     delta: float  # Hz, f_ab - f_ba
 
 
-def _labelled_frequencies(spectrum: ModeSpectrum) -> dict[str, float]:
-    """Frequency of each two-ion mode, keyed by its phase relation."""
+def _labels(spectrum: ModeSpectrum) -> dict[str, int]:
+    """Index of each two-ion mode, keyed by its phase relation."""
     if spectrum.n_modes != 2:
         raise ValueError("in/out-of-phase labelling applies to two-ion spectra")
-    freqs = {}
+    labels = {}
     for k in range(2):
         v = spectrum.eigenvectors[:, k]
-        label = IN_PHASE if v[0] * v[1] > 0 else OUT_OF_PHASE
-        freqs.setdefault(label, float(spectrum.frequencies[k]))
-    return freqs
+        labels.setdefault(IN_PHASE if v[0] * v[1] > 0 else OUT_OF_PHASE, k)
+    return labels
 
 
-def _order_frequencies(pot: AxialPotential, species_a: IonSpecies,
-                       species_b: IonSpecies) -> dict[str, tuple[float, float]]:
-    """(f_ab, f_ba) for each mode label: one solve per ion order, or one for
-    both when the statics cannot tell the orders apart."""
+def _order_spectra(pot: AxialPotential, species_a: IonSpecies,
+                   species_b: IonSpecies) -> list[ModeSpectrum]:
+    """Spectra of the AB and the BA order: one solve per ion order, or one
+    for both when the statics cannot tell the orders apart."""
     cfg_ab = solve_equilibrium((species_a, species_b), pot)
     cfg_ba = _reordered(cfg_ab, (species_b, species_a))
     if cfg_ba is None:
         cfg_ba = solve_equilibrium((species_b, species_a), pot)
-    ab, ba = (_labelled_frequencies(mode_spectrum(cfg))
-              for cfg in (cfg_ab, cfg_ba))
-    return {label: (ab[label], ba[label]) for label in ab.keys() & ba.keys()}
+    return [mode_spectrum(cfg) for cfg in (cfg_ab, cfg_ba)]
+
+
+def _labelled_frequencies(spectra, mode_labels) -> np.ndarray:
+    """(f_ab, f_ba) of each labelled mode, one row per label, from the
+    spectra of the AB and the BA order."""
+    labels = [_labels(spectrum) for spectrum in spectra]
+    rows = []
+    for label in mode_labels:
+        if not all(label in found for found in labels):
+            raise ValueError(f"no mode with label {label!r}")
+        rows.append([spectrum.frequencies[found[label]]
+                     for spectrum, found in zip(spectra, labels)])
+    return np.array(rows)
 
 
 def _check_axial(pot, name: str):
@@ -104,14 +118,6 @@ def _check_label(mode_label: str):
         raise ValueError(f"unknown mode label {mode_label!r}")
 
 
-def _delta(freqs: dict[str, tuple[float, float]], mode_label: str) -> float:
-    """Order shift f_ab - f_ba of the labelled mode."""
-    if mode_label not in freqs:
-        raise ValueError(f"no mode with label {mode_label!r}")
-    f_ab, f_ba = freqs[mode_label]
-    return f_ab - f_ba
-
-
 def order_shift(pot: AxialPotential, species_a: IonSpecies,
                 species_b: IonSpecies, mode_label: str = IN_PHASE) -> OrderShiftReport:
     """Frequency difference of one mode between the AB and BA ion orders.
@@ -121,9 +127,62 @@ def order_shift(pot: AxialPotential, species_a: IonSpecies,
     """
     _check_axial(pot, "pot")
     _check_label(mode_label)
-    freqs = _order_frequencies(pot, species_a, species_b)
-    delta = _delta(freqs, mode_label)
-    return OrderShiftReport(mode_label, *freqs[mode_label], delta=delta)
+    ((f_ab, f_ba),) = _labelled_frequencies(
+        _order_spectra(pot, species_a, species_b), (mode_label,)).tolist()
+    return OrderShiftReport(mode_label, f_ab, f_ba, delta=f_ab - f_ba)
+
+
+def _frequency_derivatives(spectrum: ModeSpectrum, family: PotentialFamily,
+                           t3: np.ndarray) -> np.ndarray:
+    """d f_k / d(p, g) of every mode k of a solved axial chain, shape (K, 2).
+
+    p is the family parameter and g the base's pseudo-gradient (no gradient
+    acts without a pseudo_reference, and d f / dg is 0).  Both act on the
+    on-site terms alone, so the equilibrium moves by dz = -H^-1 d(grad U)
+    and mode k by d omega_k^2 = u_k^T (dH + T3 dz) u_k, with u_k = M^-1/2 v_k
+    and T3 the chain's third derivative (Lancaster's eigenvalue derivative).
+    """
+    cfg = spectrum.config
+    base, actions = family.base, family.kappa_actions.items()
+    charge, masses = cfg._energy.charge, cfg.masses
+    s = cfg.positions - base.expansion_origin
+    dgrad = np.zeros((len(s), 2))
+    dgrad[:, 0] = charge * (sum(n * a * s**(n - 1) for n, a in actions)
+                            - family.field_action)
+    if base.pseudo_reference is not None:
+        dgrad[:, 1] = charge * base.pseudo_reference.mass / masses
+    dh = t3 @ -np.linalg.solve(cfg._hessian, dgrad)
+    dh[np.diag_indices(len(s)) + (0,)] += charge * sum(
+        n * (n - 1) * a * s**(n - 2) for n, a in actions)
+    u = spectrum.eigenvectors / np.sqrt(masses)[:, None]
+    dw2 = np.einsum("ik,ijt,jk->kt", u, dh, u)
+    return dw2 / (8 * math.pi**2 * spectrum.frequencies[:, None])
+
+
+def _shift_jacobian(spectra, family: PotentialFamily,
+                    mode_labels) -> np.ndarray:
+    """Exact derivatives of the order shifts f_ab - f_ba of the labelled
+    modes along (p, g), one row per label, from the solved spectra of the AB
+    and the BA order at ``family.at(p)``, with g the base's pseudo-gradient.
+
+    A shared solve (``_reordered``) shares its third derivative, the one
+    energy evaluation the derivatives add per solve.
+    """
+    derivs, energy = [], None
+    for spectrum in spectra:
+        cfg = spectrum.config
+        if cfg._energy is not energy:
+            energy = cfg._energy
+            (t3,) = energy(cfg.positions, 3)
+        derivs.append(_frequency_derivatives(spectrum, family, t3))
+    labels = [_labels(spectrum) for spectrum in spectra]
+    return np.array([derivs[0][labels[0][label]] - derivs[1][labels[1][label]]
+                     for label in mode_labels])
+
+
+def _check_bracket(bracket, name: str):
+    if not all(map(math.isfinite, bracket)):
+        raise ValueError(f"{name} ends must be finite, got {tuple(bracket)!r}")
 
 
 def null_parameter(family: PotentialFamily, species_a: IonSpecies,
@@ -131,24 +190,29 @@ def null_parameter(family: PotentialFamily, species_a: IonSpecies,
                    bracket: tuple[float, float]) -> float:
     """Parameter value nulling the order shift of the labelled mode.
 
-    Bracketed root finding (Brent); requires a sign change over the bracket
-    and verifies |delta(p*)| < NULL_TOLERANCE_HZ.  Each parameter value is
-    solved once per call: the bracket ends, Brent's iterates and the
-    residual check at p* share one memo.
+    Requires a sign change over the bracket.  The first iterate is the
+    secant point of the bracket ends; from there Newton steps on the exact
+    derivative of the shift (``_shift_jacobian``) stay inside the part of
+    the bracket that keeps the sign change, bisecting it where a step would
+    leave.  Returns the first iterate whose shift is below
+    NULL_TOLERANCE_HZ and whose Newton step is at most
+    max(1e-14 max(|p_lo|, |p_hi|, 1), the step 4 ulps of the frequencies
+    could cause); a shift within those ulps needs no derivative.  Each
+    parameter value solves each ion order once, or once for both orders
+    when their statics agree.
     """
-    from scipy.optimize import brentq
-
     _check_axial(family.base, "family.base")
     _check_bracket(bracket, "bracket")
     _check_label(mode_label)
+    labels = (mode_label,)
+
+    def shift(p):
+        spectra = _order_spectra(family.at(p), species_a, species_b)
+        ((f_ab, f_ba),) = _labelled_frequencies(spectra, labels).tolist()
+        return spectra, f_ab - f_ba, max(f_ab, f_ba)
+
     p_lo, p_hi = bracket
-
-    @functools.cache
-    def delta(p):
-        return _delta(_order_frequencies(family.at(p), species_a, species_b),
-                      mode_label)
-
-    d_lo, d_hi = delta(p_lo), delta(p_hi)
+    d_lo, d_hi = shift(p_lo)[1], shift(p_hi)[1]
     if max(abs(d_lo), abs(d_hi)) < NULL_TOLERANCE_HZ:
         raise BracketError(
             "no sign change: order shift is already null across the bracket")
@@ -156,18 +220,22 @@ def null_parameter(family: PotentialFamily, species_a: IonSpecies,
         raise BracketError(
             f"order shift does not change sign over the bracket: "
             f"delta({p_lo}) = {d_lo:.3g} Hz, delta({p_hi}) = {d_hi:.3g} Hz")
-    p_star = brentq(delta, p_lo, p_hi, maxiter=MAX_ROOT_ITER,
-                    xtol=1e-14 * max(abs(p_lo), abs(p_hi), 1.0))
-    residual = delta(p_star)
-    if abs(residual) >= NULL_TOLERANCE_HZ:
-        raise BracketError(
-            f"root residual {residual:.3g} Hz exceeds {NULL_TOLERANCE_HZ} Hz")
-    return float(p_star)
-
-
-def _check_bracket(bracket, name: str):
-    if not all(map(math.isfinite, bracket)):
-        raise ValueError(f"{name} ends must be finite, got {tuple(bracket)!r}")
+    xtol = 1e-14 * max(abs(p_lo), abs(p_hi), 1.0)
+    ends = [p_lo, p_hi]  # the sign-change bracket; ends[0] has d_lo's sign
+    p = p_lo - d_lo * (p_hi - p_lo) / (d_hi - d_lo)
+    for _ in range(MAX_ROOT_ITER):
+        spectra, d, scale = shift(p)
+        null = abs(d) < NULL_TOLERANCE_HZ
+        if null and abs(d) <= _ROUNDING * scale:
+            return p
+        ((slope, _),) = _shift_jacobian(spectra, family, labels).tolist()
+        if null and abs(d) <= xtol * abs(slope):
+            return p
+        ends[(d < 0) != (d_lo < 0)] = p
+        newton = p - d / slope if slope else math.nan
+        p = newton if min(ends) < newton < max(ends) else sum(ends) / 2
+    raise BracketError(f"no root after {MAX_ROOT_ITER} steps: stopped at "
+                       f"p = {p:.6g}")
 
 
 def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
@@ -179,14 +247,17 @@ def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
     Forward model: with gradient g, the family parameter p nulls the
     in-phase order shift (as in the experiment), and the out-of-phase order
     shift left there equals the measurement.  Both conditions are solved
-    together for (p, g) by Broyden's secant method, started at the bracket
-    midpoints with a difference Jacobian; each evaluation solves each ion
-    order once and reads both shifts from those solves.  The iteration stops
-    when the g step is within 1e-10 max(|g_lo|, |g_hi|, 1e-3) and the
-    in-phase shift is below NULL_TOLERANCE_HZ.  A zero-width bracket, an
-    iterate outside param_bracket x gradient_bracket, a non-finite shift, a
-    singular Jacobian or MAX_ROOT_ITER steps without convergence raise
-    BracketError.
+    together for (p, g) by Newton's method on their exact Jacobian
+    (``_shift_jacobian``), started at the bracket midpoints; each iterate
+    solves each ion order once and reads both shifts and their derivatives
+    from those solves.  A step whose p would leave param_bracket is cut
+    back to half the way to the end it would cross.  The iteration stops
+    when the g step is within max(1e-10 max(|g_lo|, |g_hi|, 1e-3), the step
+    4 ulps of the frequencies could cause) and the in-phase shift is below
+    NULL_TOLERANCE_HZ, and returns g plus that step.  A zero-width bracket,
+    a second step in a row out of the same param_bracket end, a step whose
+    g leaves gradient_bracket, a non-finite shift, a singular Jacobian or
+    MAX_ROOT_ITER steps without convergence raise BracketError.
     """
     _check_axial(family.base, "family.base")
     if family.base.pseudo_reference is None:
@@ -202,43 +273,51 @@ def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
         if width == 0:
             raise BracketError(f"{name} {brackets[name]!r} has zero width")
 
-    def residual(x):
+    labels = (IN_PHASE, OUT_OF_PHASE)
+
+    def evaluate(x):
         p, g = map(float, x)
         fam = dataclasses.replace(family,
                                   base=dataclasses.replace(family.base,
                                                            pseudo_gradient=g))
-        freqs = _order_frequencies(fam.at(p), species_a, species_b)
-        r = np.array([_delta(freqs, IN_PHASE),
-                      _delta(freqs, OUT_OF_PHASE) - measured_out_shift])
+        spectra = _order_spectra(fam.at(p), species_a, species_b)
+        freqs = _labelled_frequencies(spectra, labels)
+        r = freqs[:, 0] - freqs[:, 1] - (0.0, measured_out_shift)
         if not np.all(np.isfinite(r)):
             raise BracketError(f"non-finite order shift residual {r} Hz at "
                                f"(p, g) = ({p:.6g}, {g:.6g})")
-        return r
+        return r, _shift_jacobian(spectra, fam, labels), freqs.max(axis=1)
+
+    def left(name, k, x):
+        return BracketError(f"step {k} left {name} {brackets[name]!r}: "
+                            f"(p, g) = ({x[0]:.6g}, {x[1]:.6g})")
 
     x = (lo + hi) / 2
-    f = residual(x)
-    steps = JACOBIAN_STEP * (hi - lo)
-    jac = np.column_stack([(residual(x + dx) - f) / h
-                           for dx, h in zip(np.diag(steps), steps)])
     xtol = 1e-10 * max(abs(gradient_bracket[0]), abs(gradient_bracket[1]),
                        1e-3)
+    crossed = None  # the param_bracket end the last step was cut back from
     for k in range(1, MAX_ROOT_ITER + 1):
+        f, jac, scale = evaluate(x)
         try:
-            step = np.linalg.solve(jac, -f)
+            inverse = np.linalg.inv(jac)
         except np.linalg.LinAlgError:
             raise BracketError(f"singular Jacobian at step {k}, (p, g) = "
                                f"({x[0]:.6g}, {x[1]:.6g})") from None
-        x_new = x + step
-        for name, v, a, b in zip(brackets, x_new, lo, hi):
-            if not a <= v <= b:
-                raise BracketError(
-                    f"step {k} left {name} {brackets[name]!r}: (p, g) = "
-                    f"({x_new[0]:.6g}, {x_new[1]:.6g})")
-        if abs(step[1]) <= xtol and abs(f[0]) < NULL_TOLERANCE_HZ:
-            return float(x_new[1])
-        f_new = residual(x_new)
-        jac += np.outer(f_new - f - jac @ step, step) / (step @ step)
-        x, f = x_new, f_new
+        step = -inverse @ f
+        floor = _ROUNDING * np.abs(inverse[1]) @ scale
+        if abs(f[0]) < NULL_TOLERANCE_HZ and abs(step[1]) <= max(xtol, floor):
+            return float(x[1] + step[1])
+        if lo[0] <= x[0] + step[0] <= hi[0]:
+            crossed = None
+        else:
+            end = hi[0] if step[0] > 0 else lo[0]
+            if end == crossed:
+                raise left("param_bracket", k, x + step)
+            crossed = end
+            step *= 0.5 * (end - x[0]) / step[0]
+        x = x + step
+        if not lo[1] <= x[1] <= hi[1]:
+            raise left("gradient_bracket", k, x)
     raise BracketError(f"no root after {MAX_ROOT_ITER} steps: stopped at "
                        f"(p, g) = ({x[0]:.6g}, {x[1]:.6g})")
 

@@ -153,14 +153,18 @@ def carrier_matrix_element(eta: float, n: int) -> float:
     """Carrier Rabi-rate factor <n|exp(i eta (a + a^dag))|n>.
 
     Equals exp(-eta^2/2) L_n(eta^2); the flopping rate of a carrier
-    transition on an ion in Fock state n is reduced by this factor.
+    transition on an ion in Fock state n is reduced by this factor.  L_n is
+    evaluated by its three-term recurrence
+    (k + 1) L_{k+1} = (2k + 1 - x) L_k - k L_{k-1}.
     """
-    from scipy.special import eval_laguerre
-
     if not 0 <= eta < np.inf:
         raise ValueError("eta must be non-negative and finite")
     if not _is_integer(n) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
     x = eta * eta
-    return float(np.exp(-x / 2) * eval_laguerre(int(n), x))
+    previous, laguerre = 0.0, 1.0  # L_-1, L_0
+    for k in range(int(n)):
+        previous, laguerre = laguerre, \
+            ((2 * k + 1 - x) * laguerre - k * previous) / (k + 1)
+    return float(np.exp(-x / 2) * laguerre)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -181,18 +182,25 @@ class TestInferPseudoGradient:
 
     def test_non_finite_bracket_residual_rejected(self, monkeypatch, be, mg):
         """A non-finite order shift stops the root find where it appeared."""
-        def fake_frequencies(pot, *args):
-            f = np.nan if pot.pseudo_gradient > 0 else 1.0
-            return {"in_phase": (f, 0.0), "out_of_phase": (f, 0.0)}
+        def fake_frequencies(spectra, labels):
+            gradient = spectra[0].config.potential.pseudo_gradient
+            f = np.nan if gradient > 0 else 1.0
+            return np.array([[f, 0.0]] * len(labels))
 
-        monkeypatch.setattr(ionmodes.calibration, "_order_frequencies",
+        def fake_jacobian(*args):
+            return np.array([[1.0, 0.0], [0.0, -1.0]])
+
+        monkeypatch.setattr(ionmodes.calibration, "_labelled_frequencies",
                             fake_frequencies)
+        monkeypatch.setattr(ionmodes.calibration, "_shift_jacobian",
+                            fake_jacobian)
         fam = _cubic_family(_gradient_pot(be, 0.0))
-        # the difference Jacobian's g step is the first positive gradient
+        # the Newton step from the midpoints (1, 0) lands on (0, 1), the
+        # first positive gradient
         with pytest.raises(BracketError,
                            match=r"non-finite order shift residual "
                                  r"\[nan nan\] Hz at \(p, g\) = "
-                                 r"\(1, 0\.002\)$"):
+                                 r"\(0, 1\)$"):
             infer_pseudo_gradient(fam, be, mg, 0.0, (-1.0, 1.0), (0.0, 2.0))
 
     def test_zero_width_gradient_bracket(self, monkeypatch, be, mg):
@@ -215,6 +223,16 @@ class TestInferPseudoGradient:
         with pytest.raises(BracketError, match=r"^singular Jacobian at step "
                                                r"1, \(p, g\) = \(1, 0\)$"):
             infer_pseudo_gradient(fam, be, be, 10.0, (-1.0, 1.0), (0.0, 2.0))
+
+    @pytest.mark.parametrize("param_bracket", [(0.0, 0.5), (1.5, 3.0)])
+    def test_param_bracket_without_null(self, be, mg, param_bracket):
+        """The in-phase null sits near p = 1: the first step out of the
+        bracket is cut back, the second out of the same end stops."""
+        fam = _cubic_family(_gradient_pot(be, 0.0))
+        message = f"step 2 left param_bracket {param_bracket!r}: (p, g) = (0.99"
+        with pytest.raises(BracketError, match="^" + re.escape(message)):
+            infer_pseudo_gradient(fam, be, mg, 150.0, (-1.0, 1.0),
+                                  param_bracket)
 
     def test_step_limit(self, monkeypatch, be, mg):
         monkeypatch.setattr(ionmodes.calibration, "MAX_ROOT_ITER", 1)
@@ -307,6 +325,11 @@ def _xtol(g_lo, g_hi):
     return 1e-10 * max(abs(g_lo), abs(g_hi), 1e-3)
 
 
+def _null_xtol(bracket):
+    """The p tolerance of null_parameter and of its oracle."""
+    return 1e-14 * max(abs(bracket[0]), abs(bracket[1]), 1.0)
+
+
 def _shipped_null():
     """configs/null_kappa3.json as (family, ion pair, label, bracket)."""
     cfg = validate_config(
@@ -320,7 +343,10 @@ def _shipped_null():
 
 class TestSharedSolvesMatchOracle:
     """Sharing solves across labels and repeat evaluations changes no bit:
-    the library equals the unshared oracle in tests/conftest.py with ==."""
+    an order shift equals the unshared oracle in tests/conftest.py with ==.
+    The Newton null and the oracle's Brent null stop at different iterates,
+    each within its p tolerance xtol of the root: they agree within 2 xtol,
+    and with == where the root is exact (p = 1 in the shipped config)."""
 
     @pytest.mark.parametrize("label", ["in_phase", "out_of_phase"])
     @pytest.mark.parametrize("pot_name", ["pot_cubic", "pot_anharmonic"])
@@ -334,15 +360,19 @@ class TestSharedSolvesMatchOracle:
     def test_null_cubic_family(self, be, mg, pot_cubic, label):
         fam = _cubic_family(pot_cubic)
         p1 = null_parameter(fam, be, mg, label, (0.0, 2.0))
-        assert p1 == null_parameter_oracle(fam, be, mg, label, (0.0, 2.0))
+        assert abs(p1 - null_parameter_oracle(fam, be, mg, label,
+                                              (0.0, 2.0))) <= \
+            2 * _null_xtol((0.0, 2.0))
         narrowed = (p1 - 0.3, p1 + 0.3)
-        assert null_parameter(fam, be, mg, label, narrowed) == \
-            null_parameter_oracle(fam, be, mg, label, narrowed)
+        assert abs(null_parameter(fam, be, mg, label, narrowed)
+                   - null_parameter_oracle(fam, be, mg, label, narrowed)) <= \
+            2 * _null_xtol(narrowed)
 
     def test_null_field_family(self, be, mg, pot_anharmonic):
         fam = PotentialFamily(base=pot_anharmonic, field_action=1.0)
-        assert null_parameter(fam, be, mg, "in_phase", (0.0, 4000.0)) == \
-            null_parameter_oracle(fam, be, mg, "in_phase", (0.0, 4000.0))
+        args = (fam, be, mg, "in_phase", (0.0, 4000.0))
+        assert abs(null_parameter(*args) - null_parameter_oracle(*args)) <= \
+            2 * _null_xtol((0.0, 4000.0))
 
     def test_null_shipped_config(self):
         fam, pair, label, bracket = _shipped_null()
@@ -362,8 +392,9 @@ class TestSharedSolvesMatchOracle:
     def test_infer_round_trip(self, be, mg, g0):
         fam = _cubic_family(_gradient_pot(be, g0))
         p_star = null_parameter(fam, be, mg, "in_phase", (0.0, 2.0))
-        assert p_star == null_parameter_oracle(fam, be, mg, "in_phase",
-                                               (0.0, 2.0))
+        assert abs(p_star - null_parameter_oracle(fam, be, mg, "in_phase",
+                                                  (0.0, 2.0))) <= \
+            2 * _null_xtol((0.0, 2.0))
         measured = order_shift(fam.at(p_star), be, mg, "out_of_phase").delta
         fam0 = _cubic_family(_gradient_pot(be, 0.0))
         args = (fam0, be, mg, measured, (-1.0, 1.0), (0.0, 2.0))
@@ -424,6 +455,68 @@ class TestJointRootFind:
         assert abs(g - g0) <= _xtol(*gradient_bracket)
 
 
+def _shift_family(kind, seed, be):
+    """A seeded potential with a pseudo-gradient, in the family ``kind``,
+    and a family parameter inside the calibration's range."""
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0])
+    pot = axial_from_lambdas(
+        KAPPA2, {3: sign * rng.uniform(150e-6, 400e-6),
+                 4: rng.uniform(150e-6, 400e-6)},
+        pseudo_gradient=rng.uniform(-0.3, 0.3), pseudo_reference=be)
+    family = {"cubic": PotentialFamily(pot, {3: -pot.kappa[3]}),
+              "quartic": PotentialFamily(pot, {4: 100 * pot.kappa[4]}),
+              "field": PotentialFamily(pot, field_action=100.0)}[kind]
+    return family, rng.uniform(0.2, 0.8)
+
+
+class TestShiftDerivative:
+    """The order shifts' exact derivatives along the family parameter p and
+    the pseudo-gradient g, against central differences of solved shifts."""
+
+    LABELS = ("in_phase", "out_of_phase")
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("order", ["be_mg", "mg_be"])
+    @pytest.mark.parametrize("kind", ["cubic", "quartic", "field"])
+    def test_matches_central_differences(self, be, mg, kind, order, seed):
+        """Entry by entry: the worst of these 12 cases measured 1.05e-8
+        relative, the central differences' own h^2 and rounding error, so
+        the bound 5e-8 leaves a factor 4.8."""
+        family, p = _shift_family(kind, seed, be)
+        pair = (be, mg) if order == "be_mg" else (mg, be)
+        g = family.base.pseudo_gradient
+        cal = ionmodes.calibration
+
+        def shifts(p, g):
+            fam = dataclasses.replace(family, base=dataclasses.replace(
+                family.base, pseudo_gradient=g))
+            freqs = cal._labelled_frequencies(
+                cal._order_spectra(fam.at(p), *pair), self.LABELS)
+            return freqs[:, 0] - freqs[:, 1]
+
+        jac = cal._shift_jacobian(cal._order_spectra(family.at(p), *pair),
+                                  family, self.LABELS)
+        h = 1e-4
+        central = np.column_stack([
+            (shifts(p + h, g) - shifts(p - h, g)) / (2 * h),
+            (shifts(p, g + h) - shifts(p, g - h)) / (2 * h)])
+        assert np.all(np.abs(jac - central) <= 5e-8 * np.abs(central))
+
+    def test_one_ion_field_limit(self, be, pot_cubic):
+        """(d f^2/dE) / f^2 at E = 0 is field_sensitivity's first-order
+        limit 3 / (2 kappa2 lambda3) for one ion in a cubic trap."""
+        cfg = solve_equilibrium([be], pot_cubic)
+        (t3,) = cfg._energy(cfg.positions, 3)
+        spectrum = mode_spectrum(cfg)
+        family = PotentialFamily(base=pot_cubic, field_action=1.0)
+        ((df_de, df_dg),) = ionmodes.calibration._frequency_derivatives(
+            spectrum, family, t3)
+        assert 2 * df_de / spectrum.frequencies[0] == pytest.approx(
+            3 / (2 * KAPPA2 * LAMBDA3), rel=1e-12)
+        assert df_dg == 0.0
+
+
 class TestSolveCounts:
     """No (ion order, potential) is solved twice within one call."""
 
@@ -457,18 +550,25 @@ class TestSolveCounts:
 
     @pytest.mark.parametrize("label", ["in_phase", "out_of_phase"])
     def test_null_parameter(self, solves, be, mg, pot_cubic, label):
+        # the bracket ends and their secant point, which is the root p = 1
         null_parameter(_cubic_family(pot_cubic), be, mg, label, (0.0, 2.0))
         assert max(solves.values()) == 1
+        assert sum(solves.values()) == 3
         assert {key[0] for key in solves} == {("Be9", "Mg24")}
+
+    def test_null_parameter_with_gradient(self, solves, be, mg):
+        # a pseudo-gradient gives the two orders different statics
+        null_parameter(_cubic_family(_gradient_pot(be, 0.2)), be, mg,
+                       "in_phase", (0.0, 2.0))
+        assert max(solves.values()) == 1
+        assert sum(solves.values()) <= 8
 
     def test_infer_pseudo_gradient(self, solves, be, mg):
         fam = _cubic_family(_gradient_pot(be, 0.0))
         args = (fam, be, mg, 150.0, (-1.0, 1.0), (0.0, 2.0))
         g = infer_pseudo_gradient(*args)
         assert max(solves.values()) == 1
-        # the difference Jacobian and each Broyden step move p and g together
-        assert len({key[2] for key in solves}) > 2
-        assert sum(solves.values()) <= 12
+        assert sum(solves.values()) <= 6
         assert all(-1.0 <= key[2] <= 1.0 for key in solves)
         assert abs(g - infer_pseudo_gradient_oracle(*args)) <= _xtol(-1.0, 1.0)
 

@@ -7,6 +7,9 @@ directives, so both are exempt.
 
 A name the package exports must be reached by the library, a benchmark
 workload or a script; a name only tests reach belongs in ``tests/``.
+
+Neither the import nor any CLI command loads scipy, and the Davidson Fock
+oracle loads no ``scipy.sparse.linalg``.
 """
 
 import ast
@@ -16,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from test_cli import COMMAND_CONFIGS, CONFIGS
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(p for pattern in ("src/ionmodes/*.py", "tests/*.py",
@@ -91,42 +96,24 @@ def test_caller_checker_ignores_definitions_and_substrings():
     assert names_without_caller(exported_names(init), sources) == ["f", "k"]
 
 
-def test_import_and_modes_command_leave_lazy_scipy_unloaded():
-    """The library imports scipy only where it is needed: fockspace's sparse
-    matrix, null_parameter's brentq and carrier_matrix_element's Laguerre
-    polynomial.  Neither the import nor the modes command loads any of it."""
+def test_import_and_every_command_load_no_scipy():
+    """``import ionmodes`` and every CLI command on its shipped config load
+    no scipy module: the one scipy import left in the library, fockspace's
+    sparse Hamiltonian, is made only when a Fock-space problem is built."""
     code = (
-        "import sys\n"
-        "def scipy_modules():\n"
-        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "import contextlib, io, sys\n"
         "import ionmodes, ionmodes.cli\n"
-        "loaded = scipy_modules()\n"
-        "ionmodes.cli.main(['modes', '--config', sys.argv[1]])\n"
-        "loaded += scipy_modules()\n"
-        "print(loaded, file=sys.stderr)\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(ROOT / "configs/modes_bmmb.json")],
-        capture_output=True, text=True, cwd=ROOT)
+        "for command, config in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert ionmodes.cli.main([command, '--config', config]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    args = [arg for command, name in COMMAND_CONFIGS.items()
+            for arg in (command, str(CONFIGS / name))]
+    assert len(args) == 14
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == "[]"
-
-
-def test_gradient_inference_leaves_scipy_optimize_unloaded():
-    """The joint (p, g) root find is numpy only."""
-    code = (
-        "import sys\n"
-        "from ionmodes import BE9, MG24, PotentialFamily, \\\n"
-        "    axial_from_lambdas, infer_pseudo_gradient\n"
-        "pot = axial_from_lambdas(1.3e7, {3: -230e-6}, "
-        "pseudo_reference=BE9)\n"
-        "fam = PotentialFamily(base=pot, kappa_actions={3: -pot.kappa[3]})\n"
-        "infer_pseudo_gradient(fam, BE9, MG24, 150.0, (-1.0, 1.0), "
-        "(0.0, 2.0))\n"
-        "print('scipy.optimize' in sys.modules, file=sys.stderr)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, cwd=ROOT)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_certified_fock_level_leaves_sparse_linalg_unloaded():
