@@ -8,8 +8,9 @@ directives, so both are exempt.
 A name the package exports must be reached by the library, a benchmark
 workload or a script; a name only tests reach belongs in ``tests/``.
 
-Neither the import nor any CLI command loads scipy, and the Davidson Fock
-oracle loads no ``scipy.sparse.linalg``.
+Neither the import nor any CLI command loads scipy, gradient inference
+loads no ``scipy.optimize``, and the Davidson Fock oracle loads no
+``scipy.sparse.linalg``.
 """
 
 import ast
@@ -114,6 +115,43 @@ def test_import_and_every_command_load_no_scipy():
                           capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_and_modes_command_leave_lazy_scipy_unloaded():
+    """The library imports scipy only where it is needed: fockspace's sparse
+    matrix.  Neither the import nor the modes command loads any of it."""
+    code = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "import ionmodes, ionmodes.cli\n"
+        "loaded = scipy_modules()\n"
+        "ionmodes.cli.main(['modes', '--config', sys.argv[1]])\n"
+        "loaded += scipy_modules()\n"
+        "print(loaded, file=sys.stderr)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "configs/modes_bmmb.json")],
+        capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"
+
+
+def test_gradient_inference_leaves_scipy_optimize_unloaded():
+    """The joint (p, g) root find is numpy only."""
+    code = (
+        "import sys\n"
+        "from ionmodes import BE9, MG24, PotentialFamily, \\\n"
+        "    axial_from_lambdas, infer_pseudo_gradient\n"
+        "pot = axial_from_lambdas(1.3e7, {3: -230e-6}, "
+        "pseudo_reference=BE9)\n"
+        "fam = PotentialFamily(base=pot, kappa_actions={3: -pot.kappa[3]})\n"
+        "infer_pseudo_gradient(fam, BE9, MG24, 150.0, (-1.0, 1.0), "
+        "(0.0, 2.0))\n"
+        "print('scipy.optimize' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"
 
 
 def test_certified_fock_level_leaves_sparse_linalg_unloaded():
