@@ -147,33 +147,30 @@ def _chi_tensors(cfg: ChainConfiguration, spectrum: ModeSpectrum):
 
 def _denominators(spectrum: ModeSpectrum):
     """The pair denominators (w_b -+ w_a)^2 - w_Z^2 (rad^2/s^2) at
-    [Z, a, b, 0 / 1], once the resonance policy passes on them and on the
-    2:1 ones 4 w_a^2 - w_Z^2 at [Z, a].
+    [Z, a, b, 0 / 1], once the resonance policy passes on them.
 
-    A process (Z != a, or Z, a, b distinct with a < b) whose denominator is
-    below RESONANCE_HARD * max(w)^2 raises ResonanceError naming each one:
-    per mode Z its 2:1 ones, then each pair's difference and sum ones.  Below
-    RESONANCE_SOFT * max(w)^2 they are counted in a warning.
+    The policy's processes are Z not in {a, b}, with a < b for the difference
+    and a <= b for the sum, whose a = b entry (2 w_a)^2 - w_Z^2 is the 2:1
+    one.  Below RESONANCE_HARD * max(w)^2 they raise ResonanceError naming
+    their number and the closest; below RESONANCE_SOFT * max(w)^2 they are
+    counted in a warning.
     """
     w = spectrum.angular
-    d = len(w)
     scale = float(np.max(w)) ** 2
-    i = np.arange(d)
-    z, a, b = i[:, None, None], i[None, :, None], i[None, None, :]
-    two = (4 * w[a] ** 2 - w[z] ** 2)[..., 0]
-    pair = np.stack(((w[b] - w[a]) ** 2 - w[z] ** 2,
-                     (w[b] + w[a]) ** 2 - w[z] ** 2), axis=-1)
-    # one row per mode Z: its 2:1 denominators, then (a, b, sign) in order
-    rows = np.concatenate((two, pair.reshape(d, -1)), axis=1)
-    process = np.concatenate(((z != a)[..., 0], np.repeat(
-        ((z != a) & (z != b) & (a < b)).reshape(d, -1), 2, axis=1)), axis=1)
-    size = np.where(process, np.abs(rows), np.inf)
-    hard = np.argwhere(size < RESONANCE_HARD * scale)
-    if len(hard):
+    i = np.arange(len(w))
+    # axes [Z, a, b, -+]: the last one picks the difference or the sum
+    z, a, b = i[:, None, None, None], i[:, None, None], i[:, None]
+    pair = (w[b] + w[a] * [-1.0, 1.0]) ** 2 - w[z] ** 2
+    process = (z != a) & (z != b) & (a < b + [0, 1])
+    size = np.where(process, np.abs(pair), np.inf)
+    hard = np.count_nonzero(size < RESONANCE_HARD * scale)
+    if hard:
+        zi, ai, bi, sign = map(int, np.unravel_index(np.argmin(size), size.shape))
+        what = f"2:1 modes {(zi, ai)}" if sign and ai == bi else \
+            f"{('difference', 'sum')[sign]} modes {(zi, ai, bi)}"
         raise ResonanceError(
-            "perturbation theory invalid near resonance(s): " + "; ".join(
-                f"{_process(zi, col, d)} |den|/max(w)^2={size[zi, col] / scale:.2e}"
-                for zi, col in hard))
+            f"perturbation theory invalid near {hard} resonance(s), closest "
+            f"{what} |den|/max(w)^2={size[zi, ai, bi, sign] / scale:.2e}")
     soft = np.count_nonzero(size < RESONANCE_SOFT * scale)
     if soft:
         _warn_caller(
@@ -182,18 +179,10 @@ def _denominators(spectrum: ModeSpectrum):
     return pair
 
 
-def _process(z: int, col: int, d: int) -> str:
-    """The process of column ``col`` of mode z's row of denominators."""
-    if col < d:
-        return f"2:1 modes {(int(z), int(col))}"
-    a, b, sign = np.unravel_index(col - d, (d, d, 2))
-    return f"{('difference', 'sum')[sign]} modes {(int(z), int(a), int(b))}"
-
-
 def _shift_coefficients(g3: np.ndarray, q: np.ndarray, spectrum: ModeSpectrum,
-                        pair: np.ndarray) -> np.ndarray:
-    """Per-quantum ``chi`` (Hz) of every mode from G3, the quartic's pair
-    diagonal q[Z, a] = G4_aaZZ and the ``_denominators`` pair.
+                        pair: np.ndarray, provenance: dict) -> ChiMatrix:
+    """Transition model (chi in Hz) from G3, the quartic's pair diagonal
+    q[Z, a] = G4_aaZZ and the ``_denominators`` pair.
 
     The static sum is S[Z, a] = sum_k G3_ZZk G3_aak / w_k and the resonant
     one R[Z, a] = sum_k G3_Zak^2 F[k, Z, a], where F[k, Z, a] = sum over the
@@ -211,13 +200,7 @@ def _shift_coefficients(g3: np.ndarray, q: np.ndarray, spectrum: ModeSpectrum,
     r = (g3**2 * f).sum(0)
     x = 24.0 * q - 72.0 / HBAR * s - 36.0 / HBAR * r
     x[i, i] *= 0.5
-    return (x + x.T) / (2 * PLANCK)
-
-
-def _chi(g3: np.ndarray, q: np.ndarray, spectrum: ModeSpectrum,
-         pair: np.ndarray, provenance: dict) -> ChiMatrix:
-    """ChiMatrix from G3, q = G4_aaZZ and the guarded ``_denominators``."""
-    return ChiMatrix(chi=_shift_coefficients(g3, q, spectrum, pair),
+    return ChiMatrix(chi=(x + x.T) / (2 * PLANCK),
                      mode_frequencies=spectrum.frequencies.copy(),
                      provenance=provenance)
 
@@ -243,10 +226,13 @@ def chi_matrix(tensors: ModeTensors, spectrum: ModeSpectrum) -> ChiMatrix:
     transition frequency, so frequency_shift = base + chi @ n; the diagonal
     is the coefficient of n_Z itself.
     """
+    d = spectrum.n_modes
+    if tensors.G3.shape != (d,) * 3 or tensors.G4.shape != (d,) * 4:
+        raise ValueError("tensor and spectrum dimensions do not match")
     pair = _denominators(spectrum)
-    i = np.arange(len(tensors.G4))
+    i = np.arange(d)
     q = tensors.G4[i[None, :], i[None, :], i[:, None], i[:, None]]  # G4_aaZZ
-    return _chi(tensors.G3, q, spectrum, pair, {})
+    return _shift_coefficients(tensors.G3, q, spectrum, pair, {})
 
 
 def chi_from_configuration(cfg: ChainConfiguration,
@@ -262,6 +248,7 @@ def chi_from_configuration(cfg: ChainConfiguration,
     pair = _denominators(spectrum)
     g3, q = _chi_tensors(cfg, spectrum)
     pot = cfg.potential
-    return _chi(g3, q, spectrum, pair,
-                {"coulomb": cfg.n_ions > 1, "trap_cubic": pot.has_order(3),
-                 "trap_quartic": pot.has_order(4)})
+    return _shift_coefficients(
+        g3, q, spectrum, pair,
+        {"coulomb": cfg.n_ions > 1, "trap_cubic": pot.has_order(3),
+         "trap_quartic": pot.has_order(4)})

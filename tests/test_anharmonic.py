@@ -407,6 +407,15 @@ def zero_tensors(d):
     return ModeTensors(G3=np.zeros((d,) * 3), G4=np.zeros((d,) * 4))
 
 
+def refusal_text(hard):
+    """The guard's ResonanceError text for the conftest oracle's hard flags:
+    their number and the closest one."""
+    closest = min(hard, key=lambda f: f.normalized)
+    return (f"perturbation theory invalid near {len(hard)} resonance(s), "
+            f"closest {closest.kind} modes {closest.modes} "
+            f"|den|/max(w)^2={closest.normalized:.2e}")
+
+
 class TestDetectResonances:
     """The conftest scan flags the processes the guard names or counts."""
 
@@ -464,19 +473,16 @@ class TestDetectResonances:
             assert [w.filename for w in caught] == [__file__], name
 
     def test_one_scan_guard_matches_two_scans(self):
-        """The guard reads the kernel's own denominators; the error and the
-        warning of chi_matrix equal those of a hard scan followed by a soft
-        scan of the conftest oracle."""
+        """The guard reads the kernel's own denominators; chi_matrix refuses
+        the spectra a hard scan of the conftest oracle flags, naming its
+        count and its closest process's kind, modes and |den|, and warns
+        byte for byte as a soft scan does."""
         from ionmodes.anharmonic import RESONANCE_HARD, RESONANCE_SOFT
 
         def two_scans(spec):
             hard = detect_resonances(spec, RESONANCE_HARD)
             if hard:
-                raise ResonanceError(
-                    "perturbation theory invalid near resonance(s): "
-                    + "; ".join(f"{f.kind} modes {f.modes} "
-                                f"|den|/max(w)^2={f.normalized:.2e}"
-                                for f in hard))
+                raise ResonanceError(refusal_text(hard))
             soft = detect_resonances(spec, RESONANCE_SOFT)
             if soft:
                 warnings.warn(
@@ -515,6 +521,42 @@ class TestDetectResonances:
 
 
 class TestChiMatrix:
+    def test_tensors_of_another_mode_count_refused(self, be, pot_cubic):
+        """Tensors of one chain with the spectrum of another raise the
+        ValueError mode_tensors raises, before the guard or the kernel."""
+        chain = solve_equilibrium([be] * 3, pot_cubic)
+        spec = mode_spectrum(chain)
+        g = mode_tensors(derivative_tensors(chain), spec)
+        one_ion = mode_spectrum(solve_equilibrium([be], pot_cubic))
+        short_g4 = ModeTensors(G3=g.G3, G4=g.G4[:2])
+        message = "^tensor and spectrum dimensions do not match$"
+        for tensors, spectrum in ((g, one_ion), (short_g4, spec)):
+            with pytest.raises(ValueError, match=message):
+                chi_matrix(tensors, spectrum)
+        with pytest.raises(ValueError, match=message):
+            frequency_shift(g, one_ion, [0], 0)
+
+    def test_probe_chain_refused_in_one_bounded_line(self, energy_calls):
+        """At D = 90 the guard refuses before any tensor work, in one line
+        that names the oracle's 1676 hard processes and the closest one.
+        The chain: 30 MgH+ ions, 9.3/6.1 MHz radial and 0.3 MHz axial
+        single-ion frequencies, lambda3 = 400 um, lambda4 = 500 um."""
+        kappa2 = axial_for_frequency(MGH25, 0.3e6).kappa2
+        trap = trap3d_from_frequencies(
+            MGH25, (9.3e6, 6.1e6),
+            axial_from_lambdas(kappa2, {3: 400e-6, 4: 500e-6}))
+        cfg = solve_equilibrium([MGH25] * 30, trap)
+        spec = mode_spectrum(cfg)
+        energy_calls.clear()
+        with pytest.raises(ResonanceError) as refused:
+            chi_from_configuration(cfg, spec)
+        assert not energy_calls
+        text = str(refused.value)
+        assert "\n" not in text and len(text) <= 200
+        hard = detect_resonances(spec)
+        assert len(hard) == 1676
+        assert text == refusal_text(hard)
+
     def test_holds_chi_alone(self):
         """base is no field: it is read off chi by the identity."""
         assert [f.name for f in dataclasses.fields(ChiMatrix)] == \

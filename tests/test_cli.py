@@ -205,19 +205,28 @@ class TestCommandLine:
         assert "potential.typo_field" in proc.stderr
 
     def test_resonant_trap_exit_code(self, tmp_path):
-        cfg = {
-            "version": 1,
-            "species": {"MgH25": {"mass_u": 25.994, "charge_e": 1}},
-            "chain": ["MgH25"],
-            "potential": {"kappa2": 1.72300512639297e7},
-            "trap3d": {"reference": "MgH25", "radial_mhz": [3.6, 5.0]},
-            "chi": {},
-        }
+        """A refused chi exits 4 with one stderr line naming the number of
+        hard processes, however many there are: one 2:1 process of a single
+        ion, and the 1676 of the 30-ion MgH+ probe chain (D = 90)."""
         path = tmp_path / "resonant.json"
-        path.write_text(json.dumps(cfg))
-        proc = run_cli("chi", "--config", str(path))
-        assert proc.returncode == 4
-        assert "resonance" in proc.stderr
+        # kappa2 puts a single MgH25 ion at 1.8 and 0.3 MHz axially
+        for chain, potential, radial_mhz, hard in (
+                (1, {"kappa2": 1.72300512639297e7}, [3.6, 5.0], 1),
+                (30, {"kappa2": 478612.5351091583,
+                      "lambdas_um": {"3": 400.0, "4": 500.0}}, [9.3, 6.1], 1676)):
+            path.write_text(json.dumps({
+                "version": 1,
+                "species": {"MgH25": {"mass_u": 25.994, "charge_e": 1}},
+                "chain": ["MgH25"] * chain,
+                "potential": potential,
+                "trap3d": {"reference": "MgH25", "radial_mhz": radial_mhz},
+                "chi": {},
+            }))
+            proc = run_cli("chi", "--config", str(path))
+            assert proc.returncode == 4
+            (line,) = proc.stderr.splitlines()
+            assert line.startswith("resonance: ") and len(line) <= 200
+            assert f" near {hard} resonance(s), closest " in line
 
     def test_bracket_failure_exit_code(self, tmp_path):
         cfg = json.loads((CONFIGS / "null_kappa3.json").read_text())

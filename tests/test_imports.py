@@ -6,7 +6,10 @@ are the package's re-exports, and ``from __future__`` imports are
 directives, so both are exempt.
 
 A name the package exports must be reached by the library, a benchmark
-workload or a script; a name only tests reach belongs in ``tests/``.
+workload or a script; a name only tests reach belongs in ``tests/``.  A
+module-level private name of the library must be read by the library
+outside its own definition; a helper that only tests read belongs in
+``tests/`` too.
 
 Neither the import nor any CLI command loads scipy, gradient inference
 loads no ``scipy.optimize``, and the Davidson Fock oracle loads no
@@ -95,6 +98,52 @@ def test_caller_checker_ignores_definitions_and_substrings():
                "class C:\n    pass\n\ny = C()\n", "z = h + 1\n"]
     assert exported_names(init) == ["f", "h", "C", "k"]
     assert names_without_caller(exported_names(init), sources) == ["f", "k"]
+
+
+def private_names_without_reader(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants (a leading
+    underscore, dunders exempt) of the ``{module: source}`` map that no
+    source reads, as a name or an attribute, outside their own definition."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [t.id for t in ast.walk(node) if isinstance(t, ast.Name)
+                         and isinstance(t.ctx, ast.Store)]
+            else:
+                continue
+            defined += [(module, name, node) for name in names
+                        if name.startswith("_")
+                        and not (name.startswith("__") and name.endswith("__"))]
+    reads = [(module, node.lineno, node.id if isinstance(node, ast.Name)
+              else node.attr)
+             for module, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             or isinstance(node, ast.Attribute)]
+    return [f"{module}.{name}" for module, name, node in defined
+            if not any(read == name and not (
+                where == module and node.lineno <= line <= node.end_lineno)
+                for where, line, read in reads)]
+
+
+def test_every_private_name_has_a_reader():
+    sources = {p.stem: p.read_text()
+               for p in sorted((ROOT / "src/ionmodes").glob("*.py"))}
+    assert private_names_without_reader(sources) == []
+
+
+def test_private_checker_ignores_own_body_and_dunders():
+    sources = {
+        "a": ("__all__ = []\n_K = 1\n_L: int = 2\n"
+              "def _f(n):\n    return _f(n - 1)\n"
+              "class _C:\n    def m(self):\n        return _C()\n"
+              "def g():\n    return _L\n"),
+        "b": "import a\ny = a._K\n",
+    }
+    assert private_names_without_reader(sources) == ["a._f", "a._C"]
 
 
 def test_import_and_every_command_load_no_scipy():
