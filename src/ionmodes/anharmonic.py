@@ -138,8 +138,6 @@ def _chi_tensors(cfg: ChainConfiguration, spectrum: ModeSpectrum):
     contracted from the energy's blocks with the spectrum's sigma_ion, as
     mode_tensors does; no rank-4 array is formed."""
     u = spectrum.sigma_ion
-    if u.shape[0] != len(cfg.coordinate_masses):
-        raise ValueError("tensor and spectrum dimensions do not match")
     energy, (t3,) = _at_equilibrium(cfg, 3)
     q = energy.quartic_diagonal(cfg.positions, u)
     return _to_modes(t3 / 6.0, u), q / 24.0
@@ -161,8 +159,8 @@ def _denominators(spectrum: ModeSpectrum):
     # axes [Z, a, b, -+]: the last one picks the difference or the sum
     z, a, b = i[:, None, None, None], i[:, None, None], i[:, None]
     pair = (w[b] + w[a] * [-1.0, 1.0]) ** 2 - w[z] ** 2
-    process = (z != a) & (z != b) & (a < b + [0, 1])
-    size = np.where(process, np.abs(pair), np.inf)
+    size = np.where(a < b + [0, 1], np.abs(pair), np.inf)
+    size[i, i] = size[i, :, i] = np.inf  # Z = a and Z = b are no process
     hard = np.count_nonzero(size < RESONANCE_HARD * scale)
     if hard:
         zi, ai, bi, sign = map(int, np.unravel_index(np.argmin(size), size.shape))
@@ -241,10 +239,14 @@ def chi_from_configuration(cfg: ChainConfiguration,
     contracted from the chain's derivative blocks -> transition model.
 
     Equal to chi_matrix(mode_tensors(derivative_tensors(cfg), spectrum),
-    spectrum) to rounding, in O(D^3) memory: no rank-4 tensor is built.
+    spectrum) to rounding, in O(D^3) memory: no rank-4 tensor is built.  A
+    given ``spectrum`` must be cfg's own (``spectrum.config is cfg``), else
+    ValueError.
     """
     if spectrum is None:
         spectrum = mode_spectrum(cfg)
+    elif spectrum.config is not cfg:
+        raise ValueError("spectrum is of another configuration")
     pair = _denominators(spectrum)
     g3, q = _chi_tensors(cfg, spectrum)
     pot = cfg.potential

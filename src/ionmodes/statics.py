@@ -34,7 +34,6 @@ from .species import IonSpecies
 
 COINCIDENCE_LIMIT = 1e-12  # m
 MAX_NEWTON_ITER = 200
-_MAX_ORDER = 4             # highest derivative order of the energy
 GRAD_TOL_FACTOR = 1e-10    # of the characteristic force scale 2 q kappa2 l
 
 
@@ -134,36 +133,28 @@ def _per_ion(species, potential) -> tuple:
 class _Energy:
     """The chain energy U and its derivatives for fixed species and potential.
 
-    Per-chain constants (charges, pseudopotential slopes, pair couplings
-    shaped for each derivative order, on-site trap tensors and their factors)
-    are set up once, so each call evaluates, with no further set-up, the
-    on-site trap terms and the Coulomb pair terms of every requested order at
-    once, with a linear chain as the one-component case of the pair kernel.
+    Per-chain constants (charges, pseudopotential slopes, the pair coupling
+    matrix and, in 3D, each ion's on-site trap tensors weighted by its
+    charge) are set up once, so each call evaluates, with no further set-up,
+    the on-site trap terms and the Coulomb pair terms of every requested
+    order at once, with a linear chain as the one-component case of the pair
+    kernel.
     """
 
     def __init__(self, species, potential):
-        n = len(species)
         self.axial = potential.axial
         self.trap = potential if isinstance(potential, TrapModel3D) else None
         self.per_ion = _per_ion(species, potential)
         self.charge, self.slope = self.per_ion[:2]
         self.coupling = COULOMB * self.charge[:, None] * self.charge[None, :]
         np.fill_diagonal(self.coupling, 0.0)
-        # the couplings shaped to scale the pair blocks of each order m
-        self.couplings = [self.coupling.reshape((n, n) + (1,) * m)
-                          for m in range(_MAX_ORDER + 1)]
-        self.diag = np.diag_indices(n)
+        self.diag = np.diag_indices(len(species))
         if self.trap is not None:
-            # on-site Taylor tensors, leading axis over ions: the radial
-            # curvatures, then the nonzero trap tensors
-            self.tensors = [self.per_ion[2]] + [t[None] for t in (
-                self.trap.trap_cubic, self.trap.trap_quartic) if t.any()]
-            # perm(rank, m) * charge of each order m and tensor of rank
-            # >= m, else None
-            self.factors = [
-                [math.perm(t.ndim - 1, m) * self.charge.reshape((n,) + (1,) * m)
-                 if m < t.ndim else None for t in self.tensors]
-                for m in range(_MAX_ORDER + 1)]
+            # on-site Taylor tensors times each ion's charge, leading axis
+            # over ions: the radial curvatures, then the nonzero trap tensors
+            self.tensors = [self.charge[:, None, None] * self.per_ion[2]] + [
+                np.multiply.outer(self.charge, t) for t in (
+                    self.trap.trap_cubic, self.trap.trap_quartic) if t.any()]
             self.origin = np.array([0.0, 0.0, self.axial.expansion_origin])
 
     def __call__(self, positions, *orders):
@@ -213,13 +204,10 @@ class _Energy:
         axial = self.axial.derivatives(pos[:, -1], orders, self.charge,
                                        self.slope)
         coul = coulomb.inv_r_derivatives(sep, r2, orders)
-        if pairs is None:
-            coupling = [self.couplings[m] for m in orders]
-        else:
-            coupling = [self.coupling[pairs].reshape((-1,) + (1,) * m)
-                        for m in orders]
+        coupling = self.coupling if pairs is None else self.coupling[pairs]
         return (self._onsite(pos, orders, axial),
-                [cm * c for cm, c in zip(coupling, coul)])
+                [coupling.reshape(coupling.shape + (1,) * m) * c
+                 for m, c in zip(orders, coul)])
 
     def _onsite(self, pos, orders, axial):
         """Trap terms d^m(q V_t)/dr^m of each ion, shape (N,) + (k,) * m, for
@@ -233,17 +221,16 @@ class _Energy:
             blk[(slice(None),) + (2,) * m] = a
             blocks.append(blk)
         v = (pos - self.origin)[:, :, None]
-        factors = zip(*(self.factors[m] for m in orders))
-        for coeffs, per_order in zip(self.tensors, factors):
+        for coeffs in self.tensors:
             rank = coeffs.ndim - 1
-            # T v^j for j = 0, 1, ...: one chain serves every order, each
+            # q T v^j for j = 0, 1, ...: one chain serves every order, each
             # step contracting the last axis of every ion's tensor with v
             chain = [coeffs]
             for _ in range(rank - min(orders)):
-                chain.append(np.matmul(chain[-1].reshape(len(chain[-1]), -1, 3), v))
-            for m, blk, factor in zip(orders, blocks, per_order):
-                if factor is not None:
-                    blk += factor * chain[rank - m].reshape((-1,) + (3,) * m)
+                chain.append(np.matmul(chain[-1].reshape(n, -1, 3), v))
+            for m, blk in zip(orders, blocks):
+                if m <= rank:
+                    blk += math.perm(rank, m) * chain[rank - m].reshape(blk.shape)
         return blocks
 
     def _assemble(self, onsite, pair):

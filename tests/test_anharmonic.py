@@ -813,6 +813,21 @@ class TestCarriedDerivatives:
         assert np.array_equal(chi.chi, chi_copy.chi)
         assert np.array_equal(chi.base, chi_copy.base)
 
+    def test_spectrum_of_another_configuration_refused(self, energy_calls):
+        """Two MgH+ pairs with the same mode count but opposite lambda3:
+        each one's spectrum is refused with the other's configuration, before
+        the guard and any energy evaluation."""
+        kappa2 = axial_for_frequency(MGH25, 1.8e6).kappa2
+        a, b = (solve_equilibrium([MGH25] * 2, trap3d_from_frequencies(
+            MGH25, (7e6, 5e6), axial_from_lambdas(kappa2, {3: l3, 4: 500e-6})))
+            for l3 in (300e-6, -800e-6))
+        spec_a, spec_b = mode_spectrum(a), mode_spectrum(b)
+        energy_calls.clear()
+        for cfg, spec in ((a, spec_b), (b, spec_a)):
+            with pytest.raises(ValueError, match="another configuration"):
+                chi_from_configuration(cfg, spec)
+        assert not energy_calls
+
     @pytest.mark.filterwarnings("ignore:.*near-resonant:RuntimeWarning")
     def test_stages_reuse_the_solve(self, energy_calls):
         cfg = CARRIED_CASES["mgh_3d"]()

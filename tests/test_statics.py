@@ -248,6 +248,22 @@ class TestSolveEquilibrium:
         with pytest.raises(ConvergenceError, match="no convergence in 1 "):
             solve_equilibrium([be, mg], pot_cubic, initial_guess=[-3e-6, 3e-6])
 
+    def test_crossing_step_raises(self, be, mg, pot_cubic, monkeypatch):
+        from ionmodes import IonCrossingError
+
+        # the default start's cached unit-chain solve must not take the
+        # patched step
+        solve_equilibrium([be, mg], pot_cubic)
+        monkeypatch.setattr(statics, "_descent_step",
+                            lambda g, h: 1e9 * np.array([1.0, -1.0]))
+        with pytest.raises(IonCrossingError, match="ion ordering"):
+            solve_equilibrium([be, mg], pot_cubic)
+
+    def test_descent_step_on_singular_hessian(self):
+        g = np.array([1.0, 1.0])
+        step = statics._descent_step(g, np.diag([0.0, 1.0]))
+        assert np.isfinite(step).all() and g @ step < 0
+
     def test_zigzag_instability_names_radial_mode(self, be):
         from ionmodes import LinearChainInstabilityError, \
             UnconfinedPotentialError, axial_for_frequency, \
@@ -444,17 +460,22 @@ class TestOnsiteTerms:
                                         (4,), (2,)])
     @pytest.mark.parametrize("tensors", ["both", "cubic", "quartic", "none"])
     def test_matches_per_order_einsum(self, orders, tensors):
-        species = (MGH25, MG24, MGH25, MG24)
-        energy, pos = self._energy(tensors in ("both", "cubic"),
-                                   tensors in ("both", "quartic"), species)
-        axial = energy.axial.derivatives(pos[:, -1], orders, energy.charge,
-                                         energy.slope)
-        got = energy._onsite(pos, orders, axial)
-        assert len(got) == len(orders)
-        for m, a, blk in zip(orders, axial, got):
-            want = onsite_oracle(energy.trap, species, pos, m, a)
-            assert blk.shape == want.shape == (4,) + (3,) * m
-            assert np.max(np.abs(blk - want)) <= 1e-13 * np.max(np.abs(want))
+        """Singly charged ions, then a doubly charged one, whose charge each
+        on-site tensor must carry."""
+        doubly = IonSpecies("MgH2+", MGH25.mass, 2)
+        for species in ((MGH25, MG24, MGH25, MG24),
+                        (MGH25, doubly, MG24, MGH25)):
+            energy, pos = self._energy(tensors in ("both", "cubic"),
+                                       tensors in ("both", "quartic"), species)
+            axial = energy.axial.derivatives(pos[:, -1], orders, energy.charge,
+                                             energy.slope)
+            got = energy._onsite(pos, orders, axial)
+            assert len(got) == len(orders)
+            for m, a, blk in zip(orders, axial, got):
+                want = onsite_oracle(energy.trap, species, pos, m, a)
+                assert blk.shape == want.shape == (4,) + (3,) * m
+                assert np.max(np.abs(blk - want)) <= \
+                    1e-13 * np.max(np.abs(want))
 
     def test_linear_chain_blocks(self, be, mg, pot_anharmonic):
         energy = _Energy((be, mg, be), pot_anharmonic)
