@@ -7,7 +7,6 @@ matrix stored under data/.
 """
 
 import sys
-import warnings
 from pathlib import Path
 
 
@@ -22,9 +21,7 @@ def main():
     axial = im.axial_for_frequency(mgh, 1.8e6)
     trap = im.trap3d_from_frequencies(mgh, (7e6, 5e6), axial)
     cfg = im.solve_equilibrium([mgh, mgh], trap)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        chi = im.chi_from_configuration(cfg)
+    chi = im.chi_from_configuration(cfg)
     sys.stdout.write(chi_to_text(chi, precision=4))
 
     ref = read_chi(DATA / "chi_two_ion_coulomb_only.txt")

@@ -24,11 +24,14 @@ coefficients presuppose exactly the factorial normalization above.
 
 The shift is exactly linear in every occupation, Delta f_Z = base_Z + sum_a
 chi_Za n_a, and chi alone fixes base (ChiMatrix.base).  One builder makes
-chi for chi_matrix and chi_from_configuration from the denominators the
-resonance guard passed, and frequency_shift reads it.  The kernel reads the
-quartic only on its pair diagonal G4_aaZZ (a = Z included), so
-chi_from_configuration contracts that diagonal straight from the statics
-blocks and never forms A4 or G4.
+chi for chi_matrix and chi_from_configuration, and frequency_shift reads
+it.  Second order holds only where each process's coupling W is small
+against its detuning Delta, so the builder first applies Martin's test
+(J. M. L. Martin et al., J. Chem. Phys. 103, 2589 (1995)) to its own pair
+denominators: a process with (W / hbar Delta)^2 above RESONANCE_LIMIT
+refuses chi.  The kernel reads the quartic only on its pair diagonal
+G4_aaZZ (a = Z included), so chi_from_configuration contracts that
+diagonal straight from the statics blocks and never forms A4 or G4.
 """
 
 from __future__ import annotations
@@ -40,22 +43,24 @@ import numpy as np
 from .constants import HBAR, PLANCK
 from .modes import ModeSpectrum, _at_equilibrium, _index, _is_integer, \
     mode_spectrum
-from .statics import ChainConfiguration, _warn_caller
+from .statics import ChainConfiguration
 
-RESONANCE_HARD = 1e-3  # |denominator| below this (x max omega^2): error
-RESONANCE_SOFT = 1e-2  # warning band
+RESONANCE_LIMIT = 1e-2  # largest (W / hbar Delta)^2 of a process chi accepts
 
 
 class ResonanceError(RuntimeError):
-    """A perturbation-theory denominator is too close to zero."""
+    """A process couples across a detuning too small for second order:
+    its (W / hbar Delta)^2 exceeds RESONANCE_LIMIT."""
 
 
 @dataclass(frozen=True, eq=False)
 class DerivativeTensors:
-    """Taylor coefficients A3 = d3U/3!, A4 = d4U/4! of the total potential."""
+    """Taylor coefficients A3 = d3U/3!, A4 = d4U/4! of the total potential
+    at the positions of ``config``."""
 
     A3: np.ndarray  # (D, D, D),    J m^-3
     A4: np.ndarray  # (D, D, D, D), J m^-4
+    config: ChainConfiguration
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,14 +119,16 @@ def derivative_tensors(cfg: ChainConfiguration) -> DerivativeTensors:
     Both the Coulomb interaction and the anharmonic trap terms contribute.
     """
     _, (t3, t4) = _at_equilibrium(cfg, 3, 4)
-    return DerivativeTensors(A3=t3 / 6.0, A4=t4 / 24.0)
+    return DerivativeTensors(A3=t3 / 6.0, A4=t4 / 24.0, config=cfg)
 
 
 def mode_tensors(tensors: DerivativeTensors, spectrum: ModeSpectrum) -> ModeTensors:
-    """Carry derivative tensors to the normal-mode basis by sigma_ion (J)."""
+    """Carry derivative tensors to the normal-mode basis by sigma_ion (J).
+    The spectrum must be that of the tensors' configuration, else
+    ValueError."""
+    if spectrum.config is not tensors.config:
+        raise ValueError("spectrum is of another configuration")
     u = spectrum.sigma_ion
-    if tensors.A3.shape[0] != u.shape[0]:
-        raise ValueError("tensor and spectrum dimensions do not match")
     return ModeTensors(G3=_to_modes(tensors.A3, u), G4=_to_modes(tensors.A4, u))
 
 
@@ -143,59 +150,58 @@ def _chi_tensors(cfg: ChainConfiguration, spectrum: ModeSpectrum):
     return _to_modes(t3 / 6.0, u), q / 24.0
 
 
-def _denominators(spectrum: ModeSpectrum):
-    """The pair denominators (w_b -+ w_a)^2 - w_Z^2 (rad^2/s^2) at
-    [Z, a, b, 0 / 1], once the resonance policy passes on them.
-
-    The policy's processes are Z not in {a, b}, with a < b for the difference
-    and a <= b for the sum, whose a = b entry (2 w_a)^2 - w_Z^2 is the 2:1
-    one.  Below RESONANCE_HARD * max(w)^2 they raise ResonanceError naming
-    their number and the closest; below RESONANCE_SOFT * max(w)^2 they are
-    counted in a warning.
-    """
-    w = spectrum.angular
-    scale = float(np.max(w)) ** 2
-    i = np.arange(len(w))
-    # axes [Z, a, b, -+]: the last one picks the difference or the sum
-    z, a, b = i[:, None, None, None], i[:, None, None], i[:, None]
-    pair = (w[b] + w[a] * [-1.0, 1.0]) ** 2 - w[z] ** 2
-    size = np.where(a < b + [0, 1], np.abs(pair), np.inf)
-    size[i, i] = size[i, :, i] = np.inf  # Z = a and Z = b are no process
-    hard = np.count_nonzero(size < RESONANCE_HARD * scale)
-    if hard:
-        zi, ai, bi, sign = map(int, np.unravel_index(np.argmin(size), size.shape))
-        what = f"2:1 modes {(zi, ai)}" if sign and ai == bi else \
-            f"{('difference', 'sum')[sign]} modes {(zi, ai, bi)}"
-        raise ResonanceError(
-            f"perturbation theory invalid near {hard} resonance(s), closest "
-            f"{what} |den|/max(w)^2={size[zi, ai, bi, sign] / scale:.2e}")
-    soft = np.count_nonzero(size < RESONANCE_SOFT * scale)
-    if soft:
-        _warn_caller(
-            f"{soft} near-resonant denominator(s) in the "
-            f"[{RESONANCE_HARD:g}, {RESONANCE_SOFT:g}] band; shifts may be inaccurate")
-    return pair
-
-
 def _shift_coefficients(g3: np.ndarray, q: np.ndarray, spectrum: ModeSpectrum,
-                        pair: np.ndarray, provenance: dict) -> ChiMatrix:
-    """Transition model (chi in Hz) from G3, the quartic's pair diagonal
-    q[Z, a] = G4_aaZZ and the ``_denominators`` pair.
+                        provenance: dict) -> ChiMatrix:
+    """Transition model (chi in Hz) from G3 and the quartic's pair diagonal
+    q[Z, a] = G4_aaZZ, once Martin's test passes.
+
+    The pair table den[Z, a, b] = (w_b -+ w_a)^2 - w_Z^2, difference then
+    sum, vanishes on a resonance w_Z = |w_b -+ w_a|.  Its processes are
+    Z not in {a, b}, with a < b for the difference and a <= b for the sum,
+    whose a = b entry is the 2:1 one.  W is the zero-occupation coupling,
+    6 |G3_Zab|, or 3 sqrt(2) |G3_aaZ| for a 2:1, and Delta =
+    |den| / (|w_b -+ w_a| + w_Z) = ||w_b -+ w_a| - w_Z|.  Processes with
+    (W / hbar Delta)^2 above RESONANCE_LIMIT raise ResonanceError naming
+    their number and the worst.
 
     The static sum is S[Z, a] = sum_k G3_ZZk G3_aak / w_k and the resonant
     one R[Z, a] = sum_k G3_Zak^2 F[k, Z, a], where F[k, Z, a] = sum over the
     four signs of 1 / (w_k +- w_a +- w_Z)
-    = 4 w_k (w_k^2 - w_a^2 - w_Z^2) / (pair[k, Z, a, 0] pair[k, Z, a, 1]).
-    Each zero of that product is a 2:1, sum or difference resonance, which
-    the guard has refused.
+    = 4 w_k (w_k^2 - w_a^2 - w_Z^2) / (den_-[k, Z, a] den_+[k, Z, a]).
+    An exact zero of that product passed the test uncoupled: it adds 0.
     """
     w = spectrum.angular
     i = np.arange(len(w))
+    wz = w[:, None, None]
+    g2 = g3**2
+    count, worst, prod = 0, [], 1.0
+    for s, kind in enumerate(("difference", "sum")):
+        comb = np.abs(w + (2 * s - 1) * w[:, None])  # |w_b -+ w_a| at [a, b]
+        limit = comb - wz                             # +-Delta
+        limit *= limit * (RESONANCE_LIMIT * HBAR**2)
+        if np.any(36 * g2 > limit):  # 36 G3^2 bounds every process's W^2
+            # (W / G3)^2 at [a, b]: 36 for a < b, 18 for the 2:1 a = b
+            weight = 36.0 * (i[:, None] < i) + 18.0 * s * np.eye(len(w))
+            over = weight * g2 > limit
+            over[i, i] = over[i, :, i] = False        # Z = a, Z = b: none
+            count += np.count_nonzero(over)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(over, weight * g2 / limit, 0) * RESONANCE_LIMIT
+            z, a, b = map(int, np.unravel_index(np.argmax(ratio), ratio.shape))
+            worst.append((ratio[z, a, b], f"2:1 modes {(z, a)}" if s and a == b
+                          else f"{kind} modes {(z, a, b)}"))
+        del limit  # before the pair table's next factor is formed
+        prod = prod * (comb**2 - wz**2)
+    if count:
+        ratio, what = max(worst)
+        raise ResonanceError(
+            f"perturbation theory invalid near {count} coupled resonance(s), "
+            f"worst {what} (W/hbar Delta)^2={ratio:.2e}")
+    prod[prod == 0] = np.inf
     m = g3[i, i]                                   # m[Z, k] = G3_ZZk
     s = (m / w) @ m.T
-    wk = w[:, None, None]
-    f = 4 * wk * (wk**2 - w[:, None]**2 - w**2) / (pair[..., 0] * pair[..., 1])
-    r = (g3**2 * f).sum(0)
+    f = 4 * wz * (wz**2 - w[:, None]**2 - w**2) / prod
+    r = (g2 * f).sum(0)
     x = 24.0 * q - 72.0 / HBAR * s - 36.0 / HBAR * r
     x[i, i] *= 0.5
     return ChiMatrix(chi=(x + x.T) / (2 * PLANCK),
@@ -227,16 +233,15 @@ def chi_matrix(tensors: ModeTensors, spectrum: ModeSpectrum) -> ChiMatrix:
     d = spectrum.n_modes
     if tensors.G3.shape != (d,) * 3 or tensors.G4.shape != (d,) * 4:
         raise ValueError("tensor and spectrum dimensions do not match")
-    pair = _denominators(spectrum)
     i = np.arange(d)
     q = tensors.G4[i[None, :], i[None, :], i[:, None], i[:, None]]  # G4_aaZZ
-    return _shift_coefficients(tensors.G3, q, spectrum, pair, {})
+    return _shift_coefficients(tensors.G3, q, spectrum, {})
 
 
 def chi_from_configuration(cfg: ChainConfiguration,
                            spectrum: ModeSpectrum | None = None) -> ChiMatrix:
-    """Full pipeline: resonance guard -> G3 and the quartic pair diagonal
-    contracted from the chain's derivative blocks -> transition model.
+    """Full pipeline: G3 and the quartic pair diagonal contracted from the
+    chain's derivative blocks -> resonance test and transition model.
 
     Equal to chi_matrix(mode_tensors(derivative_tensors(cfg), spectrum),
     spectrum) to rounding, in O(D^3) memory: no rank-4 tensor is built.  A
@@ -247,10 +252,9 @@ def chi_from_configuration(cfg: ChainConfiguration,
         spectrum = mode_spectrum(cfg)
     elif spectrum.config is not cfg:
         raise ValueError("spectrum is of another configuration")
-    pair = _denominators(spectrum)
     g3, q = _chi_tensors(cfg, spectrum)
     pot = cfg.potential
     return _shift_coefficients(
-        g3, q, spectrum, pair,
+        g3, q, spectrum,
         {"coulomb": cfg.n_ions > 1, "trap_cubic": pot.has_order(3),
          "trap_quartic": pot.has_order(4)})

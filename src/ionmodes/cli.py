@@ -9,7 +9,7 @@ With --out, chi also writes a JSON mirror of its text to the same path with
 the suffix .json, so its --out must have another suffix.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 resonance detected, 5 root-bracket failure.
+4 coupled resonance (chi refused), 5 root-bracket failure.
 """
 
 from __future__ import annotations

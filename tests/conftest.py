@@ -318,14 +318,13 @@ class ResonanceFlag(NamedTuple):
     normalized: float  # |value| / max(omega)^2
 
 
-def detect_resonances(spectrum, rel_tol=anharmonic.RESONANCE_HARD):
-    """Flag perturbation-theory denominators below rel_tol * max(omega)^2:
-    two-phonon conversion (omega_Z ~ 2 omega_a, Z != a) and sum/difference
-    processes ((omega_b +- omega_a) ~ omega_Z, Z, a, b distinct, a < b).
-
-    The library's resonance guard before it read the kernel's own
-    denominators; per mode Z, its 2:1 flags, then each pair's difference
-    and sum flags.
+def detect_resonances(spectrum, rel_tol=1e-3):
+    """Frequency-only screen: flag perturbation-theory denominators below
+    rel_tol * max(omega)^2, two-phonon conversion (omega_Z ~ 2 omega_a,
+    Z != a) and sum/difference processes ((omega_b +- omega_a) ~ omega_Z,
+    Z, a, b distinct, a < b); per mode Z, its 2:1 flags, then each pair's
+    difference and sum flags.  It asks nothing about coupling, which
+    martin_resonances weighs in.
     """
     w = spectrum.angular
     scale = float(np.max(w)) ** 2
@@ -344,6 +343,41 @@ def detect_resonances(spectrum, rel_tol=anharmonic.RESONANCE_HARD):
     return [ResonanceFlag(kind, tuple(map(int, modes)), float(val),
                           abs(val) / scale)
             for kind, modes, val in flags]
+
+
+class MartinFlag(NamedTuple):
+    kind: str      # "2:1", "sum", or "difference"
+    modes: tuple   # (Z, alpha) or (Z, alpha, beta)
+    ratio: float   # (W / hbar Delta)^2, inf on an exact resonance
+
+
+def martin_resonances(g3, spectrum, limit):
+    """Martin's test (J. Chem. Phys. 103, 2589 (1995)) as two scans of
+    processes, the differences and then the sums: each process whose
+    zero-occupation coupling W and detuning Delta = |w_Z - |w_b -+ w_a||
+    have (W / hbar Delta)^2 above ``limit``.
+
+    A process has Z not in {a, b} and a < b, or a = b for the 2:1 sum
+    w_Z ~ 2 w_a.  W is 6 |G3_Zab| for three distinct modes and
+    3 sqrt(2) |G3_aaZ| for a 2:1: the matrix element of V3 between one
+    quantum of Z and one each of a and b (two of a), nothing else excited.
+    """
+    w = spectrum.angular
+    flags = []
+    for kind, sign in (("difference", -1), ("sum", 1)):
+        for z, a, b in itertools.product(range(len(w)), repeat=3):
+            if z in (a, b) or a > b or (a == b and sign < 0):
+                continue
+            if a == b:
+                label, process, coupling = \
+                    "2:1", (z, a), 3 * math.sqrt(2) * abs(g3[a, a, z])
+            else:
+                label, process, coupling = kind, (z, a, b), 6 * abs(g3[z, a, b])
+            detuning = HBAR * abs(w[z] - abs(w[b] + sign * w[a]))
+            if coupling**2 > limit * detuning**2:
+                flags.append(MartinFlag(label, process, (coupling / detuning)**2
+                                        if detuning else math.inf))
+    return flags
 
 
 def oracle_chi(tensors, spectrum):

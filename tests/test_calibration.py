@@ -92,6 +92,15 @@ class TestNullParameter:
         with pytest.raises(BracketError, match="sign change"):
             null_parameter(family, be, mg, "in_phase", (-100.0, 100.0))
 
+    def test_step_limit(self, monkeypatch, be, mg, pot_anharmonic):
+        """The field family's null takes more than one Newton step: with a
+        cap of one, the root find says where it stopped."""
+        monkeypatch.setattr(ionmodes.calibration, "MAX_ROOT_ITER", 1)
+        family = PotentialFamily(base=pot_anharmonic, field_action=1.0)
+        with pytest.raises(BracketError, match=r"^no root after 1 steps: "
+                                               r"stopped at p = 434\.919$"):
+            null_parameter(family, be, mg, "in_phase", (0.0, 4000.0))
+
     @pytest.mark.parametrize("bracket", [(np.nan, 2.0), (0.0, np.inf),
                                          (-np.inf, 2.0)])
     def test_non_finite_bracket_rejected(self, monkeypatch, be, mg, pot_cubic,
@@ -147,6 +156,21 @@ class TestInferPseudoGradient:
                                                pseudo_reference=be))
         with pytest.raises(BracketError):
             infer_pseudo_gradient(fam, be, mg, 5e4, (-0.05, 0.05), (0.0, 2.0))
+
+    def test_base_without_pseudo_reference_rejected(self, monkeypatch, be,
+                                                    mg, pot_cubic):
+        """A gradient acts on a reference mass: a base without one is refused
+        by name before any solve."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a chain")
+
+        monkeypatch.setattr(ionmodes.calibration, "solve_equilibrium",
+                            no_solve)
+        assert pot_cubic.pseudo_reference is None
+        with pytest.raises(ValueError, match="^family base must carry a "
+                                             "pseudo_reference species$"):
+            infer_pseudo_gradient(self._family(pot_cubic), be, mg, 0.0,
+                                  (-1.0, 1.0), (0.0, 2.0))
 
     @pytest.mark.parametrize("measured", [np.nan, np.inf, -np.inf])
     def test_non_finite_measurement_rejected(self, monkeypatch, be, mg,

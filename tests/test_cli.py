@@ -166,7 +166,6 @@ class TestCommandLine:
         assert out1.stdout and out1.stdout == out2.stdout
 
     @pytest.mark.parametrize("command", sorted(COMMAND_CONFIGS))
-    @pytest.mark.filterwarnings("ignore:.*near-resonant:RuntimeWarning")
     def test_output_matches_golden_bytes(self, command, tmp_path, monkeypatch,
                                          capsys):
         monkeypatch.delenv("IONMODES_PRECISION", raising=False)
@@ -205,28 +204,38 @@ class TestCommandLine:
         assert "potential.typo_field" in proc.stderr
 
     def test_resonant_trap_exit_code(self, tmp_path):
-        """A refused chi exits 4 with one stderr line naming the number of
-        hard processes, however many there are: one 2:1 process of a single
-        ion, and the 1676 of the 30-ion MgH+ probe chain (D = 90)."""
+        """A chi refused for a coupling across a resonance exits 4 with one
+        stderr line: a single ion at an exact 3.6/1.8 MHz 2:1 with an x z^2
+        trap cubic.  The 30-ion MgH+ probe chain (D = 90) has 1676
+        near-degenerate combinations but nothing coupled across them, and
+        exits 0 with nothing on stderr."""
         path = tmp_path / "resonant.json"
+        x_zz = np.zeros((3, 3, 3))
+        x_zz[0, 2, 2] = x_zz[2, 0, 2] = x_zz[2, 2, 0] = 1e10
         # kappa2 puts a single MgH25 ion at 1.8 and 0.3 MHz axially
-        for chain, potential, radial_mhz, hard in (
-                (1, {"kappa2": 1.72300512639297e7}, [3.6, 5.0], 1),
+        for chain, potential, trap, code in (
+                (1, {"kappa2": 1.72300512639297e7},
+                 {"radial_mhz": [3.6, 5.0],
+                  "cubic_tensor_v_per_m3": x_zz.tolist()}, 4),
                 (30, {"kappa2": 478612.5351091583,
-                      "lambdas_um": {"3": 400.0, "4": 500.0}}, [9.3, 6.1], 1676)):
+                      "lambdas_um": {"3": 400.0, "4": 500.0}},
+                 {"radial_mhz": [9.3, 6.1]}, 0)):
             path.write_text(json.dumps({
                 "version": 1,
                 "species": {"MgH25": {"mass_u": 25.994, "charge_e": 1}},
                 "chain": ["MgH25"] * chain,
                 "potential": potential,
-                "trap3d": {"reference": "MgH25", "radial_mhz": radial_mhz},
+                "trap3d": {"reference": "MgH25", **trap},
                 "chi": {},
             }))
             proc = run_cli("chi", "--config", str(path))
-            assert proc.returncode == 4
-            (line,) = proc.stderr.splitlines()
-            assert line.startswith("resonance: ") and len(line) <= 200
-            assert f" near {hard} resonance(s), closest " in line
+            assert proc.returncode == code, proc.stderr
+            if code:
+                (line,) = proc.stderr.splitlines()
+                assert line.startswith("resonance: ") and len(line) <= 200
+                assert " near 1 coupled resonance(s), worst 2:1 modes " in line
+            else:
+                assert proc.stderr == "" and len(proc.stdout.splitlines()) > 90
 
     def test_bracket_failure_exit_code(self, tmp_path):
         cfg = json.loads((CONFIGS / "null_kappa3.json").read_text())
