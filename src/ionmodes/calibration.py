@@ -35,6 +35,8 @@ MAX_ROOT_ITER = 60
 # an order shift's rounding, per unit of the larger frequency: a Newton
 # step no larger than it could cause carries no information
 _ROUNDING = 4 * sys.float_info.epsilon
+# index of each two-ion mode in the descending spectrum (see order_shift)
+_MODE = {OUT_OF_PHASE: 0, IN_PHASE: 1}
 
 
 class BracketError(RuntimeError):
@@ -72,39 +74,18 @@ class OrderShiftReport:
     delta: float  # Hz, f_ab - f_ba
 
 
-def _labels(spectrum: ModeSpectrum) -> dict[str, int]:
-    """Index of each two-ion mode, keyed by its phase relation."""
-    if spectrum.n_modes != 2:
-        raise ValueError("in/out-of-phase labelling applies to two-ion spectra")
-    labels = {}
-    for k in range(2):
-        v = spectrum.eigenvectors[:, k]
-        labels.setdefault(IN_PHASE if v[0] * v[1] > 0 else OUT_OF_PHASE, k)
-    return labels
-
-
-def _order_spectra(pot: AxialPotential, species_a: IonSpecies,
-                   species_b: IonSpecies) -> list[ModeSpectrum]:
-    """Spectra of the AB and the BA order: one solve per ion order, or one
-    for both when the statics cannot tell the orders apart."""
+def _order_frequencies(pot: AxialPotential, species_a: IonSpecies,
+                       species_b: IonSpecies):
+    """Spectra of the AB and the BA order, and f[k, o], the frequency of
+    mode k (descending) in order o (AB, then BA): one solve per ion order,
+    or one for both when the statics cannot tell the orders apart."""
     cfg_ab = solve_equilibrium((species_a, species_b), pot)
     cfg_ba = _reordered(cfg_ab, (species_b, species_a))
     if cfg_ba is None:
         cfg_ba = solve_equilibrium((species_b, species_a), pot)
-    return [mode_spectrum(cfg) for cfg in (cfg_ab, cfg_ba)]
-
-
-def _labelled_frequencies(spectra, mode_labels) -> np.ndarray:
-    """(f_ab, f_ba) of each labelled mode, one row per label, from the
-    spectra of the AB and the BA order."""
-    labels = [_labels(spectrum) for spectrum in spectra]
-    rows = []
-    for label in mode_labels:
-        if not all(label in found for found in labels):
-            raise ValueError(f"no mode with label {label!r}")
-        rows.append([spectrum.frequencies[found[label]]
-                     for spectrum, found in zip(spectra, labels)])
-    return np.array(rows)
+    spectra = [mode_spectrum(cfg) for cfg in (cfg_ab, cfg_ba)]
+    return spectra, np.column_stack([spectrum.frequencies
+                                     for spectrum in spectra])
 
 
 def _check_axial(pot, name: str):
@@ -122,13 +103,14 @@ def order_shift(pot: AxialPotential, species_a: IonSpecies,
                 species_b: IonSpecies, mode_label: str = IN_PHASE) -> OrderShiftReport:
     """Frequency difference of one mode between the AB and BA ion orders.
 
-    The label is resolved by the eigenvector sign product, not by frequency
-    order, so it survives mass-ratio changes.
+    The label names a place in the descending spectrum: for any masses the
+    Hessian's only off-diagonal entry, the Coulomb term, is negative, so by
+    Perron-Frobenius the lower mode is the in-phase one.
     """
     _check_axial(pot, "pot")
     _check_label(mode_label)
-    ((f_ab, f_ba),) = _labelled_frequencies(
-        _order_spectra(pot, species_a, species_b), (mode_label,)).tolist()
+    _, f = _order_frequencies(pot, species_a, species_b)
+    f_ab, f_ba = f[_MODE[mode_label]].tolist()
     return OrderShiftReport(mode_label, f_ab, f_ba, delta=f_ab - f_ba)
 
 
@@ -159,11 +141,10 @@ def _frequency_derivatives(spectrum: ModeSpectrum, family: PotentialFamily,
     return dw2 / (8 * math.pi**2 * spectrum.frequencies[:, None])
 
 
-def _shift_jacobian(spectra, family: PotentialFamily,
-                    mode_labels) -> np.ndarray:
-    """Exact derivatives of the order shifts f_ab - f_ba of the labelled
-    modes along (p, g), one row per label, from the solved spectra of the AB
-    and the BA order at ``family.at(p)``, with g the base's pseudo-gradient.
+def _shift_jacobian(spectra, family: PotentialFamily) -> np.ndarray:
+    """Exact derivatives of the order shifts f_ab - f_ba along (p, g), one
+    row per mode (descending), from the solved spectra of the AB and the BA
+    order at ``family.at(p)``, with g the base's pseudo-gradient.
 
     A shared solve (``_reordered``) shares its third derivative, the one
     energy evaluation the derivatives add per solve.
@@ -175,9 +156,7 @@ def _shift_jacobian(spectra, family: PotentialFamily,
             energy = cfg._energy
             (t3,) = energy(cfg.positions, 3)
         derivs.append(_frequency_derivatives(spectrum, family, t3))
-    labels = [_labels(spectrum) for spectrum in spectra]
-    return np.array([derivs[0][labels[0][label]] - derivs[1][labels[1][label]]
-                     for label in mode_labels])
+    return derivs[0] - derivs[1]
 
 
 def _check_bracket(bracket, name: str):
@@ -204,11 +183,11 @@ def null_parameter(family: PotentialFamily, species_a: IonSpecies,
     _check_axial(family.base, "family.base")
     _check_bracket(bracket, "bracket")
     _check_label(mode_label)
-    labels = (mode_label,)
+    k = _MODE[mode_label]
 
     def shift(p):
-        spectra = _order_spectra(family.at(p), species_a, species_b)
-        ((f_ab, f_ba),) = _labelled_frequencies(spectra, labels).tolist()
+        spectra, f = _order_frequencies(family.at(p), species_a, species_b)
+        f_ab, f_ba = f[k].tolist()
         return spectra, f_ab - f_ba, max(f_ab, f_ba)
 
     p_lo, p_hi = bracket
@@ -228,7 +207,7 @@ def null_parameter(family: PotentialFamily, species_a: IonSpecies,
         null = abs(d) < NULL_TOLERANCE_HZ
         if null and abs(d) <= _ROUNDING * scale:
             return p
-        ((slope, _),) = _shift_jacobian(spectra, family, labels).tolist()
+        slope, _ = _shift_jacobian(spectra, family)[k].tolist()
         if null and abs(d) <= xtol * abs(slope):
             return p
         ends[(d < 0) != (d_lo < 0)] = p
@@ -273,20 +252,20 @@ def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
         if width == 0:
             raise BracketError(f"{name} {brackets[name]!r} has zero width")
 
-    labels = (IN_PHASE, OUT_OF_PHASE)
+    rows = [_MODE[IN_PHASE], _MODE[OUT_OF_PHASE]]  # null, then measurement
 
     def evaluate(x):
         p, g = map(float, x)
         fam = dataclasses.replace(family,
                                   base=dataclasses.replace(family.base,
                                                            pseudo_gradient=g))
-        spectra = _order_spectra(fam.at(p), species_a, species_b)
-        freqs = _labelled_frequencies(spectra, labels)
-        r = freqs[:, 0] - freqs[:, 1] - (0.0, measured_out_shift)
+        spectra, f = _order_frequencies(fam.at(p), species_a, species_b)
+        f = f[rows]
+        r = f[:, 0] - f[:, 1] - (0.0, measured_out_shift)
         if not np.all(np.isfinite(r)):
             raise BracketError(f"non-finite order shift residual {r} Hz at "
                                f"(p, g) = ({p:.6g}, {g:.6g})")
-        return r, _shift_jacobian(spectra, fam, labels), freqs.max(axis=1)
+        return r, _shift_jacobian(spectra, fam)[rows], f.max(axis=1)
 
     def left(name, k, x):
         return BracketError(f"step {k} left {name} {brackets[name]!r}: "

@@ -226,7 +226,7 @@ def main(argv=None) -> int:
         print(f"bracket failure: {exc}", file=sys.stderr)
         return EXIT_BRACKET
     except (EquilibriumError, NotAtEquilibriumError, np.linalg.LinAlgError,
-            ZeroDivisionError, ValueError) as exc:
+            ArithmeticError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

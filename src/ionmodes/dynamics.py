@@ -72,10 +72,15 @@ class FockSuperposition:
 
 
 def thermal_occupation(f_hz: float, temperature: float) -> float:
-    """Bose-Einstein occupation nbar = 1/(exp(h f / k_B T) - 1)."""
+    """Bose-Einstein occupation nbar = 1/(exp(h f / k_B T) - 1), which is
+    exp(-h f / k_B T) where the exponential overflows."""
     if not (f_hz > 0 and temperature > 0):
         raise ValueError("frequency and temperature must be positive")
-    return 1.0 / math.expm1(PLANCK * f_hz / (BOLTZMANN * temperature))
+    x = PLANCK * f_hz / (BOLTZMANN * temperature)
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:
+        return math.exp(-x)
 
 
 def fock_coherence(chi: ChiMatrix, sup: FockSuperposition,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -55,16 +54,6 @@ class UnconfinedPotentialError(EquilibriumError):
 
 class LinearChainInstabilityError(UnconfinedPotentialError):
     """The linear chain is a saddle: a radial (zigzag) mode is soft."""
-
-
-def _warn_caller(message: str):
-    """Issue a RuntimeWarning attributed to the first caller outside the
-    module that issues it."""
-    home = sys._getframe(1).f_globals
-    level = 2
-    while sys._getframe(level).f_globals is home:
-        level += 1
-    warnings.warn(message, RuntimeWarning, stacklevel=level + 1)
 
 
 def characteristic_length(species: IonSpecies, kappa2: float) -> float:

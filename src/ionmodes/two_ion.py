@@ -13,12 +13,14 @@ Validity: corrections are asymptotic in l/lambda_n; outside the regime
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .species import IonSpecies
-from .statics import _warn_caller, characteristic_length
+from .statics import characteristic_length
 
 CUBIC_REGIME = 0.2     # |l/lambda_3|
 QUARTIC_REGIME = 0.05  # (l/lambda_4)^2
@@ -52,9 +54,14 @@ class TwoIonAnalytics:
 
 
 def _warn_regime(label: str, value: float, limit: float):
+    """A RuntimeWarning outside the regime, attributed to the first caller
+    outside this module."""
     if abs(value) >= limit:
-        _warn_caller(
-            f"{label} = {value:.3g} outside the perturbative regime (< {limit})")
+        level = 1
+        while sys._getframe(level).f_globals is globals():
+            level += 1
+        warnings.warn(f"{label} = {value:.3g} outside the perturbative regime "
+                      f"(< {limit})", RuntimeWarning, stacklevel=level + 1)
 
 
 def cubic_equal(kappa2: float, lambda3: float, species: IonSpecies) -> TwoIonAnalytics:

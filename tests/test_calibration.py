@@ -10,14 +10,15 @@ import pytest
 import ionmodes.calibration
 from ionmodes import BracketError, IonSpecies, PotentialFamily, \
     axial_from_lambdas, characteristic_length, com_frequency_scan, \
-    field_sensitivity, infer_pseudo_gradient, mode_spectrum, null_parameter, \
-    order_shift, solve_equilibrium, trap3d_from_frequencies
+    field_sensitivity, infer_pseudo_gradient, make_species, mode_spectrum, \
+    null_parameter, order_shift, solve_equilibrium, trap3d_from_frequencies
 from ionmodes import statics
 from ionmodes.config import validate_config
 from ionmodes.statics import _reordered
 
-from conftest import KAPPA2, LAMBDA3, LAMBDA4, infer_pseudo_gradient_oracle, \
-    make_cfg, null_parameter_oracle, order_shift_oracle
+from conftest import KAPPA2, LAMBDA3, LAMBDA4, _labelled_frequency_oracle, \
+    infer_pseudo_gradient_oracle, make_cfg, null_parameter_oracle, \
+    order_shift_oracle
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -206,15 +207,14 @@ class TestInferPseudoGradient:
 
     def test_non_finite_bracket_residual_rejected(self, monkeypatch, be, mg):
         """A non-finite order shift stops the root find where it appeared."""
-        def fake_frequencies(spectra, labels):
-            gradient = spectra[0].config.potential.pseudo_gradient
-            f = np.nan if gradient > 0 else 1.0
-            return np.array([[f, 0.0]] * len(labels))
+        def fake_frequencies(pot, species_a, species_b):
+            f = np.nan if pot.pseudo_gradient > 0 else 1.0
+            return None, np.array([[f, 0.0]] * 2)
 
         def fake_jacobian(*args):
-            return np.array([[1.0, 0.0], [0.0, -1.0]])
+            return np.array([[0.0, -1.0], [1.0, 0.0]])
 
-        monkeypatch.setattr(ionmodes.calibration, "_labelled_frequencies",
+        monkeypatch.setattr(ionmodes.calibration, "_order_frequencies",
                             fake_frequencies)
         monkeypatch.setattr(ionmodes.calibration, "_shift_jacobian",
                             fake_jacobian)
@@ -264,6 +264,49 @@ class TestInferPseudoGradient:
         with pytest.raises(BracketError, match=r"^no root after 1 steps: "
                                                r"stopped at \(p, g\) = "):
             infer_pseudo_gradient(fam, be, mg, 150.0, (-1.0, 1.0), (0.0, 2.0))
+
+
+def _random_chain(rng, n):
+    """A solved axial chain of n random ions: masses 1-300 u, charges 1-3 e,
+    kappa2 1e5-1e9 V/m^2, odd and even anharmonicity, a uniform field and
+    a pseudo-gradient, all weak on the chain's length scale (the lightest
+    ion feels the strongest pseudo-gradient, and it is the reference)."""
+    species = sorted((make_species(f"X{i}", rng.uniform(1, 300),
+                                   int(rng.integers(1, 4))) for i in range(n)),
+                     key=lambda ion: ion.mass)
+    kappa2 = 10 ** rng.uniform(5, 9)
+    length = n * characteristic_length(max(species, key=lambda ion: ion.charge),
+                                       kappa2)
+    pot = axial_from_lambdas(
+        kappa2, {3: rng.choice([-1.0, 1.0]) * length / rng.uniform(0.01, 0.1),
+                 4: length / np.sqrt(rng.uniform(1e-3, 2e-2))},
+        uniform_field=kappa2 * length * rng.uniform(-1, 1),
+        pseudo_gradient=kappa2 * length * rng.uniform(-1, 1),
+        pseudo_reference=species[0])
+    rng.shuffle(species)
+    return mode_spectrum(solve_equilibrium(species, pot))
+
+
+class TestModeOrder:
+    """The axial Hessian's off-diagonal entries are the Coulomb terms, all
+    negative, so by Perron-Frobenius the lowest mode has no sign change:
+    the library names the two-ion modes, and 'com', by frequency order."""
+
+    def test_sign_product_agrees_with_frequency_order(self):
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            spectrum = _random_chain(rng, 2)
+            for label, k in ionmodes.calibration._MODE.items():
+                assert _labelled_frequency_oracle(spectrum, label) \
+                    == spectrum.frequencies[k]
+
+    def test_lowest_mode_is_all_in_phase(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            spectrum = _random_chain(rng, int(rng.integers(2, 11)))
+            com = ionmodes.calibration._mode_pick(spectrum, "com")
+            lowest = spectrum.eigenvectors[:, com]
+            assert np.all(lowest * lowest[0] > 0)
 
 
 class TestFieldSensitivity:
@@ -498,8 +541,6 @@ class TestShiftDerivative:
     """The order shifts' exact derivatives along the family parameter p and
     the pseudo-gradient g, against central differences of solved shifts."""
 
-    LABELS = ("in_phase", "out_of_phase")
-
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("order", ["be_mg", "mg_be"])
     @pytest.mark.parametrize("kind", ["cubic", "quartic", "field"])
@@ -515,12 +556,11 @@ class TestShiftDerivative:
         def shifts(p, g):
             fam = dataclasses.replace(family, base=dataclasses.replace(
                 family.base, pseudo_gradient=g))
-            freqs = cal._labelled_frequencies(
-                cal._order_spectra(fam.at(p), *pair), self.LABELS)
-            return freqs[:, 0] - freqs[:, 1]
+            f = cal._order_frequencies(fam.at(p), *pair)[1]
+            return f[:, 0] - f[:, 1]
 
-        jac = cal._shift_jacobian(cal._order_spectra(family.at(p), *pair),
-                                  family, self.LABELS)
+        jac = cal._shift_jacobian(
+            cal._order_frequencies(family.at(p), *pair)[0], family)
         h = 1e-4
         central = np.column_stack([
             (shifts(p + h, g) - shifts(p - h, g)) / (2 * h),

@@ -368,6 +368,25 @@ class TestCommandLine:
                   if line and not line.startswith("#")]
         assert values == pytest.approx([1.0] * 11, abs=1e-9)
 
+    def test_cold_environment_gate_and_coherence(self, capsys):
+        """Modes frozen far below h f / k_B: no thermal infidelity and full
+        coherence, not an overflow of the Bose-Einstein exponential."""
+        cold = ("--param", "environment.temperature_mk=1e-4")
+        assert main(["gate", "--config", str(CONFIGS / "gate_two_ion.json"),
+                     *cold]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "0"
+        assert main(["coherence", "--config",
+                     str(CONFIGS / "coherence_single_ion.json"), *cold]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                if line and not line.startswith("#")]
+        assert rows and all(c == "1" for _, c in rows)
+
+    def test_overflow_is_a_numerical_failure(self, capsys):
+        rc = main(["gate", "--config", str(CONFIGS / "gate_two_ion.json"),
+                   "--param", "gate.detuning_khz=1e300"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
     def test_in_process_entry_point(self, tmp_path, capsys):
         # the console entry point mirrors the subprocess behaviour
         rc = main(["sensitivity", "--config",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ionmodes import FockSuperposition, ThermalEnvironment, fock_coherence, \
     sideband_flop, thermal_gate_infidelity, thermal_occupation
 from ionmodes.anharmonic import ChiMatrix
+from ionmodes.constants import BOLTZMANN, PLANCK
 from ionmodes.dynamics import _flop_populations
 
 from conftest import GateParams, dense_flop_populations, gate_fidelity, \
@@ -45,6 +46,15 @@ class TestThermalOccupation:
 
     def test_zero_temperature_limit(self):
         assert thermal_occupation(5e6, 1e-6) < 1e-100
+
+    def test_cold_mode_past_exp_overflow(self):
+        """h f / k_B T beyond about 709.78 overflows exp; nbar is then
+        exp(-h f / k_B T), which 1 / expm1 equals to the last bit there."""
+        assert thermal_occupation(1e6, 1e-9) == 0.0
+        f = 1e6
+        t = PLANCK * f / (BOLTZMANN * 710.0)
+        assert thermal_occupation(f, t) == pytest.approx(math.exp(-710.0),
+                                                         rel=1e-12)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -264,6 +264,27 @@ class TestSolveEquilibrium:
         step = statics._descent_step(g, np.diag([0.0, 1.0]))
         assert np.isfinite(step).all() and g @ step < 0
 
+    def test_no_descent_direction_raises(self):
+        """A zero gradient admits no descent, however far the curvature is
+        shifted: the step gives up after its 12 shifts."""
+        from ionmodes import ConvergenceError
+
+        with pytest.raises(ConvergenceError,
+                           match="^could not produce a descent direction$"):
+            statics._descent_step(np.zeros(2), np.eye(2))
+
+    def test_stationary_maximum_is_unconfined(self, be):
+        """Started on the cubic's maximum z* = -2 kappa2 / (3 kappa3), one
+        ion stops at once on a stationary point that is no minimum."""
+        from ionmodes import UnconfinedPotentialError
+
+        pot = axial_from_lambdas(1.3e7, {3: 300e-6})
+        z_max = -2 * pot.kappa[2] / (3 * pot.kappa[3])
+        with pytest.raises(UnconfinedPotentialError,
+                           match="^Hessian is not positive definite at the "
+                                 "solution$"):
+            solve_equilibrium([be], pot, initial_guess=[z_max])
+
     def test_zigzag_instability_names_radial_mode(self, be):
         from ionmodes import LinearChainInstabilityError, \
             UnconfinedPotentialError, axial_for_frequency, \
