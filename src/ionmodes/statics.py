@@ -367,18 +367,21 @@ def _instability(h: np.ndarray, is3d: bool) -> UnconfinedPotentialError:
 def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfiguration:
     """Find the equilibrium configuration of an ordered chain.
 
-    Newton iteration with analytic Hessian and a backtracking (Armijo) line
-    search, started from the equal-charge harmonic chain at the
-    characteristic length scale, moved by one harmonic-chain Newton step
-    against the field, pseudopotential and anharmonic on-site forces (or
+    Newton iteration with analytic Hessian, started from the equal-charge
+    harmonic chain at the characteristic length scale, moved by one
+    harmonic-chain Newton step against the non-harmonic on-site forces (or
     from ``initial_guess``: one finite position per ion, shape (N,) axial or
-    (N, 3) in 3D, in increasing axial order).  The Hessian at the solution
-    must admit a Cholesky factorisation (be positive definite).  Raises
-    ValueError for malformed inputs and UnconfinedPotentialError for a
-    negatively charged ion, before any energy evaluation; ConvergenceError
-    (also when MAX_NEWTON_ITER steps do not converge), IonCrossingError,
-    UnconfinedPotentialError, or its subclass LinearChainInstabilityError
-    when a radial mode is soft.
+    (N, 3) in 3D, in increasing axial order).  Steps are backtracked
+    (Armijo) on U while the largest gradient component is above
+    GRAD_TOL_FACTOR * 2 q kappa2 l; below it a full step must lower the
+    gradient, and the iteration ends on a zero gradient, a step within 4
+    ulps of the positions or a rejected step.  The solution's Hessian must
+    be positive definite.  Raises ValueError for malformed inputs and
+    UnconfinedPotentialError for a negatively charged ion, before any energy
+    evaluation; then ConvergenceError (also after MAX_NEWTON_ITER steps or
+    a step within 4 ulps above the tolerance), IonCrossingError,
+    UnconfinedPotentialError (also when U falls until it overflows), or its
+    subclass LinearChainInstabilityError when a radial mode is soft.
 
     The returned configuration carries this solve's ``_Energy`` and its last
     gradient and Hessian, all evaluated at the returned positions, for
@@ -425,60 +428,56 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
 
     u, g, h = energy(x.reshape(shape), 0, 1, 2)
     g_max = np.abs(g).max()  # of the current iterate
-    for it in range(MAX_NEWTON_ITER + 1):
-        if g_max < tol:
-            break
-        if it == MAX_NEWTON_ITER:
-            raise ConvergenceError(
-                f"no convergence in {MAX_NEWTON_ITER} Newton steps "
-                f"(max |grad| = {g_max:.3e} J/m)")
-        step = _descent_step(g, h)
-        t = 1.0
-        crossing_only = True
-        pred = g @ step
-        # near the floating-point floor of the energy the Armijo test is
-        # pure noise; fall back to requiring a gradient-norm decrease
-        grad_test = abs(pred) < 1e-12 * max(abs(u), 1e-300)
-        while t > 1e-14:
-            trial = x + t * step
-            if ordered(trial):
-                crossing_only = False
-                u_t, g_t, h_t = energy(trial.reshape(shape), 0, 1, 2)
-                g_t_max = np.abs(g_t).max()
-                if grad_test:
-                    ok = g_t_max < g_max
-                else:
-                    ok = u_t <= u + 1e-4 * t * pred
-                if ok:
-                    x, u, g, h, g_max = trial, u_t, g_t, h_t, g_t_max
+    # a trial far out in a potential that does not confine overflows: it is
+    # rejected like any other, and blamed on the potential if nothing passes
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_NEWTON_ITER):
+            if not g_max:
+                break
+            step = _descent_step(g, h)
+            # running on below the tolerance to the rounding floor makes the
+            # solution start-independent: a full step must lower the gradient,
+            # as it must where Armijo on U is noise, and U is not evaluated.
+            # There a step within a few ulps could move x only by rounding.
+            below = g_max < tol
+            pred = g @ step
+            grad_test = below or abs(pred) < 1e-12 * max(abs(u), 1e-300)
+            if grad_test and np.abs(step).max() \
+                    <= 4 * sys.float_info.epsilon * np.abs(x).max():
+                stop = "Newton steps fell below the rounding of the positions"
+                break
+            t, crossing_only, overflow = 1.0, True, False
+            while t >= (1.0 if below else 1e-14):
+                trial = x + t * step
+                if ordered(trial):
+                    crossing_only = False
+                    at = trial.reshape(shape)
+                    u_t, g_t, h_t = ((u, *energy(at, 1, 2)) if below
+                                     else energy(at, 0, 1, 2))
+                    g_t_max = np.abs(g_t).max()
+                    finite = math.isfinite(u_t + g_t_max)
+                    if finite and (g_t_max < g_max if grad_test
+                                   else u_t <= u + 1e-4 * t * pred):
+                        x, u, g, h, g_max = trial, u_t, g_t, h_t, g_t_max
+                        break
+                    overflow = overflow or not finite
+                t *= 0.5
+            else:
+                if below:
                     break
-            t *= 0.5
+                if crossing_only:
+                    raise IonCrossingError("ion ordering would be violated during iteration")
+                if overflow:
+                    raise UnconfinedPotentialError(
+                        f"the potential does not confine the chain: the energy "
+                        f"kept falling while an ion ran {np.abs(x).max():.3e} m "
+                        f"out, until it overflowed")
+                raise ConvergenceError("line search failed to reduce the energy")
         else:
-            if crossing_only:
-                raise IonCrossingError("ion ordering would be violated during iteration")
-            raise ConvergenceError("line search failed to reduce the energy")
-    # polish with full Newton steps: quadratic convergence drives the
-    # residual to the floating-point floor, making the solution
-    # guess-independent far below the convergence tolerance.  A step within
-    # a few ulps of the positions could move them only by rounding, so it
-    # ends the polish unevaluated.
-    for _ in range(3):
-        if not g_max:
-            break
-        try:
-            step = np.linalg.solve(h, -g)
-        except np.linalg.LinAlgError:
-            break
-        if np.abs(step).max() <= 4 * sys.float_info.epsilon * np.abs(x).max():
-            break
-        trial = x + step
-        if not ordered(trial):
-            break
-        g_t, h_t = energy(trial.reshape(shape), 1, 2)
-        g_t_max = np.abs(g_t).max()
-        if g_t_max >= g_max:
-            break
-        x, g, h, g_max = trial, g_t, h_t, g_t_max
+            stop = f"no convergence in {MAX_NEWTON_ITER} Newton steps"
+    if g_max >= tol:  # only the two exits that set ``stop`` end above it
+        raise ConvergenceError(f"{stop}: max |grad| = {g_max:.3e} J/m, above "
+                               f"the tolerance {tol:.3e} J/m")
     try:
         np.linalg.cholesky(h)
     except np.linalg.LinAlgError:

@@ -107,20 +107,34 @@ def pot_anharmonic():
     return axial_from_lambdas(KAPPA2, {3: LAMBDA3, 4: LAMBDA4})
 
 
+class EnergyCalls(Counter):
+    """Counter of ``statics._Energy`` builds ("build") and evaluations
+    ("evaluate": calls and quartic diagonals), with the derivative orders of
+    each call, in turn, in ``orders``."""
+
+    def __init__(self):
+        super().__init__()
+        self.orders = []
+
+    def clear(self):
+        super().clear()
+        self.orders.clear()
+
+
 @pytest.fixture
 def energy_calls(monkeypatch):
-    """Counter of ``statics._Energy`` builds ("build") and evaluations
-    ("evaluate": calls and quartic diagonals) made in the test."""
-    counts = Counter()
+    """The ``EnergyCalls`` made in the test."""
+    counts = EnergyCalls()
 
     class Recorder(statics._Energy):
         def __init__(self, *args):
             counts["build"] += 1
             super().__init__(*args)
 
-        def __call__(self, *args):
+        def __call__(self, positions, *orders):
             counts["evaluate"] += 1
-            return super().__call__(*args)
+            counts.orders.append(orders)
+            return super().__call__(positions, *orders)
 
         def quartic_diagonal(self, *args):
             counts["evaluate"] += 1

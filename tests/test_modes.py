@@ -106,6 +106,20 @@ class TestModeSpectrum:
         vecs[:, 9] = -1e-13  # no entry reaches the threshold
         assert np.array_equal(_fix_signs(vecs), fix_signs_loop(vecs))
 
+    def test_stationary_maximum_refused(self, be):
+        """One ion placed by hand on the cubic's maximum z* = -2 kappa2 /
+        (3 kappa3) passes the equilibrium check, and its one mode has a
+        negative eigenvalue."""
+        pot = axial_from_lambdas(1.3e7, {3: 300e-6})
+        z = np.array([-2 * pot.kappa[2] / (3 * pot.kappa[3])])
+        (g,) = pot.derivatives(z, (1,), be.charge_si)
+        cfg = ChainConfiguration(species=(be,), positions=z, potential=pot,
+                                 residual_gradient=float(abs(g[0])))
+        with pytest.raises(ValueError,
+                           match=r"^non-positive mode eigenvalue\(s\) at index "
+                                 r"\[0\]: potential does not confine$"):
+            mode_spectrum(cfg)
+
     def test_single_ion_frequency(self, be, pot_harmonic):
         cfg = solve_equilibrium([be], pot_harmonic)
         spec = mode_spectrum(cfg)

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -248,6 +249,25 @@ class TestSolveEquilibrium:
         with pytest.raises(ConvergenceError, match="no convergence in 1 "):
             solve_equilibrium([be, mg], pot_cubic, initial_guess=[-3e-6, 3e-6])
 
+    def test_tolerance_below_the_rounding_floor_stalls(self, energy_calls,
+                                                       monkeypatch):
+        """Below the rounding floor of the gradient no tolerance is met: the
+        iteration stops on a step within a few ulps of the positions and
+        names the residual and the tolerance it did not reach."""
+        from ionmodes import ConvergenceError
+
+        monkeypatch.setattr(statics, "GRAD_TOL_FACTOR", 1e-30)
+        # the default start's unit-chain solve, at this tolerance too
+        monkeypatch.setattr(statics, "_harmonic_chain_scaled", lru_cache(
+            statics._harmonic_chain_scaled.__wrapped__))
+        with pytest.raises(ConvergenceError,
+                           match=r"^Newton steps fell below the rounding of "
+                                 r"the positions: max \|grad\| = \S+ J/m, "
+                                 r"above the tolerance \S+ J/m$"):
+            solve_equilibrium([BE9, MG24], axial_from_lambdas(
+                KAPPA2, {3: -300e-6}))
+        assert energy_calls["evaluate"] <= 10
+
     def test_crossing_step_raises(self, be, mg, pot_cubic, monkeypatch):
         from ionmodes import IonCrossingError
 
@@ -300,11 +320,25 @@ class TestSolveEquilibrium:
 
     def test_unconfined_potential_detected(self, be):
         # strong negative quartic turns the pair's stationary point unstable
-        from ionmodes import AxialPotential, EquilibriumError
+        from ionmodes import AxialPotential, UnconfinedPotentialError
 
         pot = AxialPotential(kappa={2: KAPPA2, 4: -5e17})
-        with np.errstate(over="ignore"), pytest.raises(EquilibriumError):
+        with pytest.raises(UnconfinedPotentialError, match="does not confine"):
             solve_equilibrium([be, be], pot)
+
+    def test_field_past_the_cubic_barrier_is_unconfined(self, be):
+        """A field above the largest restoring field of the cubic well,
+        kappa2 |lambda3| / 3 = 1300 V/m, leaves one ion no equilibrium: it
+        runs out until its energy overflows, and the overflowing trials are
+        rejected without a warning."""
+        from ionmodes import UnconfinedPotentialError
+
+        pot = axial_from_lambdas(1.3e7, {3: -300e-6}, uniform_field=1e4)
+        with pytest.raises(UnconfinedPotentialError,
+                           match=r"^the potential does not confine the chain: "
+                                 r"the energy kept falling while an ion ran "
+                                 r"\S+e\+\d+ m out"):
+            solve_equilibrium([be], pot)
 
 
 def _chain40():
@@ -317,9 +351,23 @@ def _chain40():
         KAPPA2, {3: -6 * scale, 4: 4 * scale}, uniform_field=2.5)
 
 
+def _chain80():
+    """A bench-like draw of 80 Be+/Mg+ ions (70/30) in a cubic and quartic
+    well with a uniform field, whose last full Newton step, below the
+    tolerance, does not lower the gradient."""
+    rng = np.random.default_rng(103)
+    species = [BE9 if rng.random() < 0.7 else MG24 for _ in range(80)]
+    scale = 17.298567 * characteristic_length(BE9, KAPPA2)
+    return species, axial_from_lambdas(
+        KAPPA2, {3: rng.choice((-1.0, 1.0)) * rng.uniform(3, 10) * scale,
+                 4: rng.uniform(2, 6) * scale},
+        uniform_field=rng.uniform(-5.0, 5.0))
+
+
 START_CASES = {
     "pair_cubic": lambda: ([BE9, MG24], axial_from_lambdas(KAPPA2, {3: 250e-6})),
     "chain40": _chain40,
+    "chain80": _chain80,
     "single_ion_field": lambda: ([MG24], axial_from_lambdas(
         KAPPA2, {3: LAMBDA3}, uniform_field=40.0)),
     "mgh_3d": lambda: ([MGH25] * 4, trap3d_from_frequencies(
@@ -330,8 +378,11 @@ START_CASES = {
 
 class TestSolverStart:
     """The default start is the harmonic chain moved by one harmonic Newton
-    step against the non-harmonic on-site forces, and the polish stops at
-    a step within a few ulps of the positions."""
+    step against the non-harmonic on-site forces.  One Newton loop then
+    evaluates orders (0, 1, 2) while the gradient is above the tolerance and
+    (1, 2) below it, and ends on a zero gradient, on a step within a few
+    ulps of the positions, or on a full step below the tolerance that does
+    not lower the gradient."""
 
     @staticmethod
     def _harmonic(species, potential):
@@ -340,14 +391,34 @@ class TestSolverStart:
         return axial.expansion_origin \
             + characteristic_length(species[0], axial.kappa2) * xi
 
-    @pytest.mark.parametrize("case, most", [("pair_cubic", 3), ("chain40", 4)])
+    # per case, a solve's evaluations of orders (0, 1, 2) above the
+    # tolerance, then of (1, 2) below it
+    ORDERS = {"pair_cubic": (3, 0), "chain40": (4, 0), "chain80": (4, 1),
+              "single_ion_field": (3, 1), "mgh_3d": (3, 1)}
+
+    @pytest.mark.parametrize("case, most",
+                             [(c, sum(n)) for c, n in ORDERS.items()])
     def test_evaluations_per_solve(self, energy_calls, case, most):
+        assert self.ORDERS.keys() == START_CASES.keys()
         species, pot = START_CASES[case]()
         solve_equilibrium(species, pot)  # fills the per-size caches
         energy_calls.clear()
         solve_equilibrium(species, pot)
         assert energy_calls == {"build": 1, "evaluate": energy_calls["evaluate"]}
         assert energy_calls["evaluate"] <= most
+        above, below = self.ORDERS[case]
+        assert energy_calls.orders == [(0, 1, 2)] * above + [(1, 2)] * below
+
+    def test_rejected_full_step_ends_the_iteration(self):
+        """chain80's solve ends on its full Newton step below the tolerance:
+        the step is more than a few ulps of the positions, and the gradient
+        it leads to is no lower than the one returned."""
+        cfg = solve_equilibrium(*START_CASES["chain80"]())
+        step = np.linalg.solve(cfg._hessian, -cfg._gradient)
+        assert np.abs(step).max() \
+            > 4 * np.finfo(float).eps * np.abs(cfg.positions).max()
+        (g,) = cfg._energy(cfg.positions + step, 1)
+        assert 0 < cfg.residual_gradient <= np.abs(g).max()
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     def test_harmonic_equal_ions_start_on_the_chain(self, be, n):
