@@ -10,7 +10,7 @@ KAPPA2 = 1.3e7
 
 def main():
     be = im.BE9
-    pot = im.harmonic_axial(KAPPA2)
+    pot = im.AxialPotential(kappa={2: KAPPA2})
     l = im.characteristic_length(be, KAPPA2)
     counts = list(range(2, 11))
     lengths = []

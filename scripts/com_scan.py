@@ -16,7 +16,7 @@ def main():
 
     be = im.BE9
     counts = range(1, args.n_max + 1)
-    harm = im.com_frequency_scan(im.harmonic_axial(KAPPA2), be, counts)
+    harm = im.com_frequency_scan(im.AxialPotential(kappa={2: KAPPA2}), be, counts)
     anh = im.com_frequency_scan(
         im.axial_from_lambdas(KAPPA2, {3: -230e-6, 4: 250e-6}), be, counts)
     with open(args.out, "w") as fh:

@@ -15,7 +15,7 @@ BE, MG = im.BE9, im.MG24
 def main():
     l = im.characteristic_length(BE, KAPPA2)
     print(f"characteristic length l          : {l * 1e6:.3f} um")
-    cfg = im.solve_equilibrium([BE], im.harmonic_axial(KAPPA2))
+    cfg = im.solve_equilibrium([BE], im.AxialPotential(kappa={2: KAPPA2}))
     print(f"single-ion axial frequency       : "
           f"{im.mode_spectrum(cfg).frequencies[0] / 1e6:.4f} MHz")
     cfg = im.solve_equilibrium([BE], im.axial_for_frequency(BE, 1e6))
@@ -23,7 +23,7 @@ def main():
     print(f"1 MHz ground-state size          : {sigma * 1e9:.2f} nm")
     cfg = im.solve_equilibrium([BE, BE], im.axial_for_frequency(BE, 1e6))
     print(f"two-ion separation at 1 MHz      : {im.chain_length(cfg) * 1e6:.3f} um")
-    cfg = im.solve_equilibrium([BE, MG], im.harmonic_axial(KAPPA2))
+    cfg = im.solve_equilibrium([BE, MG], im.AxialPotential(kappa={2: KAPPA2}))
     print(f"Be/Mg pair length                : {im.chain_length(cfg) * 1e6:.3f} um")
 
     pot = im.axial_from_lambdas(KAPPA2, {3: LAMBDA3})
@@ -40,8 +40,8 @@ def main():
     print(f"amplitude ratio R4               : {im.amplitude_ratio(spec, 0, 3, 0):.3f}")
 
     delta_k = 2 * math.pi * math.sqrt(2) / 313e-9
-    pair = im.mode_spectrum(im.solve_equilibrium([BE, MG],
-                                                 im.harmonic_axial(KAPPA2)))
+    pair = im.mode_spectrum(im.solve_equilibrium(
+        [BE, MG], im.AxialPotential(kappa={2: KAPPA2})))
     print(f"Lamb-Dicke eta (Be, in-phase)    : {im.lamb_dicke(pair, delta_k, 0, 1):.3f}")
     print(f"carrier factor at n = 17         : "
           f"{im.carrier_matrix_element(0.18, 17):.3f}")

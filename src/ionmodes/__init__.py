@@ -20,7 +20,7 @@ from .modes import ModeSpectrum, NotAtEquilibriumError, amplitude_ratio, \
     carrier_matrix_element, ground_state_size, hessian, lamb_dicke, \
     mode_spectrum
 from .potentials import AxialPotential, TrapModel3D, axial_for_frequency, \
-    axial_from_lambdas, harmonic_axial, trap3d_from_frequencies
+    axial_from_lambdas, trap3d_from_frequencies
 from .species import BE9, MG24, MGH25, IonSpecies, make_species
 from .statics import ChainConfiguration, ConvergenceError, EquilibriumError, \
     IonCrossingError, LinearChainInstabilityError, UnconfinedPotentialError, \

@@ -68,7 +68,6 @@ class PotentialFamily:
 class OrderShiftReport:
     """Mode frequency for both orders of a two-species pair."""
 
-    mode_label: str
     f_ab: float   # Hz, speciesA at lower z
     f_ba: float   # Hz, order reversed
     delta: float  # Hz, f_ab - f_ba
@@ -111,7 +110,7 @@ def order_shift(pot: AxialPotential, species_a: IonSpecies,
     _check_label(mode_label)
     _, f = _order_frequencies(pot, species_a, species_b)
     f_ab, f_ba = f[_MODE[mode_label]].tolist()
-    return OrderShiftReport(mode_label, f_ab, f_ba, delta=f_ab - f_ba)
+    return OrderShiftReport(f_ab, f_ba, delta=f_ab - f_ba)
 
 
 def _frequency_derivatives(spectrum: ModeSpectrum, family: PotentialFamily,

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .constants import HBAR
-from .statics import ChainConfiguration, _Energy
+from .statics import ChainConfiguration, _Energy, _instability
 
 EQUILIBRIUM_SLACK = 1e3  # tolerated residual, in units of the solver residual
 
@@ -84,14 +84,13 @@ class ModeSpectrum:
     """Normal-mode frequencies, eigenvectors, and ground-state lengths.
 
     ``eigenvectors[:, k]`` is the mass-weighted eigenvector of mode ``k``;
-    frequencies are sorted descending.  ``sigma_prime[k]`` is
-    sqrt(hbar / 2 omega_k) and ``sigma_ion[i, k]`` the signed ground-state
-    extent e'_{ik} sigma'_k / sqrt(m_i) of coordinate ``i`` in mode ``k``.
+    frequencies are sorted descending.  ``sigma_ion[i, k]`` is the signed
+    ground-state extent e'_{ik} sigma'_k / sqrt(m_i) of coordinate ``i`` in
+    mode ``k``, with sigma'_k = sqrt(hbar / 2 omega_k).
     """
 
     frequencies: np.ndarray       # Hz, descending
     eigenvectors: np.ndarray      # (D, D), columns are modes
-    sigma_prime: np.ndarray       # kg^(1/2) m, per mode
     sigma_ion: np.ndarray         # m, (D, D)
     config: ChainConfiguration
 
@@ -105,13 +104,13 @@ class ModeSpectrum:
 
 
 def mode_spectrum(cfg: ChainConfiguration) -> ModeSpectrum:
-    """Diagonalize the mass-weighted Hessian into a ModeSpectrum."""
+    """Diagonalize the mass-weighted Hessian into a ModeSpectrum; one that
+    is not positive definite raises ``statics._instability``'s verdict."""
     hw = hessian(cfg)
     w2, vecs = eigh(hw)
     if w2[0] <= 0:
-        bad = [int(k) for k in np.flatnonzero(w2 <= 0)]
-        raise ValueError(f"non-positive mode eigenvalue(s) at index {bad}: "
-                         "potential does not confine")
+        _, (h,) = _at_equilibrium(cfg, 2)
+        raise _instability(h, cfg.is_3d)
     order = np.argsort(w2)[::-1]
     w2 = w2[order]
     vecs = _fix_signs(vecs[:, order])
@@ -120,7 +119,7 @@ def mode_spectrum(cfg: ChainConfiguration) -> ModeSpectrum:
     m = cfg.coordinate_masses
     sigma_ion = vecs * sigma_prime[None, :] / np.sqrt(m)[:, None]
     return ModeSpectrum(frequencies=omega / (2 * np.pi), eigenvectors=vecs,
-                        sigma_prime=sigma_prime, sigma_ion=sigma_ion, config=cfg)
+                        sigma_ion=sigma_ion, config=cfg)
 
 
 def ground_state_size(spectrum: ModeSpectrum, ion: int, mode: int) -> float:

@@ -67,17 +67,6 @@ class AxialPotential:
     def kappa2(self) -> float:
         return self.kappa[2]
 
-    def lambdas(self) -> dict[int, float]:
-        """Anharmonicity lengths lambda_n = (kappa_n/kappa_2)^(1/(2-n))."""
-        out = {}
-        for n, kn in self.kappa.items():
-            if n == 2 or kn == 0.0:
-                continue
-            ratio = kn / self.kappa2
-            # real length for odd orders; even orders require kappa_n > 0
-            out[n] = math.copysign(abs(ratio) ** (1.0 / (2 - n)), ratio)
-        return out
-
     def gradient_slope(self, species: IonSpecies) -> float:
         """Pseudopotential energy slope dU/dz in J/m for one ion."""
         if self.pseudo_gradient == 0.0:
@@ -128,8 +117,7 @@ def axial_from_lambdas(kappa2: float, lambdas: dict[int, float],
                        **kwargs) -> AxialPotential:
     """Build an axial potential from kappa_2 and anharmonicity lengths.
 
-    kappa_n = kappa_2 * lambda_n^(2-n); round-trips through
-    ``AxialPotential.lambdas`` to relative 1e-12.
+    kappa_n = kappa_2 |lambda_n|^(2-n), with the sign of lambda_n.
     """
     if not kappa2 > 0:
         raise ValueError("kappa2 must be positive")
@@ -226,14 +214,9 @@ def trap3d_from_frequencies(ref: IonSpecies, f_radial: tuple[float, float],
                        radial_mass_scaling=radial_mass_scaling)
 
 
-def harmonic_axial(kappa2: float, **kwargs) -> AxialPotential:
-    """Purely harmonic axial potential."""
-    return AxialPotential(kappa={2: kappa2}, **kwargs)
-
-
 def axial_for_frequency(species: IonSpecies, f_hz: float) -> AxialPotential:
     """Harmonic axial potential giving a single ion the frequency f_hz."""
     if not f_hz > 0:
         raise ValueError("frequency must be positive")
     k2 = species.mass * (2 * math.pi * f_hz) ** 2 / (2 * species.charge_si)
-    return harmonic_axial(k2)
+    return AxialPotential(kappa={2: k2})

@@ -70,16 +70,6 @@ def characteristic_length(species: IonSpecies, kappa2: float) -> float:
     return (species.charge_si / (8 * math.pi * EPSILON_0 * kappa2)) ** (1.0 / 3.0)
 
 
-def _as_positions(positions) -> np.ndarray:
-    """Positions as an (N, k) array: k = 1 on the axis, k = 3 in 3D."""
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim == 1:
-        return pos[:, None]
-    if pos.ndim == 2 and pos.shape[1] == 3:
-        return pos
-    raise ValueError("positions must have shape (N,) or (N, 3)")
-
-
 def _diagonal_contraction(blocks, w) -> np.ndarray:
     """sum over the leading axes of blocks[w^a, w^a, w^Z, w^Z] at (Z, a),
     for blocks (..., k, k, k, k) and displacement columns w (..., k, D): one
@@ -174,8 +164,10 @@ class _Energy:
         C_ij d^m(1/|r|)(r_i - r_j) of each order: of every (i, j), shape
         (N, N) + (k,) * m, or of the index arrays ``pairs`` = (i, j) only,
         shape (P,) + (k,) * m."""
-        pos = _as_positions(positions)
-        if pos.shape[1] != (1 if self.trap is None else 3):
+        pos = np.asarray(positions, dtype=float)
+        if self.trap is None and pos.ndim == 1:
+            pos = pos[:, None]  # (N, k) with k = 1 on the axis, 3 in 3D
+        elif self.trap is None or pos.shape[1:] != (3,):
             raise ValueError("positions must be (N,) for an AxialPotential "
                              "and (N, 3) for a TrapModel3D")
         if pairs is None:
@@ -330,38 +322,39 @@ def _initial_guess(species, energy: _Energy) -> np.ndarray:
 
 
 def _descent_step(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Newton step, shifted past negative curvature until it descends."""
-    reg = 0.0
-    for _ in range(12):
+    """The Newton step or, when it does not descend, the step with the
+    Hessian shifted past its most negative curvature (Levenberg style)."""
+    for shifted in (False, True):
+        if shifted:
+            reg = max(-1.1 * float(np.linalg.eigvalsh(h)[0]),
+                      1e-12 * np.abs(h).max(), 1e-300)
+            h = h + reg * np.eye(len(g))
         try:
-            step = np.linalg.solve(h + reg * np.eye(len(g)) if reg else h, -g)
+            step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
-            step = None
-        if step is not None and g @ step < 0:
+            continue
+        if g @ step < 0:
             return step
-        if reg == 0.0:
-            # shift past the most negative curvature (Levenberg style)
-            eig_min = float(np.linalg.eigvalsh(h)[0])
-            reg = max(-1.1 * eig_min, 1e-12 * np.abs(h).max(), 1e-300)
-        else:
-            reg *= 10
     raise ConvergenceError("could not produce a descent direction")
 
 
 def _instability(h: np.ndarray, is3d: bool) -> UnconfinedPotentialError:
-    """The error for a stationary point whose Hessian is not positive."""
+    """The verdict on a stationary point whose Hessian ``h`` (J/m^2) is not
+    positive definite: LinearChainInstabilityError when its softest mode is
+    mostly radial, else UnconfinedPotentialError; both name that mode."""
     w, v = np.linalg.eigh(h)
+    mode = f"softest Hessian mode (index 0 of {len(w)}, ascending)"
+    rest = (f"eigenvalue {w[0]:.3e} J/m^2; {int(np.sum(w <= 0))} "
+            f"non-positive mode(s)")
     if is3d:
         weight = (v[:, 0].reshape(-1, 3) ** 2).sum(axis=0)
         axis = int(np.argmax(weight))
         if axis < 2:
             return LinearChainInstabilityError(
-                f"linear chain is unstable (zigzag): softest Hessian mode "
-                f"(index 0 of {len(w)}, ascending) is {weight[axis]:.0%} "
-                f"{'xy'[axis]}, eigenvalue {w[0]:.3e} J/m^2; "
-                f"{int(np.sum(w <= 0))} non-positive mode(s)")
+                f"linear chain is unstable (zigzag): {mode} is "
+                f"{weight[axis]:.0%} {'xy'[axis]}, {rest}")
     return UnconfinedPotentialError(
-        "Hessian is not positive definite at the solution")
+        f"stationary point is not a minimum: {mode} has {rest}")
 
 
 def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfiguration:
@@ -373,15 +366,17 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
     from ``initial_guess``: one finite position per ion, shape (N,) axial or
     (N, 3) in 3D, in increasing axial order).  Steps are backtracked
     (Armijo) on U while the largest gradient component is above
-    GRAD_TOL_FACTOR * 2 q kappa2 l; below it a full step must lower the
-    gradient, and the iteration ends on a zero gradient, a step within 4
-    ulps of the positions or a rejected step.  The solution's Hessian must
-    be positive definite.  Raises ValueError for malformed inputs and
-    UnconfinedPotentialError for a negatively charged ion, before any energy
-    evaluation; then ConvergenceError (also after MAX_NEWTON_ITER steps or
-    a step within 4 ulps above the tolerance), IonCrossingError,
-    UnconfinedPotentialError (also when U falls until it overflows), or its
-    subclass LinearChainInstabilityError when a radial mode is soft.
+    GRAD_TOL_FACTOR * 2 q kappa2 l, and at U's rounding floor must lower the
+    gradient or pass Armijo on U's change read from the end slopes; below
+    it a full step must lower the gradient, and the iteration ends on a
+    zero gradient, a step within 4 ulps of the positions or a rejected step.
+    Raises ValueError for malformed inputs and UnconfinedPotentialError for
+    a negatively charged ion, before any energy evaluation; then
+    ConvergenceError (also after MAX_NEWTON_ITER steps or a step within 4
+    ulps above the tolerance), IonCrossingError, UnconfinedPotentialError
+    when two line searches in a row meet an overflowing trial, or, when the
+    solution is not a minimum, ``_instability``'s verdict naming its
+    softest Hessian mode.
 
     The returned configuration carries this solve's ``_Energy`` and its last
     gradient and Hessian, all evaluated at the returned positions, for
@@ -429,7 +424,9 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
     u, g, h = energy(x.reshape(shape), 0, 1, 2)
     g_max = np.abs(g).max()  # of the current iterate
     # a trial far out in a potential that does not confine overflows: it is
-    # rejected like any other, and blamed on the potential if nothing passes
+    # rejected like any other, and two line searches in a row that meet one
+    # (or one that finds no step) blame the potential
+    overflowed = False
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(MAX_NEWTON_ITER):
             if not g_max:
@@ -456,8 +453,14 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
                                      else energy(at, 0, 1, 2))
                     g_t_max = np.abs(g_t).max()
                     finite = math.isfinite(u_t + g_t_max)
-                    if finite and (g_t_max < g_max if grad_test
-                                   else u_t <= u + 1e-4 * t * pred):
+                    if not grad_test:
+                        lower = u_t <= u + 1e-4 * t * pred
+                    else:
+                        # past a fold, above the tolerance, no step may lower
+                        # the gradient: read U's change from the end slopes
+                        lower = g_t_max < g_max or not below and \
+                            t * (pred + g_t @ step) / 2 <= 1e-4 * t * pred
+                    if finite and lower:
                         x, u, g, h, g_max = trial, u_t, g_t, h_t, g_t_max
                         break
                     overflow = overflow or not finite
@@ -467,12 +470,15 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
                     break
                 if crossing_only:
                     raise IonCrossingError("ion ordering would be violated during iteration")
-                if overflow:
-                    raise UnconfinedPotentialError(
-                        f"the potential does not confine the chain: the energy "
-                        f"kept falling while an ion ran {np.abs(x).max():.3e} m "
-                        f"out, until it overflowed")
-                raise ConvergenceError("line search failed to reduce the energy")
+                if not overflow:
+                    raise ConvergenceError("line search failed to reduce the energy")
+                overflowed = True
+            if overflow and overflowed:
+                raise UnconfinedPotentialError(
+                    f"the potential does not confine the chain: the energy "
+                    f"kept falling while an ion ran {np.abs(x).max():.3e} m "
+                    f"out, until it overflowed")
+            overflowed = overflow
         else:
             stop = f"no convergence in {MAX_NEWTON_ITER} Newton steps"
     if g_max >= tol:  # only the two exits that set ``stop`` end above it

@@ -28,9 +28,7 @@ def fake_spectrum(freqs_hz):
     """Spectrum stub for formula-level tests (synthetic G tensors)."""
     freqs = np.asarray(freqs_hz, dtype=float)
     d = len(freqs)
-    omega = 2 * np.pi * freqs
     return ModeSpectrum(frequencies=freqs, eigenvectors=np.eye(d),
-                        sigma_prime=np.sqrt(HBAR / (2 * omega)),
                         sigma_ion=np.zeros((d, d)), config=None)
 
 
@@ -44,7 +42,7 @@ def calibrated_single_ion_trap(mgh):
     axial = axial_for_frequency(mgh, 1.8e6)
     base = trap3d_from_frequencies(mgh, (7e6, 5e6), axial)
     spec = mode_spectrum(solve_equilibrium([mgh], base))
-    sig = spec.sigma_prime  # descending: x, y, z
+    sig = np.sqrt(HBAR / (2 * spec.angular))  # descending: x, y, z
     quartic = np.zeros((3, 3, 3, 3))
     for z in range(3):
         for a in range(3):
@@ -835,6 +833,24 @@ class TestContractedChi:
         assert g3.shape == (90,) * 3 and q.shape == (90, 90)
         assert peak < 100e6
         assert np.allclose(q, q.T, rtol=0, atol=1e-12 * np.max(np.abs(q)))
+
+    def test_d90_chi_memory(self):
+        """All of chi on the 30-ion MgH+ probe chain (D = 90), spectrum
+        included, peaks at 5.17 D^3 doubles (30.2 MB): within 6 D^3, a 16 %
+        margin, where one rank-4 array over the modes would add 90 D^3."""
+        kappa2 = axial_for_frequency(MGH25, 0.3e6).kappa2
+        trap = trap3d_from_frequencies(
+            MGH25, (9.3e6, 6.1e6),
+            axial_from_lambdas(kappa2, {3: 400e-6, 4: 500e-6}))
+        cfg = solve_equilibrium([MGH25] * 30, trap)
+        tracemalloc.start()
+        try:
+            chi = chi_from_configuration(cfg).chi
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chi.shape == (90, 90)
+        assert peak <= 6 * 90**3 * np.dtype(float).itemsize
 
 
 CARRIED_CASES = {

@@ -102,6 +102,60 @@ class TestNullParameter:
                                                r"stopped at p = 434\.919$"):
             null_parameter(family, be, mg, "in_phase", (0.0, 4000.0))
 
+    def test_no_sign_change_named(self, be, mg, pot_cubic):
+        # the family's null is at p = 1, outside the bracket
+        family = PotentialFamily(base=pot_cubic,
+                                 kappa_actions={3: -pot_cubic.kappa[3]})
+        with pytest.raises(BracketError,
+                           match=r"^order shift does not change sign over the "
+                                 r"bracket: delta\(0\.0\) = \S+ Hz, "
+                                 r"delta\(0\.5\) = \S+ Hz$"):
+            null_parameter(family, be, mg, "in_phase", (0.0, 0.5))
+
+    def test_step_size_exit(self, monkeypatch, be, mg, pot_anharmonic):
+        """With p in units of 1e6 V/m the field null ends on a Newton step
+        within 1e-14 of the bracket's scale, so the shift's derivative is
+        taken at the returned p; in V/m the same null ends on the rounding
+        exit, which returns before any derivative at that p."""
+        fields = []  # the field of each shift derivative taken
+        jacobian = ionmodes.calibration._shift_jacobian
+
+        def recorded(spectra, family):
+            fields.append(spectra[0].config.potential.uniform_field)
+            return jacobian(spectra, family)
+
+        monkeypatch.setattr(ionmodes.calibration, "_shift_jacobian", recorded)
+        mega = PotentialFamily(base=pot_anharmonic, field_action=1e6)
+        p_star = null_parameter(mega, be, mg, "in_phase", (0.0, 4e-3))
+        assert p_star == pytest.approx(1.244593470036569e-3, rel=1e-13)
+        assert fields[-1] == mega.at(p_star).uniform_field
+        fields.clear()
+        volts = PotentialFamily(base=pot_anharmonic, field_action=1.0)
+        p_volts = null_parameter(volts, be, mg, "in_phase", (0.0, 4000.0))
+        assert p_volts == pytest.approx(1e6 * p_star, rel=1e-11)
+        assert volts.at(p_volts).uniform_field not in fields
+
+    @pytest.mark.parametrize("label", ["in_phase", "out_of_phase"])
+    def test_null_across_a_fold_names_its_soft_mode(self, be, mg, label):
+        """This pair's order shift changes sign by a jump of the
+        equilibrium: as the field grows, the near well of the second ion
+        (about 118 um) merges with a saddle and vanishes, and the ion moves
+        out to about 293 um.  The root find closes on that fold, where the
+        solve ends on a stationary point that is not a minimum, and the
+        error names its one soft mode, whose curvature is nearly zero."""
+        from ionmodes import UnconfinedPotentialError
+
+        family = PotentialFamily(base=axial_from_lambdas(
+            KAPPA2, {3: -230e-6, 4: 400e-6}), field_action=1.0)
+        with pytest.raises(UnconfinedPotentialError,
+                           match=r"^stationary point is not a minimum: "
+                                 r"softest Hessian mode \(index 0 of 2, "
+                                 r"ascending\) has eigenvalue \S+ J/m\^2; "
+                                 r"1 non-positive mode\(s\)$") as exc:
+            null_parameter(family, be, mg, label, (0.0, 4000.0))
+        eigenvalue = float(re.search(r"eigenvalue (\S+) J", str(exc.value))[1])
+        assert -1e-6 * 2 * be.charge_si * KAPPA2 < eigenvalue < 0
+
     @pytest.mark.parametrize("bracket", [(np.nan, 2.0), (0.0, np.inf),
                                          (-np.inf, 2.0)])
     def test_non_finite_bracket_rejected(self, monkeypatch, be, mg, pot_cubic,

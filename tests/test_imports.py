@@ -6,7 +6,9 @@ are the package's re-exports, and ``from __future__`` imports are
 directives, so both are exempt.
 
 A name the package exports must be reached by the library, a benchmark
-workload or a script; a name only tests reach belongs in ``tests/``.  A
+workload or a script; a name only tests reach belongs in ``tests/``.  So
+must each public method and property of a class the package exports, read
+there as an attribute; dataclass fields are exempt.  A
 module-level private name of the library must be read by the library
 outside its own definition; a helper that only tests read belongs in
 ``tests/`` too.
@@ -84,12 +86,44 @@ def names_without_caller(names, sources) -> list[str]:
     return missing
 
 
+def members_without_reader(classes, sources) -> list[str]:
+    """``Class.member`` for each public method and property defined in the
+    body of a class named in ``classes`` that no source reads as an
+    attribute ``.member``."""
+    trees = [ast.parse(src) for src in sources]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    return [f"{node.name}.{item.name}" for tree in trees for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name in classes
+            for item in node.body if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("_") and item.name not in read]
+
+
+def _callers() -> list[str]:
+    return [p.read_text() for pattern in ("src/ionmodes/*.py", "bench/*.py",
+                                          "scripts/*.py")
+            for p in ROOT.glob(pattern) if p.name != "__init__.py"]
+
+
 def test_every_export_has_a_caller():
-    callers = [p.read_text() for pattern in ("src/ionmodes/*.py", "bench/*.py",
-                                              "scripts/*.py")
-               for p in ROOT.glob(pattern) if p.name != "__init__.py"]
     names = exported_names((ROOT / "src/ionmodes/__init__.py").read_text())
-    assert names_without_caller(names, callers) == []
+    assert names_without_caller(names, _callers()) == []
+
+
+def test_every_exported_member_has_a_reader():
+    names = exported_names((ROOT / "src/ionmodes/__init__.py").read_text())
+    assert members_without_reader(set(names), _callers()) == []
+
+
+def test_member_checker_reads_attributes_only():
+    sources = ["class C:\n    n: int = 0\n"
+               "    def f(self):\n        return self.g()\n"
+               "    def g(self):\n        return 1\n"
+               "    @property\n    def p(self):\n        return 2\n"
+               "    def _h(self):\n        return 3\n",
+               "class D:\n    def f(self):\n        pass\n",
+               "# C.p is documented here, and f called as f()\nf()\n"]
+    assert members_without_reader({"C"}, sources) == ["C.f", "C.p"]
 
 
 def test_caller_checker_ignores_definitions_and_substrings():

@@ -13,7 +13,7 @@ from ionmodes import ChainConfiguration, ChiMatrix, NotAtEquilibriumError, \
     ThermalEnvironment, amplitude_ratio, axial_from_lambdas, \
     carrier_matrix_element, characteristic_length, field_sensitivity, \
     frequency_shift, ground_state_size, hessian, lamb_dicke, mode_spectrum, \
-    solve_equilibrium, thermal_gate_infidelity
+    UnconfinedPotentialError, solve_equilibrium, thermal_gate_infidelity
 from ionmodes.anharmonic import ModeTensors
 from ionmodes.constants import EPSILON_0, HBAR
 
@@ -109,15 +109,17 @@ class TestModeSpectrum:
     def test_stationary_maximum_refused(self, be):
         """One ion placed by hand on the cubic's maximum z* = -2 kappa2 /
         (3 kappa3) passes the equilibrium check, and its one mode has a
-        negative eigenvalue."""
+        negative eigenvalue: the verdict the solver gives the same point."""
         pot = axial_from_lambdas(1.3e7, {3: 300e-6})
         z = np.array([-2 * pot.kappa[2] / (3 * pot.kappa[3])])
         (g,) = pot.derivatives(z, (1,), be.charge_si)
         cfg = ChainConfiguration(species=(be,), positions=z, potential=pot,
                                  residual_gradient=float(abs(g[0])))
-        with pytest.raises(ValueError,
-                           match=r"^non-positive mode eigenvalue\(s\) at index "
-                                 r"\[0\]: potential does not confine$"):
+        with pytest.raises(UnconfinedPotentialError,
+                           match=r"^stationary point is not a minimum: "
+                                 r"softest Hessian mode \(index 0 of 1, "
+                                 r"ascending\) has eigenvalue -\S+ J/m\^2; "
+                                 r"1 non-positive mode\(s\)$"):
             mode_spectrum(cfg)
 
     def test_single_ion_frequency(self, be, pot_harmonic):

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionmodes import BE9, AxialPotential, IonSpecies, TrapModel3D, \
-    axial_from_lambdas, harmonic_axial, make_species, mode_spectrum, \
+    axial_from_lambdas, make_species, mode_spectrum, \
     solve_equilibrium, trap3d_from_frequencies
 from ionmodes.constants import ATOMIC_MASS, ELEMENTARY_CHARGE
 
 from conftest import KAPPA2
+
+HARMONIC = AxialPotential(kappa={2: KAPPA2})
 
 
 class TestMakeSpecies:
@@ -72,7 +74,6 @@ class TestAxialFromLambdas:
     def test_empty_map_is_harmonic(self):
         pot = axial_from_lambdas(KAPPA2, {})
         assert pot.kappa == {2: KAPPA2}
-        assert pot.lambdas() == {}
 
     def test_zero_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -88,14 +89,14 @@ class TestAxialFromLambdas:
            lam4=st.floats(1e-5, 1e-1))
     def test_lambda_round_trip(self, kappa2, lam3, sign3, lam4):
         pot = axial_from_lambdas(kappa2, {3: sign3 * lam3, 4: lam4})
-        lams = pot.lambdas()
-        assert lams[3] == pytest.approx(sign3 * lam3, rel=1e-12)
-        assert lams[4] == pytest.approx(lam4, rel=1e-12)
+        # lambda_n = (kappa_n / kappa_2)^(1/(2-n)), real for these signs
+        assert kappa2 / pot.kappa[3] == pytest.approx(sign3 * lam3, rel=1e-12)
+        assert (kappa2 / pot.kappa[4]) ** 0.5 == pytest.approx(lam4, rel=1e-12)
 
 
 class TestEvaluateAxial:
     def test_harmonic_value(self, be):
-        pot = harmonic_axial(KAPPA2)
+        pot = HARMONIC
         assert pot.energy_derivative(be, 1e-6, 0) == pytest.approx(2.083e-24,
                                                            rel=1e-3)
 
@@ -107,8 +108,8 @@ class TestEvaluateAxial:
         assert pot.energy_derivative(be, 5e-6, 0) == 0.0
 
     def test_uniform_field_term(self, be):
-        pot = harmonic_axial(KAPPA2, uniform_field=2.0)
-        pure = harmonic_axial(KAPPA2)
+        pot = AxialPotential(kappa={2: KAPPA2}, uniform_field=2.0)
+        pure = HARMONIC
         field_part = (pot.energy_derivative(be, 1e-6, 0)
                       - pure.energy_derivative(be, 1e-6, 0))
         assert field_part == pytest.approx(-3.204e-25, rel=1e-3)
@@ -142,18 +143,20 @@ class TestPseudoGradient:
     # sum, at most half an ulp of the harmonic term: 1.5e-14 of the
     # reference slope term and 3.1e-14 of the heavy one.
     def test_reference_species_slope(self, be):
-        pot = harmonic_axial(KAPPA2, pseudo_gradient=0.2, pseudo_reference=be)
+        pot = AxialPotential(kappa={2: KAPPA2}, pseudo_gradient=0.2,
+                             pseudo_reference=be)
         z = 3e-6
         grad_part = (pot.energy_derivative(be, z, 0)
-                     - harmonic_axial(KAPPA2).energy_derivative(be, z, 0))
+                     - HARMONIC.energy_derivative(be, z, 0))
         assert grad_part == pytest.approx(0.2 * be.charge_si * z, rel=1e-13,
                                           abs=0)
 
     def test_inverse_mass_scaling(self, be):
         heavy = IonSpecies("heavy", 2 * be.mass, be.charge)
-        pot = harmonic_axial(KAPPA2, pseudo_gradient=0.2, pseudo_reference=be)
+        pot = AxialPotential(kappa={2: KAPPA2}, pseudo_gradient=0.2,
+                             pseudo_reference=be)
         z = 3e-6
-        base = harmonic_axial(KAPPA2)
+        base = HARMONIC
         ref_part = (pot.energy_derivative(be, z, 0)
                     - base.energy_derivative(be, z, 0))
         heavy_part = (pot.energy_derivative(heavy, z, 0)
@@ -162,7 +165,7 @@ class TestPseudoGradient:
 
     def test_gradient_requires_reference(self):
         with pytest.raises(ValueError):
-            harmonic_axial(KAPPA2, pseudo_gradient=0.1)
+            AxialPotential(kappa={2: KAPPA2}, pseudo_gradient=0.1)
 
 
 class TestAxialPotentialRanges:
@@ -196,14 +199,14 @@ class TestTrap3D:
         assert freqs == pytest.approx([7e6, 5e6, 1.8e6], rel=1e-10)
 
     def test_axial_frequency_for_beryllium(self, be):
-        trap = trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2))
+        trap = trap3d_from_frequencies(be, (12e6, 12e6), HARMONIC)
         cfg = solve_equilibrium([be], trap)
         freqs = mode_spectrum(cfg).frequencies
         assert freqs[-1] == pytest.approx(2.655e6, rel=1e-3)
         assert freqs[0] == pytest.approx(12e6, rel=1e-10)
 
     def test_default_tensors_zero(self, be):
-        trap = trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2))
+        trap = trap3d_from_frequencies(be, (12e6, 12e6), HARMONIC)
         assert not trap.trap_cubic.any()
         assert not trap.trap_quartic.any()
 
@@ -211,24 +214,24 @@ class TestTrap3D:
                              ids=["nan", "inf"])
     def test_non_finite_frequency_rejected(self, be, f_radial):
         with pytest.raises(ValueError):
-            trap3d_from_frequencies(be, f_radial, harmonic_axial(KAPPA2))
+            trap3d_from_frequencies(be, f_radial, HARMONIC)
 
     @pytest.mark.parametrize("curvatures", [(math.nan, 1e8), (1e8, math.inf)],
                              ids=["nan", "inf"])
     def test_non_finite_curvature_rejected(self, be, curvatures):
         with pytest.raises(ValueError):
-            TrapModel3D(axial=harmonic_axial(KAPPA2),
+            TrapModel3D(axial=HARMONIC,
                         radial_curvatures=curvatures, reference=be)
 
     def test_nonpositive_frequency_rejected(self, be):
         with pytest.raises(ValueError):
-            trap3d_from_frequencies(be, (0.0, 5e6), harmonic_axial(KAPPA2))
+            trap3d_from_frequencies(be, (0.0, 5e6), HARMONIC)
 
     def test_asymmetric_tensor_rejected(self, be):
         bad = np.zeros((3, 3, 3))
         bad[0, 1, 2] = 1.0
         with pytest.raises(ValueError):
-            trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2),
+            trap3d_from_frequencies(be, (12e6, 12e6), HARMONIC,
                                     trap_cubic=bad)
 
     @staticmethod
@@ -245,7 +248,7 @@ class TestTrap3D:
         quartic = self._near_cancelling_quartic()
         small = abs(quartic[2, 1, 1, 1]) / np.abs(quartic).max()
         assert 1e-6 < small < 1e-5
-        trap = trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2),
+        trap = trap3d_from_frequencies(be, (12e6, 12e6), HARMONIC,
                                        trap_quartic=quartic)
         assert np.array_equal(trap.trap_quartic, quartic)
 
@@ -253,7 +256,7 @@ class TestTrap3D:
         quartic = self._near_cancelling_quartic()
         quartic[0, 1, 2, 2] += 1e-6 * np.abs(quartic).max()
         with pytest.raises(ValueError, match="symmetric"):
-            trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2),
+            trap3d_from_frequencies(be, (12e6, 12e6), HARMONIC,
                                     trap_quartic=quartic)
 
     def test_has_order(self, be):
@@ -265,7 +268,7 @@ class TestTrap3D:
         trap = trap3d_from_frequencies(be, (12e6, 12e6), axial,
                                        trap_quartic=quartic)
         assert trap.has_order(3) and trap.has_order(4)
-        plain = trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2))
+        plain = trap3d_from_frequencies(be, (12e6, 12e6), HARMONIC)
         assert not plain.has_order(3) and not plain.has_order(4)
 
     @pytest.mark.parametrize("which,value", [("trap_cubic", np.inf),
@@ -274,11 +277,11 @@ class TestTrap3D:
     def test_nonfinite_tensor_rejected(self, be, which, value):
         shape = (3,) * (3 if which == "trap_cubic" else 4)
         with pytest.raises(ValueError, match="trap tensors must be finite"):
-            trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2),
+            trap3d_from_frequencies(be, (12e6, 12e6), HARMONIC,
                                     **{which: np.full(shape, value)})
 
     def test_radial_mass_scaling(self, be, mg):
-        trap = trap3d_from_frequencies(be, (12e6, 12e6), harmonic_axial(KAPPA2))
+        trap = trap3d_from_frequencies(be, (12e6, 12e6), HARMONIC)
         kx_be, _ = trap.radial_for(be)
         kx_mg, _ = trap.radial_for(mg)
         assert kx_mg == pytest.approx(kx_be * be.mass / mg.mass, rel=1e-14)

@@ -286,7 +286,7 @@ class TestSolveEquilibrium:
 
     def test_no_descent_direction_raises(self):
         """A zero gradient admits no descent, however far the curvature is
-        shifted: the step gives up after its 12 shifts."""
+        shifted: the step gives up after its one shifted solve."""
         from ionmodes import ConvergenceError
 
         with pytest.raises(ConvergenceError,
@@ -301,8 +301,10 @@ class TestSolveEquilibrium:
         pot = axial_from_lambdas(1.3e7, {3: 300e-6})
         z_max = -2 * pot.kappa[2] / (3 * pot.kappa[3])
         with pytest.raises(UnconfinedPotentialError,
-                           match="^Hessian is not positive definite at the "
-                                 "solution$"):
+                           match=r"^stationary point is not a minimum: "
+                                 r"softest Hessian mode \(index 0 of 1, "
+                                 r"ascending\) has eigenvalue -\S+ J/m\^2; "
+                                 r"1 non-positive mode\(s\)$"):
             solve_equilibrium([be], pot, initial_guess=[z_max])
 
     def test_zigzag_instability_names_radial_mode(self, be):
@@ -318,19 +320,23 @@ class TestSolveEquilibrium:
         assert isinstance(exc.value, UnconfinedPotentialError)
         assert "5 non-positive mode(s)" in str(exc.value)
 
-    def test_unconfined_potential_detected(self, be):
-        # strong negative quartic turns the pair's stationary point unstable
+    def test_unconfined_potential_detected(self, be, energy_calls):
+        # strong negative quartic turns the pair's stationary point unstable;
+        # two line searches in a row that overflow end the solve
         from ionmodes import AxialPotential, UnconfinedPotentialError
 
         pot = AxialPotential(kappa={2: KAPPA2, 4: -5e17})
         with pytest.raises(UnconfinedPotentialError, match="does not confine"):
             solve_equilibrium([be, be], pot)
+        assert energy_calls["evaluate"] <= 160
 
-    def test_field_past_the_cubic_barrier_is_unconfined(self, be):
+    def test_field_past_the_cubic_barrier_is_unconfined(self, be,
+                                                        energy_calls):
         """A field above the largest restoring field of the cubic well,
         kappa2 |lambda3| / 3 = 1300 V/m, leaves one ion no equilibrium: it
-        runs out until its energy overflows, and the overflowing trials are
-        rejected without a warning."""
+        runs out until its energy overflows, the overflowing trials are
+        rejected without a warning, and two line searches in a row that meet
+        one end the solve."""
         from ionmodes import UnconfinedPotentialError
 
         pot = axial_from_lambdas(1.3e7, {3: -300e-6}, uniform_field=1e4)
@@ -339,6 +345,24 @@ class TestSolveEquilibrium:
                                  r"the energy kept falling while an ion ran "
                                  r"\S+e\+\d+ m out"):
             solve_equilibrium([be], pot)
+        assert energy_calls["evaluate"] <= 160
+
+    def test_step_past_a_fold_solves(self):
+        """Just past the field where the near minimum of this pair merges
+        with a saddle, the iterate is above the tolerance but at U's
+        rounding floor, and the shifted step at the indefinite Hessian
+        lowers no gradient: the slope-measured Armijo test takes it, and the
+        solve ends in the far well that a slightly larger field reaches."""
+        def pair(field):
+            return solve_equilibrium((BE9, MG24), axial_from_lambdas(
+                1.3e7, {3: -230e-6, 4: 400e-6}, uniform_field=field))
+
+        cfg, far = pair(1236.0011382477742), pair(1236.0012)
+        assert cfg.positions == pytest.approx([104.3167e-6, 293.0072e-6],
+                                              abs=1e-10)
+        assert cfg.positions == pytest.approx(far.positions, abs=1e-10)
+        l = characteristic_length(BE9, 1.3e7)
+        assert cfg.residual_gradient < 1e-10 * 2 * BE9.charge_si * 1.3e7 * l
 
 
 def _chain40():
