@@ -26,7 +26,7 @@ import numpy as np
 from .modes import ModeSpectrum, _index, _is_integer, mode_spectrum
 from .potentials import AxialPotential
 from .species import IonSpecies
-from .statics import _reordered, solve_equilibrium
+from .statics import UnconfinedPotentialError, _reordered, solve_equilibrium
 
 IN_PHASE = "in_phase"
 OUT_OF_PHASE = "out_of_phase"
@@ -35,8 +35,6 @@ MAX_ROOT_ITER = 60
 # an order shift's rounding, per unit of the larger frequency: a Newton
 # step no larger than it could cause carries no information
 _ROUNDING = 4 * sys.float_info.epsilon
-# index of each two-ion mode in the descending spectrum (see order_shift)
-_MODE = {OUT_OF_PHASE: 0, IN_PHASE: 1}
 
 
 class BracketError(RuntimeError):
@@ -93,23 +91,32 @@ def _check_axial(pot, name: str):
                          f"got {type(pot).__name__}")
 
 
-def _check_label(mode_label: str):
-    if mode_label not in (IN_PHASE, OUT_OF_PHASE):
-        raise ValueError(f"unknown mode label {mode_label!r}")
+def _mode(mode, n_modes: int) -> int:
+    """Descending index among ``n_modes`` of the mode named by a non-bool
+    index, 'com' (the lowest) or, of two modes, a label: the axial Hessian's
+    off-diagonal Coulomb terms are negative for any masses, so by
+    Perron-Frobenius the lower mode is in phase (OUT_OF_PHASE 0, IN_PHASE 1).
+    """
+    if mode == "com":
+        return n_modes - 1
+    if mode in (OUT_OF_PHASE, IN_PHASE):
+        if n_modes != 2:
+            raise ValueError(f"mode label {mode!r} names one of two modes, "
+                             f"not of {n_modes}")
+        return (OUT_OF_PHASE, IN_PHASE).index(mode)
+    if isinstance(mode, str):
+        raise ValueError(f"unknown mode label {mode!r}")
+    return _index(mode, n_modes, "mode")
 
 
 def order_shift(pot: AxialPotential, species_a: IonSpecies,
-                species_b: IonSpecies, mode_label: str = IN_PHASE) -> OrderShiftReport:
-    """Frequency difference of one mode between the AB and BA ion orders.
-
-    The label names a place in the descending spectrum: for any masses the
-    Hessian's only off-diagonal entry, the Coulomb term, is negative, so by
-    Perron-Frobenius the lower mode is the in-phase one.
-    """
+                species_b: IonSpecies, mode_label=IN_PHASE) -> OrderShiftReport:
+    """Frequency difference of one mode (``_mode``) between the AB and BA
+    ion orders."""
     _check_axial(pot, "pot")
-    _check_label(mode_label)
+    k = _mode(mode_label, 2)
     _, f = _order_frequencies(pot, species_a, species_b)
-    f_ab, f_ba = f[_MODE[mode_label]].tolist()
+    f_ab, f_ba = f[k].tolist()
     return OrderShiftReport(f_ab, f_ba, delta=f_ab - f_ba)
 
 
@@ -164,9 +171,9 @@ def _check_bracket(bracket, name: str):
 
 
 def null_parameter(family: PotentialFamily, species_a: IonSpecies,
-                   species_b: IonSpecies, mode_label: str,
+                   species_b: IonSpecies, mode_label,
                    bracket: tuple[float, float]) -> float:
-    """Parameter value nulling the order shift of the labelled mode.
+    """Parameter value nulling the order shift of one mode (``_mode``).
 
     Requires a sign change over the bracket.  The first iterate is the
     secant point of the bracket ends; from there Newton steps on the exact
@@ -177,12 +184,13 @@ def null_parameter(family: PotentialFamily, species_a: IonSpecies,
     max(1e-14 max(|p_lo|, |p_hi|, 1), the step 4 ulps of the frequencies
     could cause); a shift within those ulps needs no derivative.  Each
     parameter value solves each ion order once, or once for both orders
-    when their statics agree.
+    when their statics agree.  An iterate with no stable chain, as at a fold
+    of the equilibrium across which the shift jumps, raises BracketError
+    naming its p, chained to the solver's verdict.
     """
     _check_axial(family.base, "family.base")
     _check_bracket(bracket, "bracket")
-    _check_label(mode_label)
-    k = _MODE[mode_label]
+    k = _mode(mode_label, 2)
 
     def shift(p):
         spectra, f = _order_frequencies(family.at(p), species_a, species_b)
@@ -202,7 +210,11 @@ def null_parameter(family: PotentialFamily, species_a: IonSpecies,
     ends = [p_lo, p_hi]  # the sign-change bracket; ends[0] has d_lo's sign
     p = p_lo - d_lo * (p_hi - p_lo) / (d_hi - d_lo)
     for _ in range(MAX_ROOT_ITER):
-        spectra, d, scale = shift(p)
+        try:
+            spectra, d, scale = shift(p)
+        except UnconfinedPotentialError as exc:
+            raise BracketError(f"no stable chain at p = {p:.10g} inside the "
+                               f"bracket: {exc}") from exc
         null = abs(d) < NULL_TOLERANCE_HZ
         if null and abs(d) <= _ROUNDING * scale:
             return p
@@ -251,7 +263,7 @@ def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
         if width == 0:
             raise BracketError(f"{name} {brackets[name]!r} has zero width")
 
-    rows = [_MODE[IN_PHASE], _MODE[OUT_OF_PHASE]]  # null, then measurement
+    rows = [_mode(IN_PHASE, 2), _mode(OUT_OF_PHASE, 2)]  # null, measurement
 
     def evaluate(x):
         p, g = map(float, x)
@@ -300,28 +312,22 @@ def infer_pseudo_gradient(family: PotentialFamily, species_a: IonSpecies,
                        f"(p, g) = ({x[0]:.6g}, {x[1]:.6g})")
 
 
-def _mode_pick(spectrum: ModeSpectrum, mode) -> int:
-    """Resolve 'com' (lowest, all-in-phase) or a descending index."""
-    if mode == "com":
-        return spectrum.n_modes - 1  # lowest frequency
-    return _index(mode, spectrum.n_modes, "mode")
-
-
 def field_sensitivity(pot: AxialPotential, species, field: float,
                       mode="com") -> float:
     """Fractional squared-frequency (curvature) shift caused by a field.
 
     Re-solves the equilibrium with the uniform field added and returns
-    (f(E)^2 - f(0)^2) / f(0)^2 for the selected mode: the relative change of
-    the local curvature the displaced chain samples.  To first order in E
-    this equals 3 E / (2 kappa2 lambda3) for a single ion in a cubic trap,
-    and it vanishes for a purely harmonic potential.
+    (f(E)^2 - f(0)^2) / f(0)^2 for the axial mode ``_mode`` names: the
+    relative change of the local curvature the displaced chain samples.  To
+    first order in E this equals 3 E / (2 kappa2 lambda3) for a single ion
+    in a cubic trap, and it vanishes for a purely harmonic potential.
     """
     _check_axial(pot, "pot")
     if isinstance(field, bool) or not isinstance(field, Real) \
             or not math.isfinite(field):
         raise ValueError(f"field must be a finite number in V/m, got {field!r}")
     species = tuple(species)
+    mode = _mode(mode, len(species))
     f0 = _solved_frequency(pot, species, mode)
     shifted = dataclasses.replace(pot, uniform_field=pot.uniform_field + field)
     fe = _solved_frequency(shifted, species, mode)
@@ -331,7 +337,7 @@ def field_sensitivity(pot: AxialPotential, species, field: float,
 def _solved_frequency(pot, species, mode):
     cfg = solve_equilibrium(species, pot)
     spec = mode_spectrum(cfg)
-    return spec.frequencies[_mode_pick(spec, mode)]
+    return spec.frequencies[_mode(mode, spec.n_modes)]
 
 
 @dataclass(frozen=True)

@@ -52,33 +52,14 @@ def _precision() -> int:
     return p
 
 
-def _chi_input(cfg: RunConfig, command: str, config_dir: Path):
-    """Golden chi file if ``command``'s section names one, else chi computed
-    from the chain (chi_file paths are relative to the configuration)."""
-    name = cfg.sections[command].get("chi_file")
-    if name is None:
+def _chi_input(cfg: RunConfig):
+    """chi read from the command's chi_file at validation, else computed."""
+    if cfg.chi is None:
         return chi_from_configuration(solve_equilibrium(cfg.chain, cfg.potential))
-    try:
-        return read_chi(config_dir / name)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{command}.chi_file", str(exc)) from exc
+    return cfg.chi
 
 
-def _mode_index(cfg: RunConfig, command: str, n_modes: int) -> int:
-    """0-based index of ``command``'s 1-based mode_index, checked against
-    the modes of chi; explicit nbars must cover the same modes."""
-    nbar = cfg.environment.nbar
-    if nbar is not None and len(nbar) != n_modes:
-        raise ConfigError("environment.nbar",
-                          f"expected {n_modes} entries, one per mode")
-    idx = cfg.sections[command]["mode_index"]
-    if idx > n_modes:
-        raise ConfigError(f"{command}.mode_index",
-                          f"only {n_modes} modes available")
-    return idx - 1
-
-
-def cmd_modes(cfg: RunConfig, config_dir: Path, prec: int) -> str:
+def cmd_modes(cfg: RunConfig, prec: int) -> str:
     spectrum = mode_spectrum(solve_equilibrium(cfg.chain, cfg.potential))
     out = ["# ionmodes modes report",
            "# chain: " + " ".join(s.label for s in cfg.chain),
@@ -93,17 +74,16 @@ def cmd_modes(cfg: RunConfig, config_dir: Path, prec: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def cmd_chi(cfg: RunConfig, config_dir: Path, prec: int) -> str:
-    return chi_to_text(_chi_input(cfg, "chi", config_dir), prec)
+def cmd_chi(cfg: RunConfig, prec: int) -> str:
+    return chi_to_text(_chi_input(cfg), prec)
 
 
-def cmd_coherence(cfg: RunConfig, config_dir: Path, prec: int) -> str:
+def cmd_coherence(cfg: RunConfig, prec: int) -> str:
     section = cfg.sections["coherence"]
-    chi = _chi_input(cfg, "coherence", config_dir)
-    z = _mode_index(cfg, "coherence", chi.n_modes)
+    z = section["mode_index"] - 1
     sup = FockSuperposition(mode=z, n_upper=section["n_upper"])
     t = np.linspace(0.0, section["t_max_s"], section["samples"])
-    c = fock_coherence(chi, sup, cfg.environment, t)
+    c = fock_coherence(_chi_input(cfg), sup, cfg.environment, t)
     out = ["# ionmodes coherence decay",
            f"# mode_index (1-based, descending): {z + 1}",
            f"# superposition: (|0> + |{sup.n_upper}>)/sqrt(2)",
@@ -113,12 +93,11 @@ def cmd_coherence(cfg: RunConfig, config_dir: Path, prec: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def cmd_gate(cfg: RunConfig, config_dir: Path, prec: int) -> str:
-    det = cfg.sections["gate"]["detuning_khz"]
-    chi = _chi_input(cfg, "gate", config_dir)
-    z = _mode_index(cfg, "gate", chi.n_modes)
-    delta = 2 * math.pi * det * 1e3
-    inf = thermal_gate_infidelity(chi, z, delta, cfg.environment)
+def cmd_gate(cfg: RunConfig, prec: int) -> str:
+    section = cfg.sections["gate"]
+    det, z = section["detuning_khz"], section["mode_index"] - 1
+    inf = thermal_gate_infidelity(_chi_input(cfg), z, 2 * math.pi * det * 1e3,
+                                  cfg.environment)
     out = ["# ionmodes thermal gate infidelity (dimensionless)",
            f"# gate mode_index (1-based, descending): {z + 1}",
            f"# detuning_khz: {format_value(det, prec)}",
@@ -126,7 +105,7 @@ def cmd_gate(cfg: RunConfig, config_dir: Path, prec: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def cmd_scan(cfg: RunConfig, config_dir: Path, prec: int) -> str:
+def cmd_scan(cfg: RunConfig, prec: int) -> str:
     section = cfg.sections["scan"]
     result = com_frequency_scan(cfg.axial, cfg.chain[0],
                                 range(section["n_min"], section["n_max"] + 1))
@@ -141,7 +120,7 @@ def cmd_scan(cfg: RunConfig, config_dir: Path, prec: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def cmd_null(cfg: RunConfig, config_dir: Path, prec: int) -> str:
+def cmd_null(cfg: RunConfig, prec: int) -> str:
     section = cfg.sections["null"]
     fam = section["family"]
     family = PotentialFamily(base=cfg.axial, kappa_actions=fam["kappa"],
@@ -156,13 +135,10 @@ def cmd_null(cfg: RunConfig, config_dir: Path, prec: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def cmd_sensitivity(cfg: RunConfig, config_dir: Path, prec: int) -> str:
+def cmd_sensitivity(cfg: RunConfig, prec: int) -> str:
     section = cfg.sections["sensitivity"]
-    field, mode = section["field_v_per_m"], section["mode"]
-    if mode != "com" and mode >= len(cfg.chain):
-        raise ConfigError("sensitivity.mode",
-                          f"must be below {len(cfg.chain)}, the number of axial modes")
-    shift = field_sensitivity(cfg.axial, cfg.chain, field, mode)
+    field = section["field_v_per_m"]
+    shift = field_sensitivity(cfg.axial, cfg.chain, field, section["mode"])
     out = ["# ionmodes field sensitivity",
            f"# field_v_per_m: {format_value(field, prec)}",
            "# fractional squared-frequency shift (dimensionless):",
@@ -209,9 +185,9 @@ def main(argv=None) -> int:
                               "of its text; give it another suffix")
         prec = _precision()
         raw = apply_overrides(load_config(args.config), args.param)
-        cfg = validate_config(raw, args.command)
-        text = COMMANDS[args.command](cfg, Path(args.config).resolve().parent,
-                                      prec)
+        cfg = validate_config(raw, args.command,
+                              Path(args.config).resolve().parent)
+        text = COMMANDS[args.command](cfg, prec)
         if out is not None:
             out.write_text(text)
         if mirrored:

@@ -11,17 +11,21 @@ fields are reported at the field's path.  Physical ranges belong to the
 domain constructors (``make_species``, ``axial_from_lambdas``,
 ``AxialPotential``, ``TrapModel3D``, ``ThermalEnvironment``); their errors
 are reported at the path of the object being built.  Every command section
-in the document is checked at load, whichever command runs.
+in the document is checked at load, whichever command runs, and every input
+of the command run (its mode, chi file and mode count) before any solve.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
+from pathlib import Path
 
-from .calibration import IN_PHASE, OUT_OF_PHASE
+from . import calibration
+from .anharmonic import ChiMatrix
+from .chifile import read_chi
 from .dynamics import ThermalEnvironment
 from .potentials import AxialPotential, TrapModel3D, axial_from_lambdas, \
     trap3d_from_frequencies
@@ -135,10 +139,10 @@ def _fields(obj, path, table) -> dict:
 
 def _build(path, make, *args, **kwargs):
     """``make(*args, **kwargs)``, its rejection of the inputs reported at
-    ``path``: the constructor owns the rule and its message."""
+    ``path``: the constructor (or reader) owns the rule and its message."""
     try:
         return make(*args, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, LookupError, OSError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
@@ -176,7 +180,8 @@ class RunConfig:
     """Validated configuration with domain objects built.
 
     ``sections`` holds the parsed (typed, defaults filled) section of every
-    command present in the document, and always that of the command run.
+    command present in the document, and always that of the command run;
+    ``chi`` the chi file that section names, read, or None.
     """
 
     species: dict[str, IonSpecies]
@@ -185,6 +190,7 @@ class RunConfig:
     trap3d: TrapModel3D | None
     environment: ThermalEnvironment | None
     sections: dict
+    chi: ChiMatrix | None = None
 
     @property
     def potential(self):
@@ -277,20 +283,14 @@ def _family(obj, path) -> dict:
     return fam
 
 
-def _mode_label(obj, path) -> str:
-    if obj not in (IN_PHASE, OUT_OF_PHASE):
-        raise ConfigError(path, f"expected '{IN_PHASE}' or '{OUT_OF_PHASE}'")
-    return obj
-
-
 def _mode(obj, path):
-    """'com' or a 0-based mode index in descending frequency order."""
-    return obj if obj == "com" else _integer(obj, path, minimum=0)
+    """A mode named by a string or a 0-based index in descending frequency
+    order; ``calibration._mode`` resolves it against the chain's modes."""
+    return obj if isinstance(obj, str) else _integer(obj, path)
 
 
 # One table per command section.  ``mode_index`` is 1-based in descending
-# frequency order; its upper bound needs the computed mode count, so the
-# command checks it.
+# frequency order; its upper bound is the mode count of chi.
 _SECTIONS = {
     "modes": {},
     "chi": {},
@@ -306,7 +306,7 @@ _SECTIONS = {
     "scan": {"n_min": (_count, 1), "n_max": (_count, _REQUIRED)},
     "null": {"family": (_family, _REQUIRED),
              "bracket": (partial(_numbers, length=2), _REQUIRED),
-             "mode_label": (_mode_label, IN_PHASE)},
+             "mode_label": (_mode, calibration.IN_PHASE)},
     "sensitivity": {"field_v_per_m": (_number, _REQUIRED),
                     "mode": (_mode, "com")},
 }
@@ -314,26 +314,43 @@ TOP_LEVEL_KEYS = ("version", "species", "chain", "potential", "trap3d",
                   "environment") + tuple(_SECTIONS)
 
 
-def _check_command(cfg: RunConfig, command: str):
-    """What ``command`` needs from the document besides its own section."""
+def _check_command(cfg: RunConfig, command: str, base: Path):
+    """What ``command`` needs from the document besides its own section, and
+    the chi file it names (relative to ``base``) read, or None: its mode
+    count, or 3N for chi computed, bounds mode_index and environment.nbar."""
     if command == "chi" and cfg.trap3d is None:
         raise ConfigError("trap3d", "required for the chi command")
-    if command in ("coherence", "gate"):
-        if cfg.environment is None:
-            raise ConfigError("environment",
-                              f"required for the {command} command")
-        if cfg.sections[command]["chi_file"] is None and cfg.trap3d is None:
-            raise ConfigError("trap3d",
-                              "required to compute chi (or provide chi_file)")
     if command == "null" and len(cfg.chain) != 2:
         raise ConfigError("chain", "null requires a two-ion chain")
+    if command not in ("coherence", "gate"):
+        return None
+    section, env, chi = cfg.sections[command], cfg.environment, None
+    if env is None:
+        raise ConfigError("environment", f"required for the {command} command")
+    if section["chi_file"] is not None:
+        chi = _build(f"{command}.chi_file", read_chi, base / section["chi_file"])
+        n_modes = chi.n_modes
+    elif cfg.trap3d is None:
+        raise ConfigError("trap3d",
+                          "required to compute chi (or provide chi_file)")
+    else:
+        n_modes = 3 * len(cfg.chain)
+    if env.nbar is not None and len(env.nbar) != n_modes:
+        raise ConfigError("environment.nbar",
+                          f"expected {n_modes} entries, one per mode")
+    if section["mode_index"] > n_modes:
+        raise ConfigError(f"{command}.mode_index",
+                          f"only {n_modes} modes available")
+    return chi
 
 
-def validate_config(raw: dict, command: str) -> RunConfig:
-    """Check the whole document and build its objects for running ``command``.
+def validate_config(raw: dict, command: str, base) -> RunConfig:
+    """Check the whole document and build its objects for running ``command``,
+    whose chi_file is read relative to the directory ``base``.
 
     ``command``'s section is parsed even when absent, so its required keys
-    apply; the other sections are parsed when present.
+    apply; the other sections are parsed when present.  A null mode names
+    one of two modes (null runs on a pair), a sensitivity mode an axial one.
     """
     _require_mapping(raw, "<document>")
     _check_keys(raw, "<document>", TOP_LEVEL_KEYS)
@@ -363,7 +380,11 @@ def validate_config(raw: dict, command: str) -> RunConfig:
     scan = sections.get("scan")
     if scan and scan["n_max"] < scan["n_min"]:
         raise ConfigError("scan.n_max", f"must be >= {scan['n_min']}")
+    for name, key, n_modes in (("null", "mode_label", 2),
+                               ("sensitivity", "mode", len(chain))):
+        if name in sections:
+            _build(f"{name}.{key}", calibration._mode, sections[name][key],
+                   n_modes)
     cfg = RunConfig(species=table, chain=chain, axial=axial, trap3d=trap3d,
                     environment=env, sections=sections)
-    _check_command(cfg, command)
-    return cfg
+    return replace(cfg, chi=_check_command(cfg, command, Path(base)))

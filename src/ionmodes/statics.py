@@ -8,7 +8,8 @@ pairwise Coulomb repulsion,
 Equilibria are found by Newton's method with the analytic gradient and
 Hessian and a backtracking line search; ion order (increasing axial
 coordinate) is preserved during iteration and a crossing step is an error,
-since ion order is physically meaningful for mixed-species chains.  A solved
+since ion order is physically meaningful for mixed-species chains (in 3D,
+where ions pass only off the axis, the linear chain's instability).  A solved
 configuration carries the solver's energy object and the gradient and Hessian
 it evaluated at the returned positions, so the spectrum and tensor stages
 evaluate neither again.  Masses enter no equilibrium, so a reordering of the
@@ -357,6 +358,23 @@ def _instability(h: np.ndarray, is3d: bool) -> UnconfinedPotentialError:
         f"stationary point is not a minimum: {mode} has {rest}")
 
 
+def _reordering(positions: np.ndarray) -> EquilibriumError:
+    """The verdict on an iterate from which every trial step reorders the
+    ions.  In 3D ions can change their axial order only by leaving the axis,
+    so the linear chain failed: LinearChainInstabilityError naming the pair
+    with the smallest axial gap and its radial offsets.  In 1D the step
+    itself would cross: IonCrossingError."""
+    if positions.ndim == 1:
+        return IonCrossingError("ion ordering would be violated during iteration")
+    z = positions[:, 2]
+    i = int(np.argmin(np.diff(z)))
+    xy = ", ".join(f"({x:.3e}, {y:.3e})" for x, y in positions[i:i + 2, :2])
+    return LinearChainInstabilityError(
+        f"linear chain is unstable: ions {i} and {i + 1} closed their axial "
+        f"gap to {z[i + 1] - z[i]:.3e} m at radial offsets {xy} m, and every "
+        f"step would reorder them")
+
+
 def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfiguration:
     """Find the equilibrium configuration of an ordered chain.
 
@@ -373,7 +391,8 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
     Raises ValueError for malformed inputs and UnconfinedPotentialError for
     a negatively charged ion, before any energy evaluation; then
     ConvergenceError (also after MAX_NEWTON_ITER steps or a step within 4
-    ulps above the tolerance), IonCrossingError, UnconfinedPotentialError
+    ulps above the tolerance), ``_reordering``'s verdict when every trial
+    step would reorder the ions, UnconfinedPotentialError
     when two line searches in a row meet an overflowing trial, or, when the
     solution is not a minimum, ``_instability``'s verdict naming its
     softest Hessian mode.
@@ -469,7 +488,7 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
                 if below:
                     break
                 if crossing_only:
-                    raise IonCrossingError("ion ordering would be violated during iteration")
+                    raise _reordering(x.reshape(shape))
                 if not overflow:
                     raise ConvergenceError("line search failed to reduce the energy")
                 overflowed = True

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ionmodes.calibration
-from ionmodes import BracketError, IonSpecies, PotentialFamily, \
+from ionmodes import BE9, MG24, BracketError, IonSpecies, PotentialFamily, \
     axial_from_lambdas, characteristic_length, com_frequency_scan, \
     field_sensitivity, infer_pseudo_gradient, make_species, mode_spectrum, \
     null_parameter, order_shift, solve_equilibrium, trap3d_from_frequencies
@@ -141,20 +141,38 @@ class TestNullParameter:
         equilibrium: as the field grows, the near well of the second ion
         (about 118 um) merges with a saddle and vanishes, and the ion moves
         out to about 293 um.  The root find closes on that fold, where the
-        solve ends on a stationary point that is not a minimum, and the
-        error names its one soft mode, whose curvature is nearly zero."""
+        solve ends on a stationary point that is not a minimum: the null is
+        a bracket failure at that p, chained to the solver's verdict, which
+        names its one soft mode, whose curvature is nearly zero."""
         from ionmodes import UnconfinedPotentialError
 
         family = PotentialFamily(base=axial_from_lambdas(
             KAPPA2, {3: -230e-6, 4: 400e-6}), field_action=1.0)
-        with pytest.raises(UnconfinedPotentialError,
-                           match=r"^stationary point is not a minimum: "
-                                 r"softest Hessian mode \(index 0 of 2, "
-                                 r"ascending\) has eigenvalue \S+ J/m\^2; "
-                                 r"1 non-positive mode\(s\)$") as exc:
+        with pytest.raises(BracketError,
+                           match=r"^no stable chain at p = 1236\.00\d+ inside "
+                                 r"the bracket: stationary point is not a "
+                                 r"minimum: softest Hessian mode \(index 0 "
+                                 r"of 2, ascending\) has eigenvalue \S+ "
+                                 r"J/m\^2; 1 non-positive mode\(s\)$") as exc:
             null_parameter(family, be, mg, label, (0.0, 4000.0))
+        assert isinstance(exc.value.__cause__, UnconfinedPotentialError)
         eigenvalue = float(re.search(r"eigenvalue (\S+) J", str(exc.value))[1])
         assert -1e-6 * 2 * be.charge_si * KAPPA2 < eigenvalue < 0
+
+    # cases of _null_draw's stream whose root find takes at least one
+    # bisection step (64 to 176 take 2 to 9): a Newton step from inside
+    # the sign-change bracket alone loses such roots
+    BISECTED = (64, 77, 101, 114, 128, 135, 146, 169, 176, 189)
+
+    def test_bisection_keeps_the_root(self):
+        rng = np.random.default_rng(7)
+        cases = [_null_draw(rng) for _ in range(300)]
+        for k in self.BISECTED:
+            family, pair, label, bracket = cases[k]
+            p = null_parameter(family, *pair, label, bracket)
+            assert bracket[0] < p < bracket[1]
+            delta = order_shift(family.at(p), *pair, label).delta
+            assert abs(delta) < ionmodes.calibration.NULL_TOLERANCE_HZ
 
     @pytest.mark.parametrize("bracket", [(np.nan, 2.0), (0.0, np.inf),
                                          (-np.inf, 2.0)])
@@ -170,6 +188,19 @@ class TestNullParameter:
                                  kappa_actions={3: -pot_cubic.kappa[3]})
         with pytest.raises(ValueError, match=r"^bracket ends must be finite"):
             null_parameter(family, be, mg, "in_phase", bracket)
+
+
+def _null_draw(rng):
+    """A field null of a Be+/Mg+ pair in a random cubic and quartic well:
+    (family, ion pair, label, bracket about p = 0)."""
+    lambda3 = rng.choice([-1.0, 1.0]) * rng.uniform(150e-6, 400e-6)
+    lambda4 = rng.uniform(150e-6, 400e-6)
+    label = str(rng.choice(["in_phase", "out_of_phase"]))
+    pair = (BE9, MG24) if rng.random() < 0.5 else (MG24, BE9)
+    bracket = (-rng.uniform(0, 3000), rng.uniform(0, 3000))
+    family = PotentialFamily(axial_from_lambdas(
+        KAPPA2, {3: lambda3, 4: lambda4}), field_action=1.0)
+    return family, pair, label, bracket
 
 
 class TestInferPseudoGradient:
@@ -350,7 +381,8 @@ class TestModeOrder:
         rng = np.random.default_rng(30)
         for _ in range(300):
             spectrum = _random_chain(rng, 2)
-            for label, k in ionmodes.calibration._MODE.items():
+            for label in ("in_phase", "out_of_phase"):
+                k = ionmodes.calibration._mode(label, 2)
                 assert _labelled_frequency_oracle(spectrum, label) \
                     == spectrum.frequencies[k]
 
@@ -358,12 +390,50 @@ class TestModeOrder:
         rng = np.random.default_rng(31)
         for _ in range(200):
             spectrum = _random_chain(rng, int(rng.integers(2, 11)))
-            com = ionmodes.calibration._mode_pick(spectrum, "com")
+            com = ionmodes.calibration._mode("com", spectrum.n_modes)
             lowest = spectrum.eigenvectors[:, com]
             assert np.all(lowest * lowest[0] > 0)
 
 
+class TestModeResolver:
+    """calibration._mode is the one place a mode name becomes an index."""
+
+    @pytest.mark.parametrize("mode,n_modes,index", [
+        ("com", 1, 0), ("com", 5, 4), ("out_of_phase", 2, 0),
+        ("in_phase", 2, 1), (3, 5, 3), (np.int64(0), 2, 0)])
+    def test_names(self, mode, n_modes, index):
+        assert ionmodes.calibration._mode(mode, n_modes) == index
+
+    @pytest.mark.parametrize("mode,n_modes,error,message", [
+        ("in_phase", 3, ValueError, "names one of two modes, not of 3"),
+        ("sideways", 2, ValueError, "unknown mode label 'sideways'"),
+        (True, 2, ValueError, "mode must be an integer"),
+        (1.0, 2, ValueError, "mode must be an integer"),
+        (2, 2, IndexError, r"mode = 2 out of range \[0, 2\)"),
+        (-1, 2, IndexError, r"mode = -1 out of range")])
+    def test_refusals(self, mode, n_modes, error, message):
+        with pytest.raises(error, match=message):
+            ionmodes.calibration._mode(mode, n_modes)
+
+
 class TestFieldSensitivity:
+    def test_pair_modes_by_label(self, be, mg, pot_cubic):
+        """The two-ion labels name the same modes as their indices."""
+        pair = [be, mg]
+        for label, index in (("out_of_phase", 0), ("in_phase", 1)):
+            assert field_sensitivity(pot_cubic, pair, 2.0, label) \
+                == field_sensitivity(pot_cubic, pair, 2.0, index)
+
+    def test_label_refused_before_any_solve(self, monkeypatch, be,
+                                            pot_cubic):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a chain")
+
+        monkeypatch.setattr(ionmodes.calibration, "solve_equilibrium",
+                            no_solve)
+        with pytest.raises(ValueError, match="names one of two modes"):
+            field_sensitivity(pot_cubic, [be], 2.0, "in_phase")
+
     def test_single_ion_cubic(self, be, pot_cubic):
         shift = field_sensitivity(pot_cubic, [be], 2.0)
         assert abs(shift) == pytest.approx(1.0e-3, rel=0.1)
@@ -454,7 +524,8 @@ def _null_xtol(bracket):
 def _shipped_null():
     """configs/null_kappa3.json as (family, ion pair, label, bracket)."""
     cfg = validate_config(
-        json.loads((CONFIGS / "null_kappa3.json").read_text()), "null")
+        json.loads((CONFIGS / "null_kappa3.json").read_text()), "null",
+        CONFIGS)
     section = cfg.sections["null"]
     fam = PotentialFamily(base=cfg.axial,
                           kappa_actions=section["family"]["kappa"],

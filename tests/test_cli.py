@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ionmodes.calibration
+import ionmodes.cli
 from ionmodes.anharmonic import ChiMatrix
 from ionmodes.chifile import chi_to_text, read_chi
 from ionmodes.cli import main
@@ -387,6 +389,17 @@ class TestCommandLine:
         assert rc == 3
         assert capsys.readouterr().err.startswith("numerical failure: ")
 
+    @pytest.mark.parametrize("mode", ["1", "\"com\""])
+    def test_null_mode_by_index_or_com(self, mode, capsys):
+        """Of two modes, index 1 and 'com' name the in-phase mode, so the
+        null is the golden's; the report echoes the mode as given."""
+        golden = (GOLDEN / "null.txt").read_text().splitlines()
+        assert main(["null", "--config", str(CONFIGS / "null_kappa3.json"),
+                     "--param", f"null.mode_label={mode}"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == f"# mode_label: {json.loads(mode)}"
+        assert lines[:1] + lines[2:] == golden[:1] + golden[2:]
+
     def test_in_process_entry_point(self, tmp_path, capsys):
         # the console entry point mirrors the subprocess behaviour
         rc = main(["sensitivity", "--config",
@@ -472,11 +485,25 @@ MALFORMED = {
                       {"null.bracket": [0.0, "a"]}, "null.bracket[1]"),
     "mode_label_unknown": ("null_kappa3.json", "null",
                            {"null.mode_label": "sideways"}, "null.mode_label"),
+    "mode_label_beyond_pair": ("null_kappa3.json", "null",
+                               {"null.mode_label": 2}, "null.mode_label"),
+    "mode_label_bool": ("null_kappa3.json", "null",
+                        {"null.mode_label": True}, "null.mode_label"),
     "field_missing": ("sensitivity_single_be.json", "sensitivity",
                       {"sensitivity.field_v_per_m": DELETE},
                       "sensitivity.field_v_per_m"),
     "sensitivity_mode_negative": ("sensitivity_single_be.json", "sensitivity",
                                   {"sensitivity.mode": -1}, "sensitivity.mode"),
+    "sensitivity_label_on_one_ion": ("sensitivity_single_be.json",
+                                     "sensitivity",
+                                     {"sensitivity.mode": "in_phase"},
+                                     "sensitivity.mode"),
+    "unused_null_mode_label_unknown": ("sensitivity_single_be.json",
+                                       "sensitivity",
+                                       {"null": {"family": {"field": 1.0},
+                                                 "bracket": [0.0, 1.0],
+                                                 "mode_label": "sideways"}},
+                                       "null.mode_label"),
     # what a command needs besides its own section
     "coherence_without_environment": ("coherence_single_ion.json", "coherence",
                                       {"environment": DELETE}, "environment"),
@@ -496,6 +523,17 @@ MALFORMED = {
                                       "sensitivity.mode"),
     "nbar_length": ("gate_two_ion.json", "gate",
                     {"environment": {"nbar": [0.1, 0.1]}}, "environment.nbar"),
+    # checked against 3N modes before chi is computed
+    "computed_chi_mode_index_beyond_modes": (
+        "coherence_single_ion.json", "coherence",
+        {"coherence.chi_file": DELETE, "coherence.mode_index": 4,
+         "trap3d": {"reference": "MgH25", "radial_mhz": [7.0, 5.0]}},
+        "coherence.mode_index"),
+    "computed_chi_nbar_length": (
+        "gate_two_ion.json", "gate",
+        {"gate.chi_file": DELETE, "environment": {"nbar": [0.1] * 5},
+         "trap3d": {"reference": "MgH25", "radial_mhz": [7.0, 5.0]}},
+        "environment.nbar"),
     "chain_label_list": ("modes_bmmb.json", "modes",
                          {"chain": [["Be9"]]}, "chain[0]"),
     # bad input that exited 3 or ran
@@ -534,7 +572,14 @@ def _mutated_config(tmp_path, name, edits):
 
 class TestMalformedConfig:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
-    def test_exits_2_naming_the_path(self, case, tmp_path, capsys):
+    def test_exits_2_naming_the_path(self, case, tmp_path, capsys,
+                                     monkeypatch):
+        """Before any chain is solved: every input is checked at load."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a chain")
+
+        for module in (ionmodes.cli, ionmodes.calibration):
+            monkeypatch.setattr(module, "solve_equilibrium", no_solve)
         name, command, edits, where = MALFORMED[case]
         path = _mutated_config(tmp_path, name, edits)
         rc = main([command, "--config", str(path)])
@@ -599,5 +644,5 @@ class TestMalformedConfig:
         from ionmodes.config import validate_config
 
         raw = json.loads((CONFIGS / COMMAND_CONFIGS[command]).read_text())
-        cfg = validate_config(raw, command)
+        cfg = validate_config(raw, command, CONFIGS)
         assert command in cfg.sections

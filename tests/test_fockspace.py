@@ -301,6 +301,30 @@ class TestSparseSolver:
         assert f == pytest.approx(expected, rel=0,
                                   abs=eigensolver_floor(omega, 10))
 
+    def test_vanished_correction_is_uncertified(self):
+        """The first correction of e0 is (0, 1, 1)/sqrt(2): the
+        preconditioned residual -(a, 3a)/(1, 3) has equal entries.  In that
+        space the Ritz value of e0 is 2, the mean of H's diagonal on e1 and
+        e2, so the next residual, along e1 - e2, is preconditioned by
+        (1, -1) back onto (0, 1, 1): nothing new is left to expand by, and
+        the level is refused after two products with H."""
+        a = np.sqrt(2.0)
+        h = np.array([[0.0, a, 3 * a], [a, 1.0, -8.0], [3 * a, -8.0, 3.0]])
+
+        class Counted:
+            shape, products = h.shape, 0
+
+            def diagonal(self):
+                return h.diagonal()
+
+            def __matmul__(self, other):
+                self.products += 1
+                return h @ other
+
+        counted = Counted()
+        assert fockspace._certified_level(counted, 0) is None
+        assert counted.products == 2
+
     def test_uncertified_level_takes_dense_fallback(self, monkeypatch):
         """A level still unconverged at the step cap is never returned: one
         dense diagonalization answers both levels."""

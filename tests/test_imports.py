@@ -13,7 +13,9 @@ module-level private name of the library must be read by the library
 outside its own definition; a helper that only tests read belongs in
 ``tests/`` too.
 
-Neither the import nor any CLI command loads scipy, gradient inference
+Only ``calibration.py`` spells a two-ion mode label as a string, since
+``calibration._mode`` alone resolves mode names.  Neither the import nor
+any CLI command loads scipy, gradient inference
 loads no ``scipy.optimize``, and the Davidson Fock oracle loads no
 ``scipy.sparse.linalg``.
 """
@@ -178,6 +180,31 @@ def test_private_checker_ignores_own_body_and_dunders():
         "b": "import a\ny = a._K\n",
     }
     assert private_names_without_reader(sources) == ["a._f", "a._C"]
+
+
+MODE_LABELS = {"in_phase", "out_of_phase"}
+
+
+def mode_label_spellings(source: str) -> list[int]:
+    """Lines of the string constants that spell a two-ion mode label."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in MODE_LABELS]
+
+
+def test_mode_labels_spelled_only_in_calibration():
+    """``calibration._mode`` owns the two-ion mode vocabulary: any other
+    module names a label as ``calibration.IN_PHASE`` or ``OUT_OF_PHASE``."""
+    spelled = {p.name: mode_label_spellings(p.read_text())
+               for p in sorted((ROOT / "src/ionmodes").glob("*.py"))
+               if p.name != "calibration.py"}
+    assert {name: lines for name, lines in spelled.items() if lines} == {}
+
+
+def test_label_checker_reads_string_constants_only():
+    source = ('"""Docs on in_phase."""\nx = "in_phase"\ny = IN_PHASE\n'
+              'z = {"out_of_phase": 0}\nw = "in_phase_x"\n')
+    assert mode_label_spellings(source) == [2, 4]
 
 
 def test_import_and_every_command_load_no_scipy():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from ionmodes import BE9, MG24, MGH25, IonSpecies, axial_from_lambdas, \
-    chain_length, characteristic_length, solve_equilibrium, \
-    trap3d_from_frequencies
+from ionmodes import BE9, MG24, MGH25, IonSpecies, axial_for_frequency, \
+    axial_from_lambdas, chain_length, characteristic_length, \
+    solve_equilibrium, trap3d_from_frequencies
 from ionmodes.constants import COULOMB
 from ionmodes import statics
 from ionmodes.statics import _Energy
@@ -278,6 +278,79 @@ class TestSolveEquilibrium:
                             lambda g, h: 1e9 * np.array([1.0, -1.0]))
         with pytest.raises(IonCrossingError, match="ion ordering"):
             solve_equilibrium([be, mg], pot_cubic)
+
+    def test_3d_crossing_step_is_a_chain_instability(self, be, mg,
+                                                     monkeypatch):
+        """In 3D ions change their axial order only by leaving the axis, so
+        a step every trial of which reorders them is the linear chain's
+        failure: the verdict names the pair and its radial offsets."""
+        from ionmodes import LinearChainInstabilityError
+
+        trap = trap3d_from_frequencies(be, (7e6, 5e6), axial_from_lambdas(
+            KAPPA2, {}))
+        monkeypatch.setattr(statics, "_descent_step", lambda g, h:
+                            1e9 * np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0]))
+        with pytest.raises(LinearChainInstabilityError,
+                           match=r"^linear chain is unstable: ions 0 and 1 "
+                                 r"closed their axial gap to 1\.000e-05 m at "
+                                 r"radial offsets \(1\.000e-06, 0\.000e\+00\), "
+                                 r"\(-2\.000e-06, 3\.000e-07\) m, and every "
+                                 r"step would reorder them$"):
+            solve_equilibrium([be, mg], trap, initial_guess=[
+                [1e-6, 0.0, -5e-6], [-2e-6, 3e-7, 5e-6]])
+
+    @staticmethod
+    def _buckling_start(amplitude):
+        """B M M B B M at 0.875 MHz axial and (2.24, 3.78) MHz radial, whose
+        linear chain is zigzag-unstable, started on a stretched chain with
+        x offsets alternating by +-amplitude."""
+        species = [BE9 if ion == "B" else MG24 for ion in "BMMBBM"]
+        axial = axial_for_frequency(BE9, 0.875e6)
+        trap = trap3d_from_frequencies(BE9, (2.24e6, 3.78e6), axial)
+        z = characteristic_length(BE9, axial.kappa2) * 6 ** 0.56 \
+            * np.linspace(-0.8, 0.8, 6)
+        x = amplitude * (-1.0) ** np.arange(6)
+        return species, trap, np.column_stack([x, np.zeros(6), z])
+
+    def test_buckling_start_is_a_chain_instability(self):
+        """Two ions reach equal z off the axis: the solve ends on the
+        linear chain's instability, as the on-axis solve does, not on an
+        ion crossing."""
+        from ionmodes import LinearChainInstabilityError
+
+        species, trap, guess = self._buckling_start(0.5e-6)
+        with pytest.raises(LinearChainInstabilityError,
+                           match=r"^linear chain is unstable: ions \d and \d "
+                                 r"closed their axial gap to \S+ m at radial "
+                                 r"offsets "):
+            solve_equilibrium(species, trap, initial_guess=guess)
+        with pytest.raises(LinearChainInstabilityError, match="zigzag"):
+            solve_equilibrium(species, trap)
+
+    def test_line_search_without_a_lower_energy(self):
+        """From a slightly wider start the same chain reaches an iterate
+        where no trial down to 1e-14 of the step lowers U."""
+        from ionmodes import ConvergenceError
+
+        species, trap, guess = self._buckling_start(0.6e-6)
+        with pytest.raises(ConvergenceError,
+                           match="^line search failed to reduce the energy$"):
+            solve_equilibrium(species, trap, initial_guess=guess)
+
+    def test_one_search_of_overflows_is_unconfined(self, be, energy_calls,
+                                                   monkeypatch):
+        """A line search that finds no step and met an overflowing trial
+        blames the potential at once: here each of its 47 trials, down to
+        1e-14 of a step of 1e200 m, overflows."""
+        from ionmodes import AxialPotential, UnconfinedPotentialError
+
+        monkeypatch.setattr(statics, "_descent_step",
+                            lambda g, h: -1e200 * np.sign(g))
+        with pytest.raises(UnconfinedPotentialError,
+                           match=r"^the potential does not confine the chain"):
+            solve_equilibrium([be], AxialPotential(
+                kappa={2: KAPPA2, 4: -5e17}), initial_guess=[1e-6])
+        assert energy_calls["evaluate"] == 1 + 47
 
     def test_descent_step_on_singular_hessian(self):
         g = np.array([1.0, 1.0])
