@@ -327,17 +327,15 @@ def field_sensitivity(pot: AxialPotential, species, field: float,
             or not math.isfinite(field):
         raise ValueError(f"field must be a finite number in V/m, got {field!r}")
     species = tuple(species)
-    mode = _mode(mode, len(species))
-    f0 = _solved_frequency(pot, species, mode)
+    k = _mode(mode, len(species))
+    f0 = _solved_frequency(pot, species, k)
     shifted = dataclasses.replace(pot, uniform_field=pot.uniform_field + field)
-    fe = _solved_frequency(shifted, species, mode)
+    fe = _solved_frequency(shifted, species, k)
     return float((fe**2 - f0**2) / f0**2)
 
 
-def _solved_frequency(pot, species, mode):
-    cfg = solve_equilibrium(species, pot)
-    spec = mode_spectrum(cfg)
-    return spec.frequencies[_mode(mode, spec.n_modes)]
+def _solved_frequency(pot, species, k: int):
+    return mode_spectrum(solve_equilibrium(species, pot)).frequencies[k]
 
 
 @dataclass(frozen=True)
@@ -365,7 +363,7 @@ def com_frequency_scan(pot: AxialPotential, species: IonSpecies,
         raise ValueError("ion counts must be non-empty")
     if any(n < 1 for n in counts):
         raise ValueError("ion counts must be positive")
-    freqs = [float(_solved_frequency(pot, (species,) * n, "com"))
+    freqs = [float(_solved_frequency(pot, (species,) * n, _mode("com", n)))
              for n in counts]
     n_arr = np.array(counts, dtype=float)
     f_arr = np.array(freqs)

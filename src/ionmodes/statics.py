@@ -359,11 +359,9 @@ def _instability(h: np.ndarray, is3d: bool) -> UnconfinedPotentialError:
 
 
 def _reordering(positions: np.ndarray) -> EquilibriumError:
-    """The verdict on an iterate from which every trial step reorders the
-    ions.  In 3D ions can change their axial order only by leaving the axis,
-    so the linear chain failed: LinearChainInstabilityError naming the pair
-    with the smallest axial gap and its radial offsets.  In 1D the step
-    itself would cross: IonCrossingError."""
+    """The verdict on an iterate every trial step from which reorders the
+    ions: IonCrossingError in 1D; in 3D, where ions pass only off the axis,
+    the linear chain's instability, naming the pair with the least gap."""
     if positions.ndim == 1:
         return IonCrossingError("ion ordering would be violated during iteration")
     z = positions[:, 2]
