@@ -179,14 +179,14 @@ def null_parameter(family: PotentialFamily, species_a: IonSpecies,
     secant point of the bracket ends; from there Newton steps on the exact
     derivative of the shift (``_shift_jacobian``) stay inside the part of
     the bracket that keeps the sign change, bisecting it where a step would
-    leave.  Returns the first iterate whose shift is below
-    NULL_TOLERANCE_HZ and whose Newton step is at most
-    max(1e-14 max(|p_lo|, |p_hi|, 1), the step 4 ulps of the frequencies
-    could cause); a shift within those ulps needs no derivative.  Each
+    leave.  Returns the first iterate whose shift is below NULL_TOLERANCE_HZ
+    and within 4 ulps of the frequencies (no derivative is then taken) or
+    whose Newton point lies within xtol = 1e-14 max(|p_lo|, |p_hi|, 1).  Each
     parameter value solves each ion order once, or once for both orders
-    when their statics agree.  An iterate with no stable chain, as at a fold
-    of the equilibrium across which the shift jumps, raises BracketError
-    naming its p, chained to the solver's verdict.
+    when their statics agree.  The shift jumps at a fold of the equilibrium:
+    an iterate past it (no stable chain) raises BracketError naming its p,
+    chained to the solver's verdict, and one on its stable side (a Newton
+    point within xtol, a shift not null) raises one naming its p and shift.
     """
     _check_axial(family.base, "family.base")
     _check_bracket(bracket, "bracket")
@@ -219,10 +219,13 @@ def null_parameter(family: PotentialFamily, species_a: IonSpecies,
         if null and abs(d) <= _ROUNDING * scale:
             return p
         slope, _ = _shift_jacobian(spectra, family)[k].tolist()
-        if null and abs(d) <= xtol * abs(slope):
-            return p
-        ends[(d < 0) != (d_lo < 0)] = p
         newton = p - d / slope if slope else math.nan
+        if abs(newton - p) <= xtol:
+            if null:
+                return p
+            raise BracketError(f"order shift jumps at p = {p:.10g}: {d:.3g} "
+                               f"Hz there, with a vanishing Newton step")
+        ends[(d < 0) != (d_lo < 0)] = p
         p = newton if min(ends) < newton < max(ends) else sum(ends) / 2
     raise BracketError(f"no root after {MAX_ROOT_ITER} steps: stopped at "
                        f"p = {p:.6g}")

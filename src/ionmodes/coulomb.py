@@ -9,7 +9,20 @@ flipping the sign once per index taken on ion j.
 import numpy as np
 
 
-_EYE = {k: np.eye(k) for k in (1, 3)}  # the component counts a pair can have
+def _delta_sum(k, axes, *terms):
+    """Sum of the k-component delta products ``terms`` (einsum) on ``axes``."""
+    return sum(np.einsum(f"{t}->{axes}", *(np.eye(k),) * (t.count(",") + 1))
+               for t in terms)
+
+
+# per component count: the identity, then the sums over delta placements of
+# orders 3 and 4 on flat axes, acting on r and r⊗r (e, f), and the pairings
+_TABLES = {k: (np.eye(k),
+               _delta_sum(k, "eabc", "ab,ce", "ac,be", "bc,ae").reshape(k, -1),
+               _delta_sum(k, "efabcd", "ab,ce,df", "ac,be,df", "ad,be,cf",
+                          "bc,ae,df", "bd,ae,cf", "cd,ae,bf").reshape(k * k, -1),
+               _delta_sum(k, "abcd", "ab,cd", "ac,bd", "ad,bc").ravel())
+           for k in (1, 3)}
 
 
 def inv_r_derivatives(r, r2, orders) -> list:
@@ -26,37 +39,24 @@ def inv_r_derivatives(r, r2, orders) -> list:
 
 def _derivative(r, rn, order):
     """One order of d^m(1/|r|), given |r| of shape r.shape[:-1]."""
-    k = r.shape[-1]
+    lead, k = r.shape[:-1], r.shape[-1]
+    eye, delta_r, delta_rr, delta_delta = _TABLES[k]
     if order == 0:
         return 1.0 / rn
-    rn = rn[(...,) + (None,) * order]  # broadcast to the result's rank
     if order == 1:
-        return -r / rn**3
+        return -r / rn[..., None]**3
+    rr = r[..., :, None] * r[..., None, :]
     if order == 2:
-        return (3.0 * (r[..., :, None] * r[..., None, :])
-                - rn**2 * _EYE[k]) / rn**5
-    # r with its component axis on each derivative axis in turn
-    ra = [r[(...,) + (None,) * a + (slice(None),) + (None,) * (order - 1 - a)]
-          for a in range(order)]
-
-    def v(*axes):  # r_a r_b ... on the given derivative axes
-        out = ra[axes[0]]
-        for ax in axes[1:]:
-            out = out * ra[ax]
-        return out
-
-    def d(a, b):  # Kronecker delta on derivative axes a and b
-        shape = [1] * order
-        shape[a] = shape[b] = k
-        return _EYE[k].reshape(shape)
-
+        return (3.0 * rr - rn[..., None, None]**2 * eye) / rn[..., None, None]**5
+    if order not in (3, 4):
+        raise ValueError(f"derivative order must be 0..4, got {order}")
+    # r_a r_b r_c ... over the flattened derivative axes, times |r| powers
+    rn, rr = rn[..., None], rr.reshape(lead + (k * k,))
+    rrr = (rr[..., :, None] * r[..., None, :]).reshape(lead + (k**3,))
     if order == 3:
-        deltas = d(0, 1) * v(2) + d(0, 2) * v(1) + d(1, 2) * v(0)
-        return -3.0 * (5.0 * v(0, 1, 2) - rn**2 * deltas) / rn**7
-    if order == 4:
-        pair = (d(0, 1) * v(2, 3) + d(0, 2) * v(1, 3) + d(0, 3) * v(1, 2)
-                + d(1, 2) * v(0, 3) + d(1, 3) * v(0, 2) + d(2, 3) * v(0, 1))
-        dd = d(0, 1) * d(2, 3) + d(0, 2) * d(1, 3) + d(0, 3) * d(1, 2)
-        return (105.0 * v(0, 1, 2, 3) - 15.0 * rn**2 * pair
-                + 3.0 * rn**4 * dd) / rn**9
-    raise ValueError(f"derivative order must be 0..4, got {order}")
+        out = -3.0 * (5.0 * rrr - rn**2 * (r @ delta_r)) / rn**7
+    else:
+        rrrr = (rrr[..., :, None] * r[..., None, :]).reshape(lead + (k**4,))
+        out = (105.0 * rrrr - 15.0 * rn**2 * (rr @ delta_rr)
+               + 3.0 * rn**4 * delta_delta) / rn**9
+    return out.reshape(lead + (k,) * order)

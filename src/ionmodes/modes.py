@@ -43,11 +43,11 @@ def _at_equilibrium(cfg: ChainConfiguration, *orders) -> tuple:
     derivatives of the given orders at a checked equilibrium.
 
     A configuration from ``solve_equilibrium`` carries the solver's
-    ``_Energy`` and the gradient and Hessian at its positions: orders 1 and 2
-    are read off it, any other order is evaluated by that ``_Energy``, and
-    the equilibrium the solver reached is not checked again.  Any other
-    configuration gets a new ``_Energy``, and its gradient must lie within
-    EQUILIBRIUM_SLACK of its ``residual_gradient``.
+    ``_Energy`` and the Hessian at its positions: order 2 is read off it,
+    any other order is evaluated by that ``_Energy``, and the equilibrium
+    the solver reached is not checked again.  Any other configuration gets a
+    new ``_Energy``, and its gradient must lie within EQUILIBRIUM_SLACK of
+    its ``residual_gradient``.
     """
     energy = cfg._energy
     if energy is None:
@@ -59,10 +59,9 @@ def _at_equilibrium(cfg: ChainConfiguration, *orders) -> tuple:
                 "configuration is not at equilibrium "
                 f"(max |grad| = {np.max(np.abs(g)):.3e} J/m)")
         return energy, out
-    carried = {1: cfg._gradient, 2: cfg._hessian}
-    rest = [m for m in orders if m not in carried]
+    rest = [m for m in orders if m != 2]
     new = iter(energy(cfg.positions, *rest) if rest else ())
-    return energy, [carried[m] if m in carried else next(new) for m in orders]
+    return energy, [cfg._hessian if m == 2 else next(new) for m in orders]
 
 
 def hessian(cfg: ChainConfiguration) -> np.ndarray:

@@ -10,11 +10,11 @@ Hessian and a backtracking line search; ion order (increasing axial
 coordinate) is preserved during iteration and a crossing step is an error,
 since ion order is physically meaningful for mixed-species chains (in 3D,
 where ions pass only off the axis, the linear chain's instability).  A solved
-configuration carries the solver's energy object and the gradient and Hessian
-it evaluated at the returned positions, so the spectrum and tensor stages
-evaluate neither again.  Masses enter no equilibrium, so a reordering of the
-ions that keeps every ion's charge, pseudopotential slope and radial
-curvatures in place shares the solve (``_reordered``).
+configuration carries the solver's energy object and the Hessian it
+evaluated at the returned positions, which the spectrum and tensor stages
+reuse.  Masses enter no equilibrium, so a reordering of the ions that keeps
+every ion's charge, pseudopotential slope and radial curvatures in place
+shares the solve (``_reordered``).
 """
 
 from __future__ import annotations
@@ -246,10 +246,10 @@ class ChainConfiguration:
     """An ordered chain with solved equilibrium positions.
 
     A configuration returned by ``solve_equilibrium`` also carries, privately,
-    the solver's ``_Energy`` and the gradient and Hessian it evaluated at
-    ``positions``; those arrays and ``positions`` are read-only, so no edit
-    can leave a stale Hessian behind.  A configuration built by hand carries
-    none of them, and ``modes`` evaluates and checks its derivatives anew.
+    the solver's ``_Energy`` and the Hessian it evaluated at ``positions``;
+    both arrays are read-only, so no edit can leave a stale Hessian behind.
+    A configuration built by hand carries neither, and ``modes`` evaluates
+    and checks its derivatives anew.
     """
 
     species: tuple[IonSpecies, ...]
@@ -259,7 +259,6 @@ class ChainConfiguration:
 
     # set by solve_equilibrium; not fields, so not in __init__ or repr
     _energy = None
-    _gradient = None
     _hessian = None
 
     @property
@@ -358,10 +357,12 @@ def _instability(h: np.ndarray, is3d: bool) -> UnconfinedPotentialError:
         f"stationary point is not a minimum: {mode} has {rest}")
 
 
-def _reordering(positions: np.ndarray) -> EquilibriumError:
-    """The verdict on an iterate every trial step from which reorders the
-    ions: IonCrossingError in 1D; in 3D, where ions pass only off the axis,
-    the linear chain's instability, naming the pair with the least gap."""
+def _failed_search(positions: np.ndarray, kept: list) -> EquilibriumError:
+    """The verdict on a line search that found no step and met no overflow,
+    from whether each trial ``kept`` the ion order: ConvergenceError if all
+    did, else IonCrossingError in 1D and the closest pair's instability in 3D."""
+    if all(kept):
+        return ConvergenceError("line search failed to reduce the energy")
     if positions.ndim == 1:
         return IonCrossingError("ion ordering would be violated during iteration")
     z = positions[:, 2]
@@ -370,7 +371,8 @@ def _reordering(positions: np.ndarray) -> EquilibriumError:
     return LinearChainInstabilityError(
         f"linear chain is unstable: ions {i} and {i + 1} closed their axial "
         f"gap to {z[i + 1] - z[i]:.3e} m at radial offsets {xy} m, and every "
-        f"step would reorder them")
+        f"step would reorder them" + (" or fail to lower the energy"
+                                      if any(kept) else ""))
 
 
 def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfiguration:
@@ -388,16 +390,15 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
     zero gradient, a step within 4 ulps of the positions or a rejected step.
     Raises ValueError for malformed inputs and UnconfinedPotentialError for
     a negatively charged ion, before any energy evaluation; then
-    ConvergenceError (also after MAX_NEWTON_ITER steps or a step within 4
-    ulps above the tolerance), ``_reordering``'s verdict when every trial
-    step would reorder the ions, UnconfinedPotentialError
-    when two line searches in a row meet an overflowing trial, or, when the
-    solution is not a minimum, ``_instability``'s verdict naming its
-    softest Hessian mode.
+    ConvergenceError (no descent direction, MAX_NEWTON_ITER steps or a step
+    within 4 ulps above the tolerance), ``_failed_search``'s verdict on a
+    line search that finds no step and meets no overflow,
+    UnconfinedPotentialError when two searches in a row meet an overflow, or
+    ``_instability``'s verdict on a solution that is not a minimum.
 
     The returned configuration carries this solve's ``_Energy`` and its last
-    gradient and Hessian, all evaluated at the returned positions, for
-    ``modes`` and ``anharmonic`` to reuse; its arrays are read-only.
+    Hessian, evaluated at the returned positions, for ``modes`` and
+    ``anharmonic`` to reuse; its arrays are read-only.
     """
     species = tuple(species)
     n = len(species)
@@ -460,11 +461,11 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
                     <= 4 * sys.float_info.epsilon * np.abs(x).max():
                 stop = "Newton steps fell below the rounding of the positions"
                 break
-            t, crossing_only, overflow = 1.0, True, False
+            t, overflow, kept = 1.0, False, []  # kept: each trial ordered
             while t >= (1.0 if below else 1e-14):
                 trial = x + t * step
-                if ordered(trial):
-                    crossing_only = False
+                kept.append(ordered(trial))
+                if kept[-1]:
                     at = trial.reshape(shape)
                     u_t, g_t, h_t = ((u, *energy(at, 1, 2)) if below
                                      else energy(at, 0, 1, 2))
@@ -485,10 +486,8 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
             else:
                 if below:
                     break
-                if crossing_only:
-                    raise _reordering(x.reshape(shape))
                 if not overflow:
-                    raise ConvergenceError("line search failed to reduce the energy")
+                    raise _failed_search(x.reshape(shape), kept)
                 overflowed = True
             if overflow and overflowed:
                 raise UnconfinedPotentialError(
@@ -506,12 +505,11 @@ def solve_equilibrium(species, potential, initial_guess=None) -> ChainConfigurat
     except np.linalg.LinAlgError:
         raise _instability(h, want3d) from None
     positions = x.reshape(shape)
-    for a in (positions, g, h):
+    for a in (positions, h):
         a.flags.writeable = False
-    cfg = ChainConfiguration(species=species, positions=positions,
-                             potential=potential,
+    cfg = ChainConfiguration(species, positions, potential,
                              residual_gradient=float(g_max))
-    for name, value in (("_energy", energy), ("_gradient", g), ("_hessian", h)):
+    for name, value in (("_energy", energy), ("_hessian", h)):
         object.__setattr__(cfg, name, value)
     return cfg
 
@@ -525,8 +523,8 @@ def _reordered(cfg: ChainConfiguration, species) -> ChainConfiguration | None:
     masses enter only the mode problem.  When those agree ion by ion, as for
     the reversed order of an equal-charge pair with no pseudopotential
     gradient, ``solve_equilibrium(species, cfg.potential)`` from cfg's start
-    would repeat cfg's solve operation for operation.  The configuration returned holds
-    ``species`` and cfg's read-only positions, gradient, Hessian and
+    would repeat cfg's solve operation for operation.  The result holds
+    ``species`` and cfg's read-only positions and Hessian and its
     ``_Energy``.  A configuration not from ``solve_equilibrium`` gets None.
     """
     species = tuple(species)
@@ -537,7 +535,7 @@ def _reordered(cfg: ChainConfiguration, species) -> ChainConfiguration | None:
                    _per_ion(species, cfg.potential))):
         return None
     out = replace(cfg, species=species)
-    for name in ("_energy", "_gradient", "_hessian"):
+    for name in ("_energy", "_hessian"):
         object.__setattr__(out, name, getattr(cfg, name))
     return out
 

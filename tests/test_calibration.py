@@ -174,6 +174,39 @@ class TestNullParameter:
             delta = order_shift(family.at(p), *pair, label).delta
             assert abs(delta) < ionmodes.calibration.NULL_TOLERANCE_HZ
 
+    # cases of _null_draw's stream whose root find closes on a fold from
+    # its stable side, creeping onto it by an ulp or two of p per step
+    JUMPS = (44, 203, 208, 240)
+
+    def test_jump_on_the_stable_side_is_named(self, monkeypatch):
+        """Where the Newton point comes within xtol of p while the shift is
+        not null, the shift jumps: the root find names that p and shift,
+        well before its step cap of MAX_ROOT_ITER + 2 evaluations."""
+        evaluations = Counter()
+        frequencies = ionmodes.calibration._order_frequencies
+
+        def counted(*args):
+            evaluations["shift"] += 1
+            return frequencies(*args)
+
+        monkeypatch.setattr(ionmodes.calibration, "_order_frequencies",
+                            counted)
+        rng = np.random.default_rng(7)
+        cases = [_null_draw(rng) for _ in range(300)]
+        for k in self.JUMPS:
+            family, pair, label, bracket = cases[k]
+            evaluations.clear()
+            with pytest.raises(BracketError,
+                               match=r"^order shift jumps at p = \S+: \S+ Hz "
+                                     r"there, with a vanishing Newton "
+                                     r"step$") as exc:
+                null_parameter(family, *pair, label, bracket)
+            p, delta = map(float, re.search(r"p = (\S+): (\S+) Hz",
+                                            str(exc.value)).groups())
+            assert bracket[0] < p < bracket[1]
+            assert abs(delta) >= ionmodes.calibration.NULL_TOLERANCE_HZ
+            assert evaluations["shift"] <= 45
+
     @pytest.mark.parametrize("bracket", [(np.nan, 2.0), (0.0, np.inf),
                                          (-np.inf, 2.0)])
     def test_non_finite_bracket_rejected(self, monkeypatch, be, mg, pot_cubic,
@@ -782,7 +815,7 @@ class TestReversedOrderShared:
     @staticmethod
     def _assert_served_is_cold(served, cold):
         assert served.species == cold.species
-        for name in ("positions", "_gradient", "_hessian"):
+        for name in ("positions", "_hessian"):
             got = getattr(served, name)
             assert np.array_equal(got, getattr(cold, name))
             assert not got.flags.writeable
